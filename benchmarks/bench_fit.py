@@ -4,20 +4,18 @@ Every collect→refit cycle re-fits hundreds of boosted trees per HM
 component, and the reference split search loops over all 41 features in
 Python per node.  The histogram kernel (:mod:`repro.models.histkernel`)
 builds every feature's count/sum histograms in one flattened
-``np.bincount`` and scores both children of a committed split per batch
-— while growing the byte-identical tree.  This benchmark measures both
-paths at the paper operating point (600 trees, 41 features, HM
-per-order components), asserts the regression floor, verifies that the
-kernel-fit and reference-fit tuning pipelines produce
+``np.bincount`` and scores both children of a committed split in one
+histogram pass — while growing the byte-identical tree.  This benchmark
+measures both paths at the paper operating point (600 trees, 41
+features, HM per-order components), asserts the regression floor,
+verifies that the kernel-fit and reference-fit tuning pipelines produce
 ``report_fingerprint``-identical reports, and writes the numbers to
 ``BENCH_fit.json``.
 
-The floor is deliberately below the locally-measured speedup (6-8x on
-the raw fit): CI runners are noisy, and the gate exists to catch an
-accidental return to per-feature Python iteration, not 20% wobble.
-When numba is importable the jitted path is measured too and its
-predictions asserted bit-identical; when absent, the guarded fallback
-is what ships and ``numba`` is reported unavailable.
+The floor is deliberately below the locally-measured speedup (well
+over 6x on the raw fit): CI runners are noisy, and the gate exists to
+catch an accidental return to per-feature Python iteration, not 20%
+wobble.
 """
 
 from __future__ import annotations
@@ -29,11 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.models.boosting import GradientBoostedTrees
-from repro.models.histkernel import (
-    available_fit_paths,
-    numba_available,
-    use_fit_path,
-)
+from repro.models.histkernel import available_fit_paths, use_fit_path
 from repro.models.tree import BinnedDataset
 from repro.store.runstore import report_fingerprint
 
@@ -97,7 +91,6 @@ def test_fit_speedup_and_fingerprint_parity():
         "n_trees": N_TREES,
         "n_features": N_FEATURES,
         "n_rows": N_ROWS,
-        "numba_available": numba_available(),
         "paths": {},
     }
 
@@ -152,8 +145,7 @@ def test_fit_speedup_and_fingerprint_parity():
         f"\nmodel fit, {N_TREES} trees x {N_FEATURES} features x "
         f"{N_ROWS} rows (floor {SPEEDUP_FLOOR}x):\n{rows}\n"
         f"  kernel speedup {speedup:.2f}x; tune fingerprints equal "
-        f"({tune['numpy']['fingerprint'][:16]}…); "
-        f"numba {'present' if results['numba_available'] else 'absent'}\n"
+        f"({tune['numpy']['fingerprint'][:16]}…)\n"
     )
 
     assert speedup >= SPEEDUP_FLOOR, (

@@ -34,6 +34,7 @@ import pytest
 
 from repro.core.tuner import DacTuner
 from repro.engine import InProcessBackend
+from repro.models.flat import LEAF_THRESHOLD
 from repro.models.hierarchical import HierarchicalModel
 from repro.service import JobService, TuneRequest
 from repro.store import RunStore
@@ -132,7 +133,8 @@ def _synthetic_checkpoint() -> HierarchicalModel:
 
     Built straight from sections: fitting 500 deep trees for real takes
     minutes, but the load path only cares about array sizes and a valid
-    traversal structure (heap-layout perfect trees, leaves at depth 10).
+    traversal structure (heap-layout perfect trees, leaves at depth 10,
+    each leaf looping to itself).
     """
     gen = np.random.default_rng(0)
     n_nodes = 2 ** (FOREST_DEPTH + 1) - 1
@@ -147,10 +149,10 @@ def _synthetic_checkpoint() -> HierarchicalModel:
         internal, gen.integers(0, FOREST_FEATURES, total), -1
     ).astype(np.int32)
     threshold = np.where(
-        internal, gen.integers(0, FOREST_BINS - 2, total), 0
+        internal, gen.integers(0, FOREST_BINS - 2, total), LEAF_THRESHOLD
     ).astype(np.int32)
-    left = np.where(internal, offsets + 2 * idx + 1, -1)
-    right = np.where(internal, offsets + 2 * idx + 2, -1)
+    left = np.where(internal, offsets + 2 * idx + 1, offsets + idx)
+    right = np.where(internal, offsets + 2 * idx + 2, offsets + idx)
     children = np.column_stack([left, right]).reshape(-1).astype(np.int32)
     edges = np.tile(np.linspace(0.0, 1.0, FOREST_BINS - 1), FOREST_FEATURES)
     sections = {
@@ -182,6 +184,7 @@ def _synthetic_checkpoint() -> HierarchicalModel:
         "stopped_reason": "all trees fitted",
         "n_trees_fitted": FOREST_TREES,
         "max_bins": FOREST_BINS,
+        "depth": FOREST_DEPTH,
     }
     meta = {
         "n_trees": FOREST_TREES,

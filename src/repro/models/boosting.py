@@ -21,7 +21,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.models.flat import FlatForest, accumulate, observe_predict, timed
-from repro.models.histkernel import observe_fit, resolve_fit_path
+from repro.models.histkernel import flat_codes, observe_fit, resolve_fit_path
 from repro.models.metrics import mean_relative_error
 from repro.models.tree import BinnedDataset, RegressionTree
 
@@ -50,7 +50,7 @@ class GradientBoostedTrees:
     fit_path:
         Split-search implementation for every tree (see
         :class:`~repro.models.tree.RegressionTree`); ``None`` defers to
-        :func:`repro.models.histkernel.resolve_fit_path`.  All paths
+        :func:`repro.models.histkernel.resolve_fit_path`.  Both paths
         produce the byte-identical model.
     """
 
@@ -138,24 +138,32 @@ class GradientBoostedTrees:
 
         residual = y_train - self._base
         val_pred = np.full(n_val, self._base)
-        n_sub = max(2, int(round(len(X_train) * self.subsample)))
+        n_train = len(X_train)
+        n_sub = max(2, int(round(n_train * self.subsample)))
         best_error = np.inf
         stale = 0
         self.stopped_reason_ = "reached n_trees"
+        # Per-fit, never cached on the shared binner: every tree's split
+        # search gathers rows of one flattened code matrix, and every
+        # round routes training and validation rows in one traversal.
+        flat = flat_codes(self._binner)
+        all_codes = np.concatenate([self._binner.codes, val_codes])
 
         for _ in range(self.n_trees):
-            sample = rng.integers(0, len(X_train), n_sub)  # bootstrap
+            sample = rng.integers(0, n_train, n_sub)  # bootstrap
             tree = RegressionTree(
                 tree_complexity=self.tree_complexity,
                 min_samples_leaf=self.min_samples_leaf,
                 fit_path=path,
             )
-            tree.fit_binned(self._binner, residual, sample_indices=sample)
+            tree.fit_binned(
+                self._binner, residual, sample_indices=sample, flat_codes=flat
+            )
             self._trees.append(tree)
 
-            update = tree.predict_binned(self._binner.codes)
-            residual -= self.learning_rate * update
-            val_pred += self.learning_rate * tree.predict_binned(val_codes)
+            step = self.learning_rate * tree.predict_binned(all_codes)
+            residual -= step[:n_train]
+            val_pred += step[n_train:]
 
             error = mean_relative_error(np.exp(val_pred), measured_val)
             self.validation_errors_.append(error)
@@ -276,6 +284,7 @@ class GradientBoostedTrees:
             "stopped_reason": str(self.stopped_reason_),
             "n_trees_fitted": int(self.n_trees_fitted),
             "max_bins": int(self._binner.max_bins),
+            "depth": int(flat.depth),
         }
         return sections, meta
 
@@ -312,7 +321,7 @@ class GradientBoostedTrees:
             for j in range(len(offsets) - 1)
         ]
         model._binner = BinnedDataset.from_edges(edges, max_bins=int(meta["max_bins"]))
-        model._flat = FlatForest.from_sections(sections, prefix=prefix)
+        model._flat = FlatForest.from_sections(sections, meta["depth"], prefix=prefix)
         model._base = float(meta["base"])
         model.stopped_reason_ = str(meta["stopped_reason"])
         model.validation_errors_ = [

@@ -8,12 +8,13 @@ generation.  This module lowers fitted trees into structure-of-arrays
 node tables so a batch prediction is a handful of vectorized gathers:
 
 * :class:`FlatTree` — one tree as parallel arrays (feature, bin
-  threshold, children, leaf value); prediction advances every sample
-  one level per iteration, so the Python-level loop runs ``depth``
-  times, never ``nodes × samples`` times.
+  threshold, children, leaf value).  Every leaf loops to itself, so
+  prediction advances every sample one level per iteration for exactly
+  ``depth`` iterations with no per-level bookkeeping: the Python-level
+  loop runs ``depth`` times, never ``nodes × samples`` times.
 * :class:`FlatForest` — a whole ensemble stacked into one node table
   with per-tree root offsets; one traversal moves *all samples × all
-  trees* a level at a time.
+  trees* a level at a time, for the forest's deepest tree.
 * :class:`MergedBinner` — the union of several
   :class:`~repro.models.tree.BinnedDataset` edge sets with exact
   per-component translation tables, so
@@ -23,9 +24,10 @@ node tables so a batch prediction is a handful of vectorized gathers:
 
 Every function here is **bit-for-bit** equal to the node-walk
 reference (``RegressionTree.predict_binned_walk``): the same leaf is
-reached through the same ``code <= bin_threshold`` comparisons, leaf
-values are gathered unchanged, and ensemble accumulation replays the
-reference's left-to-right float additions (:func:`accumulate`).  That
+reached through the same ``code <= bin_threshold`` comparisons (a row
+that reaches its leaf early stays there), leaf values are gathered
+unchanged, and ensemble accumulation replays the reference's
+left-to-right float additions (:func:`accumulate`).  That
 exactness is what lets checkpointed jobs from the node-walk era resume
 on this path with identical report fingerprints
 (:func:`repro.store.report_fingerprint`), proven by
@@ -75,16 +77,40 @@ def accumulate(base: float, scale: float, leaf_values: np.ndarray) -> np.ndarray
 
     The reference ensemble loop computes ``out += scale * tree_pred``
     one tree at a time; float addition is not associative, so matching
-    it bit-for-bit requires replaying the same left-to-right order —
-    a loop of vectorized adds over the (already gathered) per-tree leaf
-    values, which costs microseconds next to the traversal it follows.
+    it bit-for-bit requires replaying the same left-to-right order.
+    ``np.cumsum`` (``add.accumulate``) is sequential along its axis, so
+    one cumsum down ``[base; scale * leaf_values]`` ends on exactly the
+    loop's sum.
     """
     leaf_values = np.asarray(leaf_values, dtype=float)
-    out = np.full(leaf_values.shape[1], float(base))
-    scaled = scale * leaf_values
-    for row in scaled:
-        out += row
-    return out
+    rows = np.empty((len(leaf_values) + 1, leaf_values.shape[1]))
+    rows[0] = base
+    np.multiply(scale, leaf_values, out=rows[1:])
+    return np.cumsum(rows, axis=0)[-1].copy()
+
+
+#: Threshold of a lowered leaf: above every bin code, so a leaf's
+#: comparison sends its rows "left" — to the leaf itself.
+LEAF_THRESHOLD = np.iinfo(np.int32).max
+
+
+def _descend(feature, threshold, children, pos, codes, depth):
+    """Advance every position ``depth`` levels through a node table.
+
+    A leaf's children are the leaf, so rows that reach their leaf early
+    stay there with no active-row mask.  A leaf's feature ``-1`` reads
+    the code one position before its row's first (``take`` wraps ``-1``
+    for row 0), a valid index whose value no longer matters.  Codes are
+    gathered from the raveled matrix by linear index, and every table
+    lookup is a 1-D ``take``.
+    """
+    codes = np.asarray(codes)
+    flat = codes.ravel()
+    row_start = np.arange(len(codes)) * codes.shape[1]
+    for _ in range(depth):
+        code = flat.take(row_start + feature.take(pos))
+        pos = children.take(2 * pos + (code > threshold.take(pos)))
+    return pos
 
 
 class FlatTree:
@@ -92,44 +118,55 @@ class FlatTree:
 
     ``feature[i] < 0`` marks node ``i`` a leaf whose prediction is
     ``value[i]``; otherwise samples with
-    ``codes[:, feature[i]] <= threshold[i]`` descend to ``left[i]``,
-    the rest to ``right[i]``.  ``children`` interleaves (left, right)
-    so the traversal picks a child with a single flat gather.
+    ``codes[:, feature[i]] <= threshold[i]`` descend to the left child,
+    the rest to the right.  ``children`` interleaves (left, right) so
+    the traversal picks a child with a single flat gather; a leaf's
+    children are itself, with a threshold above every code, so walking
+    ``depth`` levels lands every row on its leaf.
     """
 
-    __slots__ = ("feature", "threshold", "left", "right", "value", "children")
+    __slots__ = ("feature", "threshold", "children", "value", "depth")
 
     def __init__(
         self,
         feature: np.ndarray,
         threshold: np.ndarray,
-        left: np.ndarray,
-        right: np.ndarray,
+        children: np.ndarray,
         value: np.ndarray,
+        depth: int,
     ):
-        self.feature = np.asarray(feature, dtype=np.int32)
-        self.threshold = np.asarray(threshold, dtype=np.int32)
-        self.left = np.asarray(left, dtype=np.int32)
-        self.right = np.asarray(right, dtype=np.int32)
-        self.value = np.asarray(value, dtype=np.float64)
-        self.children = np.column_stack([self.left, self.right]).reshape(-1)
+        self.feature = feature
+        self.threshold = threshold
+        self.children = children
+        self.value = value
+        self.depth = depth
 
     @classmethod
     def from_nodes(cls, nodes: Sequence[object]) -> "FlatTree":
-        """Lower a fitted tree's ``_Node`` list into arrays."""
+        """Lower a fitted tree's ``_Node`` list into self-looping arrays.
+
+        Children always follow their parent in the list, so one forward
+        pass also finds every node's depth.
+        """
         n = len(nodes)
         feature = np.empty(n, dtype=np.int32)
         threshold = np.empty(n, dtype=np.int32)
-        left = np.empty(n, dtype=np.int32)
-        right = np.empty(n, dtype=np.int32)
+        children = np.empty(2 * n, dtype=np.int32)
         value = np.empty(n, dtype=np.float64)
+        depths = [0] * n
         for i, node in enumerate(nodes):
-            feature[i] = node.feature
-            threshold[i] = node.bin_threshold
-            left[i] = node.left
-            right[i] = node.right
             value[i] = node.value
-        return cls(feature, threshold, left, right, value)
+            if node.feature < 0:
+                feature[i] = -1
+                threshold[i] = LEAF_THRESHOLD
+                children[2 * i] = children[2 * i + 1] = i
+            else:
+                feature[i] = node.feature
+                threshold[i] = node.bin_threshold
+                children[2 * i] = node.left
+                children[2 * i + 1] = node.right
+                depths[node.left] = depths[node.right] = depths[i] + 1
+        return cls(feature, threshold, children, value, max(depths))
 
     @property
     def n_nodes(self) -> int:
@@ -137,23 +174,14 @@ class FlatTree:
 
     def predict(self, codes: np.ndarray) -> np.ndarray:
         """Leaf values for pre-binned ``codes`` (n_samples, n_features)."""
-        codes = np.asarray(codes)
-        n = len(codes)
-        pos = np.zeros(n, dtype=np.int32)
-        rows = np.arange(n)
-        while True:
-            feat = self.feature[pos]
-            active = feat >= 0
-            if not active.any():
-                break
-            code = codes[rows, np.where(active, feat, 0)]
-            step = self.children[2 * pos + (code > self.threshold[pos])]
-            pos = np.where(active, step, pos)
-        return self.value[pos]
+        start = np.zeros(len(codes), dtype=np.int32)
+        pos = _descend(
+            self.feature, self.threshold, self.children, start, codes, self.depth
+        )
+        return self.value.take(pos)
 
     def __getstate__(self):
-        # ``children`` is derived; rebuild it on load.
-        return (self.feature, self.threshold, self.left, self.right, self.value)
+        return (self.feature, self.threshold, self.children, self.value, self.depth)
 
     def __setstate__(self, state):
         self.__init__(*state)
@@ -163,13 +191,14 @@ class FlatForest:
     """Many trees stacked into one node table.
 
     Per-tree node arrays are concatenated with child indices rebased to
-    the global table; ``roots`` holds each tree's root offset.  One
-    traversal then advances an (n_trees, n_samples) position matrix a
-    level per iteration — the Python loop runs ``max_depth`` times no
-    matter how many trees or samples are in flight.
+    the global table; ``roots`` holds each tree's root offset and
+    ``depth`` the deepest tree's depth.  One traversal then advances an
+    (n_trees, n_samples) position matrix ``depth`` levels — the Python
+    loop runs ``depth`` times no matter how many trees or samples are in
+    flight, and shallower trees idle on their self-looping leaves.
     """
 
-    __slots__ = ("feature", "threshold", "children", "value", "roots")
+    __slots__ = ("feature", "threshold", "children", "value", "roots", "depth")
 
     def __init__(
         self,
@@ -178,12 +207,14 @@ class FlatForest:
         children: np.ndarray,
         value: np.ndarray,
         roots: np.ndarray,
+        depth: int,
     ):
         self.feature = feature
         self.threshold = threshold
         self.children = children
         self.value = value
         self.roots = roots
+        self.depth = depth
 
     @classmethod
     def from_trees(cls, trees: Sequence[object]) -> "FlatForest":
@@ -195,14 +226,10 @@ class FlatForest:
         threshold = np.concatenate([flat.threshold for flat in flats])
         value = np.concatenate([flat.value for flat in flats])
         children = np.concatenate(
-            [
-                # Leaves carry -1 children; rebasing them is harmless
-                # because the traversal never follows a leaf's child.
-                flat.children + offset
-                for flat, offset in zip(flats, offsets)
-            ]
+            [flat.children + offset for flat, offset in zip(flats, offsets)]
         ).astype(np.int32)
-        return cls(feature, threshold, children, value, offsets)
+        depth = max(flat.depth for flat in flats)
+        return cls(feature, threshold, children, value, offsets, depth)
 
     @property
     def n_trees(self) -> int:
@@ -218,20 +245,12 @@ class FlatForest:
         ``n_trees`` restricts the traversal to the first trees — the
         boosting convergence curve re-predicts prefixes this way.
         """
-        codes = np.asarray(codes)
-        n = len(codes)
         roots = self.roots if n_trees is None else self.roots[:n_trees]
-        pos = np.broadcast_to(roots[:, None], (len(roots), n)).astype(np.int32)
-        rows = np.arange(n)[None, :]
-        while True:
-            feat = self.feature[pos]
-            active = feat >= 0
-            if not active.any():
-                break
-            code = codes[rows, np.where(active, feat, 0)]
-            step = self.children[2 * pos + (code > self.threshold[pos])]
-            pos = np.where(active, step, pos)
-        return self.value[pos]
+        start = np.repeat(np.asarray(roots, dtype=np.int32)[:, None], len(codes), 1)
+        pos = _descend(
+            self.feature, self.threshold, self.children, start, codes, self.depth
+        )
+        return self.value.take(pos)
 
     def to_sections(self, prefix: str = "") -> dict:
         """The node table as named arrays for the columnar blob format.
@@ -240,6 +259,8 @@ class FlatForest:
         so a forest restored by :meth:`from_sections` — including one
         whose sections are read-only ``np.memmap`` views — traverses
         the identical table and produces bit-identical leaf values.
+        The table's ``depth`` is a scalar and travels in the caller's
+        JSON meta.
         """
         return {
             prefix + "feature": self.feature,
@@ -250,7 +271,7 @@ class FlatForest:
         }
 
     @classmethod
-    def from_sections(cls, sections, prefix: str = "") -> "FlatForest":
+    def from_sections(cls, sections, depth: int, prefix: str = "") -> "FlatForest":
         """Rebuild from stored sections (arrays are used as-is, zero copy).
 
         The traversal only ever *reads* the node table, so read-only
@@ -263,13 +284,28 @@ class FlatForest:
             sections[prefix + "children"],
             sections[prefix + "value"],
             sections[prefix + "roots"],
+            int(depth),
         )
 
     def __getstate__(self):
-        return (self.feature, self.threshold, self.children, self.value, self.roots)
+        return (
+            self.feature,
+            self.threshold,
+            self.children,
+            self.value,
+            self.roots,
+            self.depth,
+        )
 
     def __setstate__(self, state):
-        (self.feature, self.threshold, self.children, self.value, self.roots) = state
+        (
+            self.feature,
+            self.threshold,
+            self.children,
+            self.value,
+            self.roots,
+            self.depth,
+        ) = state
 
 
 class MergedBinner:

@@ -1,50 +1,51 @@
 """Histogram-kernel split search: binned tree *fitting* at NumPy speed.
 
-PR 5 vectorized inference (:mod:`repro.models.flat`); fitting remained
-the dominant cost of every collect→refit cycle because
+Fitting is the dominant cost of every collect→refit cycle, and
 ``RegressionTree._best_split_reference`` loops over all features in
 Python and evaluates one node at a time.  This module replaces that
 inner loop with a histogram kernel:
 
 * **All features in one shot** — a node's per-``(feature, bin)``
-  count/sum histograms are built by a single flattened-index
-  ``np.bincount`` over the whole ``(rows, features)`` code block
-  instead of one Python iteration per feature.
-* **Frontier batching** — when a split commits, *both* children are
-  evaluated in one kernel invocation (their histograms share one
-  bincount pass); the tree still grows in exactly the reference's
+  count/sum histograms come from a flattened-index ``np.bincount`` over
+  the whole ``(rows, features)`` code block instead of one Python
+  iteration per feature.  A full-feature fit flattens the code matrix
+  once (:func:`flat_codes`); each node then gathers its rows.
+* **Both children in one pass** — when a split commits, its two
+  children are scored together: their flattened blocks are
+  concatenated, the right child's cells offset past the left's, so one
+  count ``np.bincount`` and one sum ``np.bincount`` fill a
+  ``(2, features, bins)`` histogram block, one gain block covers both
+  children, and one first-max ``argmax`` per child picks its split.
+  Node values come from the per-child target sums the same pass
+  computes.  The tree still grows in exactly the reference's
   best-first order, see the determinism notes below.
-* **Parent-histogram reuse** — integer count histograms satisfy
-  ``counts_parent == counts_left + counts_right`` exactly, so the
-  larger child's counts are derived by subtraction and only the
-  smaller child is histogrammed; the float *sum* histograms are always
-  recomputed, because subtracting them would reorder float additions
-  and break bit-equality.
-* **Guarded numba fast path** — when :mod:`numba` is importable the
-  per-node evaluation runs as one jitted loop nest; the import is lazy,
-  the dependency optional, and the NumPy kernel is the always-available
-  fallback (the same guarded-fast-path pattern
-  :mod:`repro.models.flat` established for inference).
 
 Determinism
 -----------
 The kernel must pick **byte-identical splits** to the reference —
 ``report_fingerprint`` equality across dedup, crash-resume, and
 scenario replay all depend on fitted models being bit-for-bit stable.
-Three facts make the vectorized path exact:
+Four facts make the batched path exact:
 
 1. ``np.bincount`` (weighted or not) accumulates sequentially in input
-   order, so a flattened sample-major bincount deposits each cell's
-   contributions in the same ascending-row order as the reference's
-   per-feature bincount — identical float sums.
+   order, and every cell of the concatenated two-child block belongs
+   to one child, so each cell's float sum sees the same contributions
+   in the same ascending-row order as the reference's per-feature
+   bincount.
 2. ``np.cumsum`` along an axis accumulates each lane sequentially,
-   matching the reference's per-feature prefix sums; per-node scalars
-   (``y[idx].sum()``, leaf means) are computed by the very same
-   ``np.sum`` pairwise reduction over the very same gathers.
-3. Gain comparison replays the reference's scan semantics exactly:
-   first-max-wins inside a feature (``np.argmax``), strictly-greater
-   first-wins across features in candidate order, NaN gains never
-   selected, and the same ``1e-12`` floor.
+   matching the reference's per-feature prefix sums.
+3. A node's total is ``y[idx].sum()``, the pairwise reduction
+   ``np.mean`` also uses, so ``total / n`` is the reference's leaf
+   mean bit for bit and ``total ** 2 / n`` its parent term.  (It sums
+   the node's slice of the pair's one target gather: pairwise
+   summation depends only on the values and their order.)
+4. A flat ``argmax`` over a child's feature-major ``(features, bins)``
+   gain block returns the first feature holding the maximum and the
+   first bin within it: the reference's per-feature first-max followed
+   by its strictly-greater scan across features.  The one exception is
+   a NaN gain (``inf - inf`` on huge targets), which disqualifies only
+   its own feature in the reference; the value at the ``argmax`` is NaN
+   exactly when one exists, and such a node is replayed per feature.
 
 Best-first growth bounds the batch width: a popped node's children must
 be scored before the next heap pop (their gains compete for it), so
@@ -57,9 +58,8 @@ full argument.
 from __future__ import annotations
 
 import os
-import time
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -69,7 +69,7 @@ from repro.telemetry.metrics import get_registry
 __all__ = [
     "FrontierEvaluator",
     "available_fit_paths",
-    "numba_available",
+    "flat_codes",
     "observe_fit",
     "resolve_fit_path",
     "set_fit_path",
@@ -79,10 +79,10 @@ __all__ = [
 #: Gain floor shared with the reference: a split must beat this strictly.
 MIN_GAIN = 1e-12
 
-#: Recognized fit-path names.  ``auto`` resolves to ``numba`` when the
-#: import guard succeeds, else ``numpy``; ``reference`` forces the
-#: original per-feature Python loop (kept for equivalence tests).
-FIT_PATHS = ("auto", "numpy", "numba", "reference")
+#: Recognized fit-path names.  ``auto`` resolves to ``numpy``;
+#: ``reference`` forces the original per-feature Python loop (kept for
+#: equivalence tests).
+FIT_PATHS = ("auto", "numpy", "reference")
 
 #: Environment override consulted when no explicit path is set.
 FIT_PATH_ENV = "REPRO_FIT_PATH"
@@ -115,227 +115,63 @@ def use_fit_path(path: Optional[str]):
 
 
 def resolve_fit_path(requested: Optional[str] = None) -> str:
-    """Concrete path for a fit call: ``numpy``, ``numba`` or ``reference``.
+    """Concrete path for a fit call: ``numpy`` or ``reference``.
 
     Priority: explicit ``requested`` (a model's ``fit_path``), then
     :func:`set_fit_path`/:func:`use_fit_path`, then the
-    ``REPRO_FIT_PATH`` environment variable, then ``auto``.  A ``numba``
-    request on a box without numba degrades to ``numpy`` — the guarded
-    fallback, never an import error.
+    ``REPRO_FIT_PATH`` environment variable, then ``auto``.
     """
     path = requested or _path_override or os.environ.get(FIT_PATH_ENV) or "auto"
     if path not in FIT_PATHS:
         raise ValueError(f"unknown fit path {path!r}; choose from {FIT_PATHS}")
-    if path == "auto":
-        return "numba" if numba_available() else "numpy"
-    if path == "numba" and not numba_available():
-        return "numpy"
-    return path
+    return "numpy" if path == "auto" else path
 
 
 def available_fit_paths() -> Tuple[str, ...]:
     """The concrete paths runnable in this process."""
-    paths: List[str] = ["reference", "numpy"]
-    if numba_available():
-        paths.append("numba")
-    return tuple(paths)
-
-
-# ----------------------------------------------------------------------
-# Numba guard
-# ----------------------------------------------------------------------
-_numba_eval = None
-_numba_probed = False
-
-
-def numba_available() -> bool:
-    """True when the jitted kernel imported and compiled cleanly.
-
-    The probe runs once per process; *any* failure (missing module,
-    LLVM mismatch, compilation error) permanently selects the NumPy
-    fallback instead of raising.
-    """
-    return _load_numba_eval() is not None
-
-
-def _load_numba_eval():
-    global _numba_eval, _numba_probed
-    if _numba_probed:
-        return _numba_eval
-    _numba_probed = True
-    try:
-        import numba  # noqa: F401  (optional dependency, lazy on purpose)
-
-        _numba_eval = _build_numba_eval(numba)
-    except Exception:
-        _numba_eval = None
-    return _numba_eval
-
-
-def _build_numba_eval(numba):
-    """Compile the per-node evaluator.
-
-    The jitted code replays the NumPy kernel's float operations in the
-    same order: histogram cells accumulate in ascending row order (what
-    ``np.bincount`` does), prefix sums run left-to-right (what
-    ``np.cumsum`` does), and the gain keeps the reference association
-    ``(left + right) - parent``.  Scalars that NumPy computes with a
-    pairwise reduction (``total_sum``) are computed *outside* and passed
-    in, so no numba reduction can disagree with NumPy in the last bit.
-    No ``fastmath`` — reassociation is exactly what must not happen.
-    """
-
-    @numba.njit(cache=False)
-    def eval_node(codes, idx, features, nb_max, y, msl, total_sum, parent_term):
-        n = idx.shape[0]
-        k = features.shape[0]
-        best_gain = MIN_GAIN
-        best_pos = -1
-        best_bin = -1
-        counts = np.zeros(nb_max, dtype=np.int64)
-        sums = np.zeros(nb_max, dtype=np.float64)
-        for p in range(k):
-            feature = features[p]
-            for b in range(nb_max):
-                counts[b] = 0
-                sums[b] = 0.0
-            for i in range(n):
-                row = idx[i]
-                c = codes[row, feature]
-                counts[c] += 1
-                sums[c] += y[row]
-            # Prefix scan + gain, replaying the reference's first-max
-            # (NaN-first) argmax inside the feature.
-            left_count = 0
-            left_sum = 0.0
-            feat_gain = -np.inf
-            feat_bin = 0
-            feat_nan = False
-            for b in range(nb_max - 1):
-                left_count += counts[b]
-                left_sum += sums[b]
-                right_count = n - left_count
-                right_sum = total_sum - left_sum
-                if left_count >= msl and right_count >= msl:
-                    g = (
-                        left_sum * left_sum / left_count
-                        + right_sum * right_sum / right_count
-                    ) - parent_term
-                else:
-                    g = -np.inf
-                if g != g:  # NaN: np.argmax picks the first NaN and stops
-                    feat_bin = b
-                    feat_nan = True
-                    break
-                if g > feat_gain:
-                    feat_gain = g
-                    feat_bin = b
-            # Across features: strict >, first wins, NaN never selected.
-            if not feat_nan and feat_gain > best_gain:
-                best_gain = feat_gain
-                best_pos = p
-                best_bin = feat_bin
-        return best_pos, best_bin, best_gain
-
-    # Force compilation now so a broken toolchain is caught by the
-    # guard rather than mid-fit.
-    eval_node(
-        np.zeros((2, 1), dtype=np.uint8),
-        np.arange(2, dtype=np.int64),
-        np.zeros(1, dtype=np.int64),
-        2,
-        np.zeros(2, dtype=np.float64),
-        1,
-        0.0,
-        0.0,
-    )
-    return eval_node
+    return ("reference", "numpy")
 
 
 # ----------------------------------------------------------------------
 # NumPy kernel
 # ----------------------------------------------------------------------
-def _flat_codes(codes_sub: np.ndarray, nb_max: int) -> np.ndarray:
-    """Per-cell flat index ``feature * nb_max + code``, sample-major.
+def flat_codes(binner) -> np.ndarray:
+    """Per-cell flat index ``feature * nb_max + code``, ``(rows, features)``.
 
-    Raveling in C order keeps every histogram cell's contributions in
-    ascending row order — the accumulation order the reference's
-    per-feature ``np.bincount`` used.
+    Built once per fit over every feature; a node's rows of it are its
+    flattened code block.  Gathering rows in sample order keeps every
+    histogram cell's contributions in ascending row order — the
+    accumulation order of the reference's per-feature ``np.bincount``.
     """
-    k = codes_sub.shape[1]
-    return (
-        codes_sub.astype(np.int64) + np.arange(k, dtype=np.int64) * nb_max
-    ).ravel()
+    nb_max = int(binner.n_bins.max()) if binner.n_features else 0
+    return binner.codes + np.arange(binner.n_features, dtype=np.int64) * nb_max
 
 
-def _histograms(
-    codes_sub: np.ndarray, y_sub: np.ndarray, nb_max: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """All-features count/sum histograms in one bincount pass each."""
-    k = codes_sub.shape[1]
-    flat = _flat_codes(codes_sub, nb_max)
-    counts = np.bincount(flat, minlength=k * nb_max).reshape(k, nb_max)
-    sums = np.bincount(
-        flat, weights=np.repeat(y_sub, k), minlength=k * nb_max
-    ).reshape(k, nb_max)
-    return counts, sums
+def _replay_per_feature(gain: np.ndarray) -> Optional[Tuple[int, int]]:
+    """The reference scan over one ``(features, bins)`` gain block.
 
-
-def _best_from_histograms(
-    counts: np.ndarray,
-    sums: np.ndarray,
-    total_sum: float,
-    n: int,
-    min_samples_leaf: int,
-) -> Tuple[int, int, float]:
-    """Reference-exact split selection over (features, bins) histograms.
-
-    Returns ``(feature_position, bin, gain)`` with position ``-1`` when
-    no candidate strictly beats the gain floor.  Bins a feature does
-    not use (rectangular padding to ``nb_max``) have zero counts, so
-    their split positions fail the ``right >= min_samples_leaf`` check
-    and go to ``-inf`` — exactly as if they were never enumerated.
-    Selection replays the reference scan: per-feature first-max
-    ``np.argmax`` (NaN-first included — a NaN gain disqualifies its
-    feature, as the reference's ``NaN > best`` comparison did), then a
-    strictly-greater first-wins pass across features in candidate
-    order.
+    Per-feature first-max ``np.argmax`` (NaN-first included, so a NaN
+    gain disqualifies its feature, as the reference's ``NaN > best``
+    comparison did), then a strictly-greater first-wins pass across
+    features.  Only blocks holding a NaN take this path.
     """
-    nb_max = counts.shape[1]
-    if nb_max < 2:
-        return -1, -1, 0.0
-    left_counts = np.cumsum(counts, axis=1)[:, :-1]
-    left_sums = np.cumsum(sums, axis=1)[:, :-1]
-    right_counts = n - left_counts
-    right_sums = total_sum - left_sums
-    valid = (left_counts >= min_samples_leaf) & (right_counts >= min_samples_leaf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gain = (
-            left_sums**2 / left_counts
-            + right_sums**2 / right_counts
-            - total_sum**2 / n
-        )
-    gain = np.where(valid, gain, -np.inf)
-    per_feature_bin = np.argmax(gain, axis=1)
+    per_feature_bin = gain.argmax(axis=1)
     per_feature_gain = gain[np.arange(len(gain)), per_feature_bin]
     ranked = np.where(np.isnan(per_feature_gain), -np.inf, per_feature_gain)
-    pos = int(np.argmax(ranked))
+    pos = int(ranked.argmax())
     if not ranked[pos] > MIN_GAIN:
-        return -1, -1, 0.0
-    return pos, int(per_feature_bin[pos]), float(per_feature_gain[pos])
+        return None
+    return pos, int(per_feature_bin[pos])
 
 
 class FrontierEvaluator:
     """Batched split evaluation for one :meth:`fit_binned` call.
 
     The tree's best-first loop asks it to score the root, then — after
-    each committed split — both new children in one frontier batch.
-    When every node sees the full feature set (no random-forest
-    subsampling, ``features`` is the identity) it remembers each scored
-    node's integer count histogram so a child pair costs three bincount
-    passes instead of four: the smaller child is histogrammed directly
-    and the larger child's *counts* come from exact integer subtraction
-    against the parent.  Float sum histograms are never subtracted.
+    each committed split — both new children in one histogram pass.
+    Every node sees the same candidate features unless the tree draws a
+    random-forest subset (mtry) per node; both cases share one code
+    path, differing only in how a node's flattened block is gathered.
     """
 
     def __init__(
@@ -343,15 +179,14 @@ class FrontierEvaluator:
         binner,
         y: np.ndarray,
         min_samples_leaf: int,
-        path: str,
         rng: np.random.Generator,
         split_features: Optional[int],
         features: np.ndarray,
+        flat: Optional[np.ndarray] = None,
     ):
-        self.binner = binner
+        self.codes = binner.codes
         self.y = y
         self.min_samples_leaf = min_samples_leaf
-        self.path = path
         self.rng = rng
         self.split_features = split_features
         self.features = np.asarray(features)
@@ -361,133 +196,120 @@ class FrontierEvaluator:
         self.draws = (
             split_features is not None and split_features < len(self.features)
         )
-        #: Parent-count reuse needs every node scored on the identical,
-        #: identity-ordered feature set.
-        self.full = (
-            not self.draws
-            and len(self.features) == binner.n_features
-            and bool(np.array_equal(self.features, np.arange(binner.n_features)))
-        )
-        #: node_id -> full-feature integer count histogram (full mode).
-        self._counts: Dict[int, np.ndarray] = {}
-        self._numba_eval = _load_numba_eval() if path == "numba" else None
+        width = split_features if self.draws else len(self.features)
+        self.offsets = np.arange(width, dtype=np.int64) * self.nb_max
+        #: Fixed candidates flatten once; ``flat`` is the caller's
+        #: :func:`flat_codes` for the identity feature set.
+        if self.draws:
+            self.flat = None
+        elif flat is None:
+            self.flat = self.codes[:, self.features] + self.offsets
+        else:
+            self.flat = flat
 
-    # -- evaluation ----------------------------------------------------
-    def evaluate(self, node_id: int, idx: np.ndarray):
-        """Best split for one node, as the reference tuple
-        ``(gain, feature, bin, left_idx, right_idx)`` or ``None``."""
-        if len(idx) < 2 * self.min_samples_leaf:
-            return None
-        candidates = self._draw()
-        return self._evaluate_drawn(node_id, idx, candidates, None)
+    def evaluate(self, *nodes: np.ndarray) -> List[list]:
+        """``[value, split]`` per node, in order.
 
-    def evaluate_pair(
-        self,
-        parent_id: int,
-        left_id: int,
-        left_idx: np.ndarray,
-        right_id: int,
-        right_idx: np.ndarray,
-    ):
-        """Score a committed split's two children in one frontier batch.
-
-        The size guard and any RNG draw run left-then-right — exactly
-        the order of the reference's sequential child loop.
+        ``value`` is the node's mean target; ``split`` is the reference
+        tuple ``(gain, feature, bin, left_idx, right_idx)`` or ``None``.
+        The size guard and any RNG draw run node by node, in order —
+        exactly the reference's sequential left-then-right child loop.
         """
-        parent_counts = self._counts.pop(parent_id, None)
+        rows = nodes[0] if len(nodes) == 1 else np.concatenate(nodes)
+        targets = self.y[rows]
+        results: List[list] = []
         plans = []
-        for node_id, idx in ((left_id, left_idx), (right_id, right_idx)):
-            if len(idx) < 2 * self.min_samples_leaf:
-                plans.append(None)
-                continue
-            plans.append((node_id, idx, self._draw()))
-        if (
-            self.full
-            and self._numba_eval is None
-            and parent_counts is not None
-            and plans[0] is not None
-            and plans[1] is not None
-        ):
-            return self._evaluate_pair_with_parent(parent_counts, plans)
-        return tuple(
-            None if plan is None else self._evaluate_drawn(*plan, None)
-            for plan in plans
-        )
+        start = 0
+        for idx in nodes:
+            y_node = targets[start : start + len(idx)]
+            start += len(idx)
+            total = y_node.sum()
+            results.append([float(total / len(idx)), None])
+            if len(idx) >= 2 * self.min_samples_leaf:
+                plans.append((len(results) - 1, idx, y_node, total, self._draw()))
+        if plans and self.nb_max >= 2 and len(self.offsets):
+            if len(plans) < len(nodes):
+                _, rows, targets, _, _ = plans[0]
+            for slot, split in self._best_splits(plans, rows, targets):
+                results[slot][1] = split
+        return results
 
     # -- internals -----------------------------------------------------
-    def _draw(self) -> np.ndarray:
+    def _draw(self) -> Optional[np.ndarray]:
         if self.draws:
             return self.rng.choice(
                 self.features, size=self.split_features, replace=False
             )
-        return self.features
+        return None
 
-    def _evaluate_pair_with_parent(self, parent_counts: np.ndarray, plans):
-        """Histogram the smaller child, subtract counts for the larger."""
-        small, large = (0, 1) if len(plans[0][1]) <= len(plans[1][1]) else (1, 0)
-        small_counts = np.bincount(
-            _flat_codes(self.binner.codes[plans[small][1]], self.nb_max),
-            minlength=self.binner.n_features * self.nb_max,
-        ).reshape(self.binner.n_features, self.nb_max)
-        large_counts = parent_counts - small_counts
-        results: List[object] = [None, None]
-        for slot, counts in ((small, small_counts), (large, large_counts)):
-            results[slot] = self._evaluate_drawn(*plans[slot], counts)
-        return tuple(results)
+    def _best_splits(self, plans, rows: np.ndarray, targets: np.ndarray):
+        """Score every planned node in one histogram + gain pass.
 
-    def _evaluate_drawn(
-        self,
-        node_id: int,
-        idx: np.ndarray,
-        candidates: np.ndarray,
-        known_counts: Optional[np.ndarray],
-    ):
-        n = len(idx)
-        if self.nb_max < 2:
-            return None
-        y_node = self.y[idx]
-        total_sum = y_node.sum()
-        if self._numba_eval is not None:
-            pos, bin_index, gain = self._numba_eval(
-                self.binner.codes,
-                np.ascontiguousarray(idx, dtype=np.int64),
-                np.ascontiguousarray(candidates, dtype=np.int64),
-                self.nb_max,
-                np.ascontiguousarray(self.y, dtype=np.float64),
-                self.min_samples_leaf,
-                float(total_sum),
-                float(total_sum**2 / n),
-            )
-            if pos < 0:
-                return None
-            feature = int(candidates[pos])
-            col = self.binner.codes[idx, feature]
-            mask = col <= bin_index
-            return (float(gain), feature, int(bin_index), idx[mask], idx[~mask])
-        if self.full:
-            codes_sub = self.binner.codes[idx]
+        ``rows``/``targets`` are the planned nodes' sample indices and
+        targets, concatenated in plan order.  Yields ``(slot, split)``
+        for each node that has a split.
+        """
+        m = len(plans)
+        k = len(self.offsets)
+        nb = self.nb_max
+        cells = k * nb
+        sizes = [len(idx) for _, idx, _, _, _ in plans]
+        totals = [total for _, _, _, total, _ in plans]
+        if self.flat is not None:
+            block = self.flat[rows]
         else:
-            codes_sub = self.binner.codes[idx][:, candidates]
-        if known_counts is not None:
-            counts = known_counts
-            sums = np.bincount(
-                _flat_codes(codes_sub, self.nb_max),
-                weights=np.repeat(y_node, codes_sub.shape[1]),
-                minlength=codes_sub.shape[1] * self.nb_max,
-            ).reshape(codes_sub.shape[1], self.nb_max)
-        else:
-            counts, sums = _histograms(codes_sub, y_node, self.nb_max)
-        if self.full:
-            self._counts[node_id] = counts
-        pos, bin_index, gain = _best_from_histograms(
-            counts, sums, total_sum, n, self.min_samples_leaf
-        )
-        if pos < 0:
-            return None
-        feature = int(candidates[pos])
-        col = codes_sub[:, pos]
-        mask = col <= bin_index
-        return (gain, feature, bin_index, idx[mask], idx[~mask])
+            block = np.concatenate(
+                [self.codes[idx[:, None], cand] for _, idx, _, _, cand in plans]
+            ) + self.offsets
+        if m == 2:
+            block[sizes[0] :] += cells  # the right child's own cells
+        cell_index = block.ravel()
+        counts = np.bincount(cell_index, minlength=m * cells).reshape(m, k, nb)
+        sums = np.bincount(
+            cell_index, weights=np.repeat(targets, k), minlength=m * cells
+        ).reshape(m, k, nb)
+        n = np.array(sizes, dtype=float)[:, None]
+        total = np.array(totals)[:, None]
+        parent = np.array([t**2 / size for t, size in zip(totals, sizes)])[:, None]
+        # Prefix tables per feature lane, then one (m, cells) row per
+        # node.  The last bin of each feature sends every row left (its
+        # right count is 0), so it is always invalid: keeping it makes
+        # the block contiguous without changing any argmax.
+        left_counts = np.cumsum(counts, axis=2).reshape(m, cells).astype(float)
+        left_sums = np.cumsum(sums, axis=2).reshape(m, cells)
+        right_counts = n - left_counts
+        right_sums = total - left_sums
+        msl = self.min_samples_leaf
+        valid = (left_counts >= msl) & (right_counts >= msl)
+        # In place, the reference's expression and association:
+        # (left_sums**2 / left_counts + right_sums**2 / right_counts) - parent
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = np.square(left_sums, out=left_sums)
+            gain /= left_counts
+            right = np.square(right_sums, out=right_sums)
+            right /= right_counts
+            gain += right
+            gain -= parent
+        gain = np.where(valid, gain, -np.inf)
+        best = gain.argmax(axis=1)
+        start = 0
+        for c, (slot, idx, _, _, cand) in enumerate(plans):
+            lo, start = start, start + sizes[c]
+            at = int(best[c])
+            value = gain[c, at]
+            if value != value:
+                replay = _replay_per_feature(gain[c].reshape(k, nb))
+                if replay is None:
+                    continue
+                pos, bin_index = replay
+                value = gain[c, pos * nb + bin_index]
+            elif value > MIN_GAIN:
+                pos, bin_index = divmod(at, nb)
+            else:
+                continue
+            feature = int((self.features if cand is None else cand)[pos])
+            mask = block[lo:start, pos] <= c * cells + pos * nb + bin_index
+            yield slot, (float(value), feature, bin_index, idx[mask], idx[~mask])
 
 
 # ----------------------------------------------------------------------
@@ -500,7 +322,7 @@ def observe_fit(
 
     Emits ``model.fit.seconds`` (timer) plus ``model.fit.trees`` /
     ``model.fit.nodes`` (counters) labeled by model kind and fit path
-    (``numpy``/``numba``/``reference``), mirroring the
+    (``numpy``/``reference``), mirroring the
     ``model.predict.*`` family, and — when event telemetry is on — a
     ``model.fit`` event so ``repro top`` can surface a fit row in the
     engine panel.
@@ -527,9 +349,3 @@ def observe_fit(
             nodes=int(nodes),
         )
 
-
-def timed_fit(fn):
-    """``(result, seconds)`` helper matching :func:`repro.models.flat.timed`."""
-    start = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - start

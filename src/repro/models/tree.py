@@ -13,7 +13,7 @@ bincount rather than a sort — essential when boosting fits thousands of
 trees (``nt`` up to 12 000 in Figure 8).  The per-node search itself
 runs through :mod:`repro.models.histkernel` — all features histogrammed
 in one flattened ``np.bincount``, both children of a committed split
-scored in one frontier batch — with the original per-feature Python
+scored in one histogram pass — with the original per-feature Python
 loop kept verbatim as :meth:`RegressionTree._best_split_reference`;
 the kernel is bit-identical to it by construction (see the histkernel
 module docstring and DESIGN.md §17).
@@ -287,11 +287,10 @@ class RegressionTree:
         when fitted through :meth:`fit_binned`.
     fit_path:
         Split-search implementation: ``numpy`` (histogram kernel),
-        ``numba`` (jitted kernel, falls back to ``numpy`` when numba is
-        absent), ``reference`` (the original per-feature loop), or
+        ``reference`` (the original per-feature loop), or
         ``auto``/``None`` to defer to
-        :func:`repro.models.histkernel.resolve_fit_path`.  Every path
-        grows the byte-identical tree.
+        :func:`repro.models.histkernel.resolve_fit_path`.  Both paths
+        grow the byte-identical tree.
     """
 
     def __init__(
@@ -333,11 +332,15 @@ class RegressionTree:
         y: np.ndarray,
         sample_indices: Optional[np.ndarray] = None,
         feature_indices: Optional[np.ndarray] = None,
+        flat_codes: Optional[np.ndarray] = None,
     ) -> "RegressionTree":
         """Fit on pre-binned data (the boosting/forest fast path).
 
         ``sample_indices`` selects a bootstrap sample; ``feature_indices``
         restricts candidate features (random-forest style).
+        ``flat_codes`` is :func:`repro.models.histkernel.flat_codes` of
+        ``binner``, passed by callers that fit many full-feature trees
+        on one binner so it is built once per fit, not once per tree.
         """
         y = np.asarray(y, dtype=float)
         if len(y) != binner.n_samples:
@@ -351,15 +354,15 @@ class RegressionTree:
             if sample_indices is None
             else np.asarray(sample_indices)
         )
-        features = (
-            np.arange(binner.n_features)
-            if feature_indices is None
-            else np.asarray(feature_indices)
-        )
+        if feature_indices is None:
+            features = np.arange(binner.n_features)
+        else:
+            features = np.asarray(feature_indices)
+            flat_codes = None
 
         if resolve_fit_path(self.fit_path) == "reference":
             return self._fit_binned_reference(binner, y, idx, features)
-        return self._fit_binned_kernel(binner, y, idx, features)
+        return self._fit_binned_kernel(binner, y, idx, features, flat_codes)
 
     def _fit_binned_kernel(
         self,
@@ -367,58 +370,52 @@ class RegressionTree:
         y: np.ndarray,
         idx: np.ndarray,
         features: np.ndarray,
+        flat_codes: Optional[np.ndarray],
     ) -> "RegressionTree":
         """Best-first growth over the histogram kernel.
 
         Structurally the reference loop with one change: a committed
-        split's two children are scored in a single
-        :meth:`FrontierEvaluator.evaluate_pair` batch (same heap, same
-        tie-break counter, same left-then-right RNG order), which is
-        what lets the kernel share one histogram pass per pair and
-        reuse parent counts.
+        split's two children are valued and scored in a single
+        :meth:`FrontierEvaluator.evaluate` pass (same heap, same
+        tie-break counter, same left-then-right RNG order).
         """
         evaluator = FrontierEvaluator(
             binner,
             y,
             self.min_samples_leaf,
-            resolve_fit_path(self.fit_path),
             self._rng,
             self.split_features,
             features,
+            flat_codes,
         )
-        self._nodes = [_Node(value=float(np.mean(y[idx])))]
-        # Best-first frontier: (-gain, tiebreak, node_id, idx, split_info)
+        ((value, first),) = evaluator.evaluate(idx)
+        self._nodes = [_Node(value=value)]
+        # Best-first frontier: (-gain, tiebreak, node_id, split_info)
         frontier: list = []
         counter = itertools.count()
-        first = evaluator.evaluate(0, idx)
         if first is not None:
-            heapq.heappush(frontier, (-first[0], next(counter), 0, idx, first))
+            heapq.heappush(frontier, (-first[0], next(counter), 0, first))
 
         splits_done = 0
         while frontier and splits_done < self.tree_complexity:
-            neg_gain, _, node_id, node_idx, split = heapq.heappop(frontier)
-            gain, feature, bin_threshold, left_idx, right_idx = split
+            _, _, node_id, split = heapq.heappop(frontier)
+            _, feature, bin_threshold, left_idx, right_idx = split
             node = self._nodes[node_id]
-            node.feature = int(feature)
-            node.bin_threshold = int(bin_threshold)
-            node.threshold = binner.threshold(int(feature), int(bin_threshold))
+            node.feature = feature
+            node.bin_threshold = bin_threshold
+            node.threshold = binner.threshold(feature, bin_threshold)
             node.left = len(self._nodes)
-            self._nodes.append(_Node(value=float(np.mean(y[left_idx]))))
-            node.right = len(self._nodes)
-            self._nodes.append(_Node(value=float(np.mean(y[right_idx]))))
+            node.right = node.left + 1
             splits_done += 1
-
-            left_split, right_split = evaluator.evaluate_pair(
-                node_id, node.left, left_idx, node.right, right_idx
-            )
-            for child_id, child_idx, child_split in (
-                (node.left, left_idx, left_split),
-                (node.right, right_idx, right_split),
+            children = evaluator.evaluate(left_idx, right_idx)
+            for child_id, (child_value, child_split) in enumerate(
+                children, start=node.left
             ):
+                self._nodes.append(_Node(value=child_value))
                 if child_split is not None:
                     heapq.heappush(
                         frontier,
-                        (-child_split[0], next(counter), child_id, child_idx, child_split),
+                        (-child_split[0], next(counter), child_id, child_split),
                     )
         return self
 

@@ -59,7 +59,8 @@ STORE_SCHEMA = 1
 #: kind's stored entries (they read back as absent and are rewritten).
 KIND_SCHEMAS = {
     "training_set": 1,
-    "model": 1,
+    # 2: flat node tables with self-looping leaves and a stored depth.
+    "model": 2,
     "ga_state": 1,
     "report": 1,
     "json": 1,

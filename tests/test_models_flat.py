@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.ga import MemoizedFitness
 from repro.models.boosting import GradientBoostedTrees
-from repro.models.flat import FlatForest, FlatTree, MergedBinner
+from repro.models.flat import FlatForest, FlatTree, MergedBinner, accumulate
 from repro.models.forest import RandomForest
 from repro.models.hierarchical import HierarchicalModel
 from repro.models.tree import BinnedDataset, RegressionTree, bin_with_edges
@@ -203,6 +203,56 @@ class TestFlatForest:
         partial = model.flatten().leaf_values(codes, n_trees=4)
         assert partial.shape == (4, 10)
         assert partial.tobytes() == full[:4].tobytes()
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        complexities=st.lists(
+            st.sampled_from([0, 1, 2, 5, 37]), min_size=1, max_size=8
+        ),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_uneven_forest_equals_per_tree_walk(self, seed, complexities):
+        """Trees of uneven depth, root leaves (depth 0) included, in one
+        table: walking the deepest tree's depth lands every row on its
+        own tree's leaf, for the whole forest and every prefix."""
+        rng = np.random.default_rng(seed)
+        binner = BinnedDataset(rng.random((120, 4)))
+        trees = []
+        for tc in complexities:
+            # tc 0: a min_samples_leaf above n / 2 keeps the root a leaf.
+            tree = RegressionTree(
+                tree_complexity=max(tc, 1), min_samples_leaf=61 if tc == 0 else 1
+            )
+            trees.append(tree.fit_binned(binner, rng.normal(size=120)))
+        forest = FlatForest.from_trees(trees)
+        assert forest.depth == max(tree.flatten().depth for tree in trees)
+        assert (forest.depth == 0) == (set(complexities) == {0})
+        codes = binner.bin_matrix(rng.random((30, 4)))
+        walks = np.array([tree.predict_binned_walk(codes) for tree in trees])
+        assert forest.leaf_values(codes).tobytes() == walks.tobytes()
+        for n_trees in range(1, len(trees) + 1):
+            prefix = forest.leaf_values(codes, n_trees=n_trees)
+            assert prefix.tobytes() == walks[:n_trees].tobytes()
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n_trees=st.integers(min_value=0, max_value=40),
+        scale=st.sampled_from([1.0, 0.1, 0.05]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_accumulate_replays_the_tree_loop(self, seed, n_trees, scale):
+        """The cumsum equals the reference loop's ``out += scale * row``
+        sum bit for bit, on values spread over 30 decades where any
+        reassociation would show."""
+        rng = np.random.default_rng(seed)
+        leaves = rng.normal(size=(n_trees, 25)) * 10.0 ** rng.integers(
+            -15, 15, size=(n_trees, 25)
+        )
+        base = float(rng.normal())
+        out = np.full(25, base)
+        for row in leaves:
+            out += scale * row
+        assert accumulate(base, scale, leaves).tobytes() == out.tobytes()
 
     def test_random_forest_flat_equals_walk(self):
         rng = np.random.default_rng(12)

@@ -25,7 +25,7 @@ from repro.core.collecting import (
 from repro.core.tuner import DacTuner
 from repro.io import codecs, dumps_training_set
 from repro.models.tree import _CACHE_CONTENT_BYTES, _matrix_cache_key
-from repro.store import MatrixBuilder, RunStore, blobfmt
+from repro.store import KIND_SCHEMAS, MatrixBuilder, RunStore, blobfmt
 from repro.store.blobfmt import (
     BlobError,
     decode_sections,
@@ -250,13 +250,49 @@ class TestStoreCodecPaths:
         assert store.entry("m")["codec"] == codecs.BLOB_CODEC
         X = tuner.training_set.features()
         expected = model.predict(X)
+        # Restored models carry no per-tree state to walk, so the walk of
+        # the fitted model they were lowered from is the oracle.
+        walked = model._blend([c.predict_walk(X) for c in model._components])
+        assert expected.tobytes() == walked.tobytes()
         for mode in ("copy", "mmap"):
             loaded = store.get_model("m", mode=mode)
-            np.testing.assert_array_equal(loaded.predict(X), expected)
+            assert loaded.predict(X).tobytes() == walked.tobytes()
         mapped = store.get_model("m", mode="mmap")
         forest = mapped._components[0]._flat
         assert isinstance(forest.value, np.memmap)
         assert not forest.value.flags.writeable
+
+    def test_old_layout_model_reads_absent(self, tmp_path, terasort):
+        """Model blobs lowered before leaves looped to themselves (leaf
+        threshold -1 and children ``root - 1``, no stored depth) carry
+        model schema 1 and must read back as absent, so the caller
+        refits and rewrites."""
+        store = RunStore(tmp_path / "store")
+        tuner = DacTuner(terasort, n_train=30, n_trees=8, seed=0)
+        tuner.collect()
+        model = tuner.fit()
+        sections, meta = model.to_sections()
+        for i, component in enumerate(meta["components"]):
+            del component["depth"]
+            feature = sections[f"c{i}.feature"]
+            roots = sections[f"c{i}.roots"]
+            leaves = np.flatnonzero(feature < 0)
+            children = sections[f"c{i}.children"].copy()
+            old = roots[np.searchsorted(roots, leaves, side="right") - 1] - 1
+            children[2 * leaves] = children[2 * leaves + 1] = old
+            sections[f"c{i}.children"] = children
+            threshold = sections[f"c{i}.threshold"].copy()
+            threshold[leaves] = -1
+            sections[f"c{i}.threshold"] = threshold
+        payload = blobfmt.encode_sections(sections, meta=meta, kind="model")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(KIND_SCHEMAS, "model", 1)
+            store.put_bytes("m", payload, kind="model", codec=codecs.BLOB_CODEC)
+        for mode in ("copy", "mmap"):
+            assert store.get_model("m", mode=mode) is None
+        store.put_model("m", model)
+        X = tuner.training_set.features()
+        assert store.get_model("m").predict(X).tobytes() == model.predict(X).tobytes()
 
     def test_corrupt_blob_section_reads_absent(self, tmp_path, training, space):
         store = RunStore(tmp_path / "store")
