@@ -9,8 +9,10 @@ histogram pass — while growing the byte-identical tree.  This benchmark
 measures both paths at the paper operating point (600 trees, 41
 features, HM per-order components), asserts the regression floor,
 verifies that the kernel-fit and reference-fit tuning pipelines produce
-``report_fingerprint``-identical reports, and writes the numbers to
-``BENCH_fit.json``.
+``report_fingerprint``-identical reports that also equal the tune
+fingerprint committed in ``BENCH_fit.json`` (so a change that moves
+both paths fails; re-baselining means editing that committed value on
+purpose), and writes the numbers to ``BENCH_fit.json``.
 
 The floor is deliberately below the locally-measured speedup (well
 over 6x on the raw fit): CI runners are noisy, and the gate exists to
@@ -82,6 +84,7 @@ def _run_tuner(path):
 
 
 def test_fit_speedup_and_fingerprint_parity():
+    committed = json.loads(RESULTS_PATH.read_text())["tune"]["numpy"]["fingerprint"]
     X, y = _training_data()
     # Warm the shared-binner cache so neither timed path pays (or
     # skips) quantile-edge construction unfairly.
@@ -132,6 +135,10 @@ def test_fit_speedup_and_fingerprint_parity():
     assert tune["reference"]["fingerprint"] == tune["numpy"]["fingerprint"], (
         "kernel-fit tuning run is not fingerprint-identical to the "
         "reference-fit run — the histogram kernel changed a split"
+    )
+    assert tune["numpy"]["fingerprint"] == committed, (
+        f"tuning report fingerprint {tune['numpy']['fingerprint'][:16]}… no "
+        f"longer matches the committed {committed[:16]}… in {RESULTS_PATH.name}"
     )
 
     RESULTS_PATH.write_text(json.dumps(results, indent=2) + "\n")

@@ -22,7 +22,12 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.common.rng import derive_rng
-from repro.common.space import Configuration, ConfigurationSpace
+from repro.common.space import (
+    CategoricalParameter,
+    Configuration,
+    ConfigurationSpace,
+    IntParameter,
+)
 from repro.engine import ExecRequest, ExecutionBackend, InProcessBackend, require_success
 from repro.sparksim.cluster import PAPER_CLUSTER, ClusterSpec
 from repro.sparksim.confspace import SPARK_CONF_SPACE
@@ -79,17 +84,30 @@ class PerformanceVector:
 # ----------------------------------------------------------------------
 def raw_value(param, value) -> float:
     """One parameter value as its exact float64 column representation."""
-    from repro.common.space import CategoricalParameter
-
     if isinstance(param, CategoricalParameter):
         return float(param.choices.index(value))
     return float(value)
 
 
+def raw_columns(
+    space: ConfigurationSpace, configs: Sequence[Configuration]
+) -> np.ndarray:
+    """:func:`raw_value` over many configurations, one parameter column
+    at a time: an ``(n, n_params)`` float64 matrix."""
+    values = np.empty((len(configs), len(space.parameters)))
+    for j, param in enumerate(space.parameters):
+        column = [config[param.name] for config in configs]
+        if isinstance(param, CategoricalParameter):
+            index: dict = {}  # first index wins, as with list.index
+            for i, choice in enumerate(param.choices):
+                index.setdefault(choice, i)
+            column = [index[value] for value in column]
+        values[:, j] = column
+    return values
+
+
 def value_from_raw(param, raw: float):
     """Inverse of :func:`raw_value`."""
-    from repro.common.space import CategoricalParameter, IntParameter
-
     if isinstance(param, CategoricalParameter):
         return param.choices[int(raw)]
     if isinstance(param, IntParameter):
@@ -106,8 +124,6 @@ def encode_raw_columns(space: ConfigurationSpace, values: np.ndarray) -> np.ndar
     exact in float64, and IEEE ops round identically whether issued by
     CPython or numpy).  Proven by ``tests/test_store_blobfmt.py``.
     """
-    from repro.common.space import CategoricalParameter
-
     values = np.asarray(values, dtype=float)
     out = np.empty(values.shape, dtype=float)
     for j, param in enumerate(space.parameters):
@@ -131,11 +147,11 @@ class TrainingSet:
     Two equivalent backings share this class: the classic eager form (a
     tuple of :class:`PerformanceVector`) and the columnar form
     (float64 arrays: seconds, datasize, datasize_bytes, raw parameter
-    values) produced by the streaming collector and the store's blob
-    codec — where the columns may be read-only ``np.memmap`` views, so
-    a large set is never copied into private memory.  ``vectors`` is
-    materialized lazily from columns only when row objects are actually
-    asked for (GA seeding, CSV export).
+    values) produced by the streaming collector, the job runner's
+    checkpoints and the store's blob codec — where the columns may be
+    read-only ``np.memmap`` views, so a large set is never copied into
+    private memory.  ``vectors`` is materialized lazily from columns
+    only when row objects are actually asked for (CSV export).
     """
 
     def __init__(self, space: ConfigurationSpace, vectors: Sequence[PerformanceVector]):
@@ -200,6 +216,21 @@ class TrainingSet:
         self._times = seconds
         return self
 
+    @classmethod
+    def from_rows(cls, space: ConfigurationSpace, rows: np.ndarray) -> "TrainingSet":
+        """Build from an ``(n, 3 + n_params)`` row block laid out as
+        :meth:`Collector.run_batch` hands it to its sink (seconds,
+        datasize, datasize_bytes, raw parameter values)."""
+        return cls.from_columns(
+            space,
+            {
+                "seconds": rows[:, 0],
+                "datasize": rows[:, 1],
+                "datasize_bytes": rows[:, 2],
+                "values": rows[:, 3:],
+            },
+        )
+
     @property
     def vectors(self) -> Tuple[PerformanceVector, ...]:
         """Row objects, materialized from columns on first access."""
@@ -262,6 +293,13 @@ class TrainingSet:
             self._features = matrix
         return self._features
 
+    def seed_vectors(self, n: int) -> List[np.ndarray]:
+        """Encoded configurations of the first ``n`` rows (the GA's
+        seeds): writable copies of :meth:`features` rows without the
+        datasize column, bit-equal to ``space.encode`` of each row's
+        configuration, read without materializing row objects."""
+        return list(np.array(self.features()[:n, :-1]))
+
     def feature_row(self, config: Configuration, datasize_bytes: float) -> np.ndarray:
         """Single feature row for model queries."""
         return np.concatenate(
@@ -291,12 +329,9 @@ class TrainingSet:
         if self._columns is not None:
             cols = dict(self._columns)
         else:
-            params = self.space.parameters
-            values = np.empty((self._n, len(params)))
-            for i, v in enumerate(self.vectors):
-                config = v.configuration
-                for j, p in enumerate(params):
-                    values[i, j] = raw_value(p, config[p.name])
+            values = raw_columns(
+                self.space, [v.configuration for v in self.vectors]
+            )
             cols = {
                 "seconds": np.array([v.seconds for v in self.vectors]),
                 "datasize": np.array([v.datasize for v in self.vectors]),
@@ -408,15 +443,7 @@ class Collector:
         except BaseException:
             builder.close()
             raise
-        return TrainingSet.from_columns(
-            self.space,
-            {
-                "seconds": matrix[:, 0],
-                "datasize": matrix[:, 1],
-                "datasize_bytes": matrix[:, 2],
-                "values": matrix[:, 3:],
-            },
-        )
+        return TrainingSet.from_rows(self.space, matrix)
 
     def plan(self, total_examples: int, stream: str = "train") -> List[CollectBatch]:
         """Draw the full batch plan for a collection, without executing.
@@ -462,9 +489,11 @@ class Collector:
         same event stream an uninterrupted one does.  ``sink``, if
         given, receives the batch's rows as one
         ``(k, 3 + n_params)`` float64 chunk
-        (seconds, datasize, datasize_bytes, raw parameter values) —
-        the streaming-collect path appends them to a
-        :class:`~repro.store.matrixbuilder.MatrixBuilder`.
+        (seconds, datasize, datasize_bytes, raw parameter values),
+        built one parameter column at a time — the streaming-collect
+        path appends them to a
+        :class:`~repro.store.matrixbuilder.MatrixBuilder`, the job
+        runner to a list.
         """
         runs = require_success(self.engine.submit(list(batch.requests)))
         vectors: List[PerformanceVector] = []
@@ -480,16 +509,14 @@ class Collector:
             if progress is not None:
                 progress(done + len(vectors), total or done + len(vectors))
         if sink is not None:
-            params = self.space.parameters
-            rows = np.empty((len(vectors), 3 + len(params)))
-            for i, v in enumerate(vectors):
-                rows[i, 0] = v.seconds
-                rows[i, 1] = v.datasize
-                rows[i, 2] = v.datasize_bytes
-                config = v.configuration
-                for j, p in enumerate(params):
-                    rows[i, 3 + j] = raw_value(p, config[p.name])
-            sink.append(rows)
+            block = np.empty((len(vectors), 3 + len(self.space.parameters)))
+            block[:, 0] = [v.seconds for v in vectors]
+            block[:, 1] = batch.size
+            block[:, 2] = batch.datasize_bytes
+            block[:, 3:] = raw_columns(
+                self.space, [request.config for request in batch.requests]
+            )
+            sink.append(block)
         tele.event(
             "collect.size",
             program=self.workload.abbr,

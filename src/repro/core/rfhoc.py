@@ -104,10 +104,7 @@ class RfhocTuner:
         def fitness(pop: np.ndarray) -> np.ndarray:
             return np.exp(model.predict(pop))
 
-        seeds = [
-            self.space.encode(v.configuration)
-            for v in self.training_set.vectors[:population_size]
-        ]
+        seeds = self.training_set.seed_vectors(population_size)
         ga = GeneticAlgorithm(self.space, population_size=population_size)
         rng = derive_rng("rfhoc-ga", self.workload.abbr, self.seed)
 

@@ -270,10 +270,7 @@ class DacTuner:
 
         # Step 2 of Figure 6: seed the population with collected
         # configurations (time column dropped).
-        seeds = [
-            self.space.encode(v.configuration)
-            for v in self.training_set.vectors[:population_size]
-        ]
+        seeds = self.training_set.seed_vectors(population_size)
         ga = GeneticAlgorithm(self.space, population_size=population_size)
         rng = derive_rng("dac-ga", self.workload.abbr, datasize, self.seed)
 

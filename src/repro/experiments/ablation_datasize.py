@@ -94,7 +94,7 @@ def run(scale: Scale, program: str = "TS") -> AblationDatasizeResult:
         _np.exp(blind.predict(X_test[:, :-1])), measured
     )
 
-    seeds = [space.encode(v.configuration) for v in train.vectors[: scale.ga_population]]
+    seeds = train.seed_vectors(scale.ga_population)
     ga = GeneticAlgorithm(space, population_size=scale.ga_population)
 
     # One blind search, reused for every size.

@@ -73,7 +73,7 @@ def run(
         return np.exp(model.predict(rows))
 
     budget = scale.ga_population * (scale.ga_generations + 1)
-    seeds = [space.encode(v.configuration) for v in train.vectors[: scale.ga_population]]
+    seeds = train.seed_vectors(scale.ga_population)
     job = workload.job(datasize)
 
     predicted: Dict[str, float] = {}

@@ -179,7 +179,7 @@ class FrontierEvaluator:
         binner,
         y: np.ndarray,
         min_samples_leaf: int,
-        rng: np.random.Generator,
+        rng: Optional[np.random.Generator],
         split_features: Optional[int],
         features: np.ndarray,
         flat: Optional[np.ndarray] = None,

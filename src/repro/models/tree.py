@@ -25,6 +25,7 @@ import heapq
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -316,10 +317,15 @@ class RegressionTree:
         self.split_features = split_features
         self.random_state = random_state
         self.fit_path = fit_path
-        self._rng = np.random.default_rng(random_state)
         self._nodes: List[_Node] = []
         self._binner: Optional[BinnedDataset] = None
         self._flat = None
+
+    @cached_property
+    def _rng(self) -> np.random.Generator:
+        # Built on first use: only mtry trees draw, and a Generator is
+        # costly next to a small tree's fit.
+        return np.random.default_rng(self.random_state)
 
     # ------------------------------------------------------------------
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RegressionTree":
@@ -383,7 +389,7 @@ class RegressionTree:
             binner,
             y,
             self.min_samples_leaf,
-            self._rng,
+            self._rng if self.split_features is not None else None,
             self.split_features,
             features,
             flat_codes,

@@ -5,9 +5,9 @@ through the DAC pipeline against a :class:`~repro.store.RunStore`,
 persisting a durable checkpoint after every unit of work:
 
 * **collect** — the batch plan is a pure function of (workload, seed,
-  stream), so after each per-size batch the vectors gathered so far are
-  stored and ``batches_done`` advances; a restart replans and skips the
-  finished prefix.
+  stream), so after each per-size batch the rows gathered so far are
+  stored as a column-backed training set and ``batches_done`` advances;
+  a restart replans and skips the finished prefix.
 * **fit** — the partial :class:`HierarchicalModel` is stored after each
   order; a restart continues from the next order
   (:meth:`HierarchicalModel.resume_fit`).
@@ -33,7 +33,9 @@ import traceback
 from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional
 
-from repro.core.collecting import Collector, PerformanceVector, TrainingSet
+import numpy as np
+
+from repro.core.collecting import Collector, TrainingSet
 from repro.core.tuner import DacTuner, TuningReport
 from repro.engine import (
     CachedBackend,
@@ -274,13 +276,19 @@ class JobRunner:
         batches = collector.plan(request.n_train, stream="train")
         progress["total_batches"] = len(batches)
 
-        vectors: List[PerformanceVector] = []
+        # Row blocks in run_batch's sink layout; each checkpoint stores a
+        # column-backed set over their concatenation.
+        blocks: List[np.ndarray] = []
+        training: Optional[TrainingSet] = None
         batches_done = int(progress.get("batches_done", 0))
         if batches_done:
             partial = store.get_training_set(key)
             expected = sum(len(b.requests) for b in batches[:batches_done])
             if partial is not None and len(partial) == expected:
-                vectors = list(partial.vectors)
+                training = partial
+                cols = partial.to_columns()
+                names = ("seconds", "datasize", "datasize_bytes", "values")
+                blocks.append(np.column_stack([cols[name] for name in names]))
             else:  # checkpoint missing or from different parameters
                 batches_done = 0
                 progress["batches_done"] = 0
@@ -293,14 +301,17 @@ class JobRunner:
             resumed=batches_done > 0,
         ):
             for batch in batches[batches_done:]:
-                vectors.extend(
-                    collector.run_batch(
-                        batch, done=len(vectors), total=request.n_train
-                    )
+                collector.run_batch(
+                    batch,
+                    done=sum(len(b) for b in blocks),
+                    total=request.n_train,
+                    sink=blocks,
                 )
-                partial_set = TrainingSet(collector.space, vectors)
+                training = TrainingSet.from_rows(
+                    collector.space, np.concatenate(blocks)
+                )
 
-                def persist(ts=partial_set, done=batch.index + 1):
+                def persist(ts=training, done=batch.index + 1):
                     store.put_training_set(key, ts)
                     progress["batches_done"] = done
 
@@ -308,7 +319,7 @@ class JobRunner:
 
         progress["done"] = True
         self._save(record, engine, session)
-        return TrainingSet(collector.space, vectors)
+        return training
 
     def _warm_training(self, request: TuneRequest) -> Optional[TrainingSet]:
         """A prior job's complete training set, when it fits this request."""

@@ -42,7 +42,10 @@ class SparkConf:
         self.cluster = cluster
 
     def __getitem__(self, name: str):
-        return self.config[self.config.space.resolve_name(name)]
+        try:
+            return self.config[name]
+        except KeyError:  # an underscore-for-dot alias
+            return self.config[self.config.space.resolve_name(name)]
 
     # ------------------------------------------------------------------
     # Raw parameter views (typed, unit-converted to bytes/seconds)

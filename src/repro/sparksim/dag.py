@@ -18,10 +18,9 @@ Byte-flow conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
+import heapq
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -129,25 +128,28 @@ class JobSpec:
                     )
         if not self.stages:
             raise ValueError("job needs at least one stage")
-        graph = self.graph()
-        if not nx.is_directed_acyclic_graph(graph):
+        # Kahn's sort, popping ready stages in name order.  Computed once
+        # per job (not per simulator run) and kept off the dataclass
+        # fields, so equality, hashing and repr are unchanged.
+        waiting = {s.name: set(s.parents) for s in self.stages}
+        ready = sorted(name for name, parents in waiting.items() if not parents)
+        order = []
+        while ready:
+            name = heapq.heappop(ready)
+            order.append(name)
+            for child, parents in waiting.items():
+                if name in parents:
+                    parents.remove(name)
+                    if not parents:
+                        heapq.heappush(ready, child)
+        if len(order) < len(self.stages):
             raise ValueError("stage dependencies contain a cycle")
-
-    def graph(self) -> nx.DiGraph:
-        """The stage DAG (edges parent -> child)."""
-        graph = nx.DiGraph()
-        for stage in self.stages:
-            graph.add_node(stage.name, spec=stage)
-        for stage in self.stages:
-            for parent in stage.parents:
-                graph.add_edge(parent, stage.name)
-        return graph
-
-    def topological_stages(self) -> List[StageSpec]:
-        """Stages in a valid execution order."""
         by_name = {s.name: s for s in self.stages}
-        order = nx.lexicographical_topological_sort(self.graph())
-        return [by_name[name] for name in order]
+        object.__setattr__(self, "_order", tuple(by_name[n] for n in order))
+
+    def topological_stages(self) -> Tuple[StageSpec, ...]:
+        """Stages in execution order; among ready stages, by name."""
+        return self._order
 
     def stage(self, name: str) -> StageSpec:
         for stage in self.stages:

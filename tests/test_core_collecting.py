@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core.collecting import Collector, PerformanceVector, TrainingSet
+from repro.core.collecting import (
+    CollectBatch,
+    Collector,
+    PerformanceVector,
+    TrainingSet,
+    raw_value,
+)
+from repro.engine import ExecRequest
 from repro.workloads import get_workload
 from repro.workloads.datagen import DatasetSizeGenerator
 
@@ -130,6 +137,24 @@ class TestBatchPlan:
         assert [v.configuration for v in vectors] == [
             v.configuration for v in whole.vectors
         ]
+
+    def test_sink_block_matches_per_cell_loop(self, space):
+        """run_batch's sink block, column by column, equals the row-by-row
+        raw_value layout — defaults outside a knob's range included."""
+        collector = Collector(get_workload("TS"), seed=3)
+        (planned, *_) = collector.plan(30, stream="train")
+        default = ExecRequest(job=planned.requests[0].job, config=space.default())
+        batch = CollectBatch(0, planned.size, planned.requests + (default,))
+        blocks = []
+        vectors = collector.run_batch(batch, sink=blocks)
+        loop = np.array(
+            [
+                [v.seconds, v.datasize, v.datasize_bytes]
+                + [raw_value(p, v.configuration[p.name]) for p in space.parameters]
+                for v in vectors
+            ]
+        )
+        assert len(blocks) == 1 and blocks[0].tobytes() == loop.tobytes()
 
     def test_resume_from_partial_prefix(self):
         """Replanning after a crash reproduces the unfinished suffix."""

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.core.collecting import Collector, TrainingSet
 from repro.core.tuner import DacTuner
 from repro.engine import InProcessBackend
 from repro.service import (
@@ -19,7 +22,8 @@ from repro.service import (
     JobService,
     TuneRequest,
 )
-from repro.store import RunStore, report_fingerprint
+from repro.io import codecs
+from repro.store import RunStore, payload_digest, report_fingerprint
 from repro.workloads import get_workload
 
 #: Tiny-but-complete pipeline parameters shared by the tests here.
@@ -155,8 +159,22 @@ class TestExecution:
         finished = service.run_pending()[0]
         assert finished.state == DONE
         assert finished.result["examples"] == 30
-        training = service.store.get_training_set(record.artifact_key("training"))
+        key = record.artifact_key("training")
+        training = service.store.get_training_set(key)
         assert len(training) == 30
+
+        # Every per-batch checkpoint (one index line each) is the
+        # artifact the eager encode of the vectors so far would give.
+        index = (service.store.root / "index.jsonl").read_text().splitlines()
+        written = [e["digest"] for e in map(json.loads, index) if e["key"] == key]
+        collector = Collector(get_workload("TS"), seed=1)
+        codec = codecs.default_for("training_set")
+        vectors, expected = [], []
+        for batch in collector.plan(30, stream="train"):
+            vectors.extend(collector.run_batch(batch))
+            eager = TrainingSet(collector.space, vectors)
+            expected.append(payload_digest(codec.encode(eager)))
+        assert len(expected) > 1 and written == expected
 
     def test_budget_exhaustion_then_resume(self, tmp_path):
         service = JobService(tmp_path / "store", use_cache=False)
@@ -290,8 +308,6 @@ class TestBudget:
         """Budget == first collect batch: the budget hits zero at the
         very instant a checkpoint lands, and the next batch's submit —
         not some mid-batch accident — fails the job."""
-        from repro.core.collecting import Collector
-
         request = _request()
         batches = Collector(
             get_workload(request.program), seed=request.seed

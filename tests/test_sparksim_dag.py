@@ -1,9 +1,38 @@
 """Tests for JobSpec/StageSpec validation and DAG utilities."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.common.units import GB
 from repro.sparksim.dag import JobSpec, StageSpec
+from repro.workloads import ALL_WORKLOADS, get_workload
+from repro.workloads.extended import EXTRA_WORKLOADS
+
+#: Every shipped workload's stage order, identical at each of its paper
+#: sizes, as networkx.lexicographical_topological_sort produced it.
+GOLDEN_ORDERS = {
+    "PR": ["load-links", "rank-iterations", "write-ranks"],
+    "KM": [
+        "stageA-read-cache",
+        "stageB-sample",
+        "stageC-iterate",
+        "stageD-collect",
+        "stageE-summary",
+    ],
+    "BA": ["tokenize-vectorize", "aggregate-term-freqs", "train-collect-model"],
+    "NW": ["build-graph", "propagate-hops", "write-associations"],
+    "WC": ["tokenize-combine", "merge-counts"],
+    "TS": ["stage1-sample-map", "stage2-sort-write"],
+    "LR": ["load-cache-examples", "gradient-iterations", "final-model"],
+    # Declared scan-fact first: both scans are ready, so name order wins.
+    "JN": ["scan-dimension", "scan-fact", "hash-join"],
+    "SC": ["scan-filter-project"],
+}
 
 
 def linear_job():
@@ -55,6 +84,8 @@ class TestJobSpec:
                     StageSpec(name="b", parents=("a",)),
                 ),
             )
+        with pytest.raises(ValueError, match="cycle"):
+            JobSpec("p", 1.0, (StageSpec(name="a"), StageSpec("b", parents=("b",))))
 
     def test_empty_job_rejected(self):
         with pytest.raises(ValueError):
@@ -78,6 +109,55 @@ class TestJobSpec:
         order = [s.name for s in job.topological_stages()]
         assert order[0] == "root" and order[-1] == "join"
 
+    def test_ready_stages_pop_in_name_order(self):
+        # A diamond declared in reverse name order: b and m are ready at once.
+        diamond = JobSpec(
+            "p",
+            1.0,
+            (
+                StageSpec(name="z", parents=("m", "b")),
+                StageSpec(name="m", parents=("a",)),
+                StageSpec(name="b", parents=("a",)),
+                StageSpec(name="a", input_bytes=1.0),
+            ),
+        )
+        assert [s.name for s in diamond.topological_stages()] == ["a", "b", "m", "z"]
+        # A newly ready stage (a) overtakes an older ready one (z) by name;
+        # a parent listed twice is one edge.
+        two_roots = JobSpec(
+            "p",
+            1.0,
+            (
+                StageSpec(name="z"),
+                StageSpec(name="m"),
+                StageSpec(name="b", parents=("z", "z")),
+                StageSpec(name="a", parents=("m",)),
+            ),
+        )
+        assert [s.name for s in two_roots.topological_stages()] == ["m", "a", "z", "b"]
+
+    @pytest.mark.parametrize("abbr", sorted(GOLDEN_ORDERS))
+    def test_workload_stage_orders_are_pinned(self, abbr):
+        assert set(GOLDEN_ORDERS) == set(ALL_WORKLOADS) | set(EXTRA_WORKLOADS)
+        workload = get_workload(abbr)
+        for size in workload.paper_sizes:
+            job = workload.job(size)
+            assert [s.name for s in job.topological_stages()] == GOLDEN_ORDERS[abbr]
+
+    def test_stage_order_is_not_a_field(self):
+        """The cached order leaves equality, hash, repr (the engine's
+        cache keys) and pickling as they were."""
+        job = linear_job()
+        twin = JobSpec(job.program, job.datasize_bytes, job.stages)
+        assert job == twin and hash(job) == hash(twin)
+        assert repr(job) == (
+            f"JobSpec(program={job.program!r}, "
+            f"datasize_bytes={job.datasize_bytes!r}, stages={job.stages!r})"
+        )
+        clone = pickle.loads(pickle.dumps(job))
+        assert clone == job
+        assert clone.topological_stages() == job.topological_stages()
+
     def test_stage_lookup(self):
         job = linear_job()
         assert job.stage("b").parents == ("a",)
@@ -88,5 +168,23 @@ class TestJobSpec:
         assert linear_job().total_input_bytes == 1 * GB
 
     def test_graph_edges(self):
-        g = linear_job().graph()
-        assert set(g.edges) == {("a", "b"), ("b", "c")}
+        stages = linear_job().topological_stages()
+        edges = {(parent, s.name) for s in stages for parent in s.parents}
+        assert edges == {("a", "b"), ("b", "c")}
+
+
+def test_networkx_is_not_imported():
+    """The stage sort is in-house: no entry point loads networkx."""
+    code = (
+        "import sys, repro.core.tuner, repro.service, repro.cli.main; "
+        "sys.exit('networkx' in sys.modules)"
+    )
+    src = str(Path(__file__).parent.parent / "src")
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr

@@ -19,6 +19,7 @@ from repro.core.collecting import (
     Collector,
     TrainingSet,
     encode_raw_columns,
+    raw_columns,
     raw_value,
     value_from_raw,
 )
@@ -178,6 +179,19 @@ class TestRawColumns:
                 raw = raw_value(param, config[param.name])
                 assert value_from_raw(param, raw) == config[param.name]
 
+    def test_raw_columns_match_per_cell_loop_bitwise(self, space, rng):
+        """Boolean, string, integer and float knobs, including defaults
+        outside the sampling range (offHeap.size=0, revive.interval=1)."""
+        configs = [space.random(rng) for _ in range(30)] + [space.default()]
+        configs += [
+            config.replacing_values({p.name: p.default for p in space.parameters[::2]})
+            for config in configs[:5]
+        ]
+        loop = np.array(
+            [[raw_value(p, c[p.name]) for p in space.parameters] for c in configs]
+        )
+        assert raw_columns(space, configs).tobytes() == loop.tobytes()
+
     def test_vectorized_encode_matches_row_loop_bitwise(self, space, rng):
         configs = [space.random(rng) for _ in range(50)]
         values = np.array(
@@ -240,6 +254,23 @@ class TestStoreCodecPaths:
         for a, b in zip(mapped.vectors, training.vectors):
             assert a.configuration == b.configuration
             assert a.seconds == b.seconds
+
+    def test_seed_vectors_are_row_encodings_bitwise(self, tmp_path, training, space):
+        store = RunStore(tmp_path / "store")
+        store.put_training_set("ts", training)
+        configs = [v.configuration for v in training.vectors]
+        sets = {
+            "columns": training,
+            "eager": TrainingSet(space, training.vectors),
+            "mmap": store.get_training_set("ts", space=space, mode="mmap"),
+        }
+        for backing, ts in sets.items():
+            for n in (5, len(ts), len(ts) + 7):
+                seeds = ts.seed_vectors(n)
+                assert len(seeds) == min(n, len(ts)), backing
+                for seed, config in zip(seeds, configs):
+                    assert seed.tobytes() == space.encode(config).tobytes(), backing
+                    assert seed.flags.writeable
 
     def test_mmap_model_predictions_bitwise_equal(self, tmp_path, terasort):
         store = RunStore(tmp_path / "store")
