@@ -21,13 +21,53 @@ import time
 from typing import List, Optional
 
 import numpy as np
-from scipy.optimize import nnls
 
 from repro.models.boosting import GradientBoostedTrees
 from repro.models.flat import MergedBinner, observe_predict, timed
 from repro.models.histkernel import observe_fit, resolve_fit_path
 from repro.models.metrics import mean_relative_error
 from repro.telemetry import events as tele
+
+
+def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``argmin ||A x - b||₂`` subject to ``x >= 0`` (Lawson–Hanson).
+
+    The active-set method: move the free column with the largest
+    residual gradient into the passive set, least-squares solve the
+    passive columns (ascending order), and while that solution has a
+    negative weight step back toward the last feasible point until a
+    weight hits zero and leaves the set.  Non-finite input raises
+    ``ValueError``; more than ``3·n`` outer iterations ``RuntimeError``.
+    """
+    A = np.asarray_chkfinite(A, dtype=float)
+    b = np.asarray_chkfinite(b, dtype=float)
+    m, n = A.shape
+    # Gradients below this are rounding noise in ``A.T @ (b - A @ x)``.
+    tol = 10 * max(m, n) * np.finfo(float).eps
+    tol *= np.linalg.norm(A, 1) * np.linalg.norm(b, np.inf)
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    iterations = 0
+    while True:
+        gradient = np.where(passive, -np.inf, A.T @ (b - A @ x))
+        j = int(np.argmax(gradient))
+        if gradient[j] <= tol:
+            return x
+        iterations += 1
+        if iterations > 3 * n:
+            raise RuntimeError("NNLS: more than 3*n iterations")
+        passive[j] = True
+        while True:
+            s = np.zeros(n)
+            s[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+            negative = np.flatnonzero(passive & (s < 0))
+            if not len(negative):
+                break
+            ratios = x[negative] / (x[negative] - s[negative])
+            x += ratios.min() * (s - x)
+            x[negative[np.argmin(ratios)]] = 0.0
+            passive &= x > 0
+        x = s
 
 
 def _fit_component(payload):
@@ -283,8 +323,7 @@ class HierarchicalModel:
         """Non-negative least-squares stacking weights (β coefficients)."""
         if len(predictions) == 1:
             return np.array([1.0])
-        A = np.column_stack(predictions)
-        weights, _ = nnls(A, y_val)
+        weights = _nnls(np.column_stack(predictions), y_val)
         if weights.sum() <= 0:
             # Degenerate holdout: fall back to a plain average.
             return np.full(len(predictions), 1.0 / len(predictions))

@@ -1,11 +1,17 @@
 """Tests for gradient boosting (FirstOrderProcedure) and HM (Algorithm 1)."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.models.boosting import GradientBoostedTrees
-from repro.models.hierarchical import HierarchicalModel
+from repro.models.hierarchical import HierarchicalModel, _nnls
 from repro.models.metrics import mean_relative_error
+
+EPS = np.finfo(float).eps
 
 
 class TestGradientBoostedTrees:
@@ -189,3 +195,100 @@ class TestCheckpointedFit:
         fresh.resume_fit(X, y)
         reference = HierarchicalModel(**params).fit(X, y)
         np.testing.assert_array_equal(fresh.predict(X), reference.predict(X))
+
+
+@st.composite
+def nnls_problems(draw, max_columns=6):
+    """``(A, b)`` with 1..max_columns columns on a 1/8 grid (so exact
+    ties and rank deficiency occur), optionally a duplicated column, and
+    optionally non-negative ``A`` against non-positive ``b`` (every
+    weight zero)."""
+    n = draw(st.integers(1, max_columns))
+    m = draw(st.integers(1, 12))
+    grid = st.integers(-40, 40).map(lambda v: v / 8)
+    A = np.array(draw(st.lists(grid, min_size=m * n, max_size=m * n)))
+    A = A.reshape(m, n)
+    b = np.array(draw(st.lists(grid, min_size=m, max_size=m)))
+    if n > 1 and draw(st.booleans()):
+        j, k = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        A[:, k] = A[:, j]
+    if draw(st.booleans()):
+        A, b = np.abs(A), -np.abs(b)
+    return A, b
+
+
+def _scale(A, b, x):
+    """Magnitude of ``A.T @ (A @ x - b)``'s terms, for eps tolerances."""
+    return max(A.shape) * np.linalg.norm(A) * (
+        np.linalg.norm(A) * np.linalg.norm(x) + np.linalg.norm(b)
+    ) + np.finfo(float).tiny
+
+
+def _nnls_by_enumeration(A, b):
+    """Reference: least squares on every support, best feasible one."""
+    best, best_residual = np.zeros(A.shape[1]), np.linalg.norm(b)
+    for size in range(1, A.shape[1] + 1):
+        for support in itertools.combinations(range(A.shape[1]), size):
+            x = np.zeros(A.shape[1])
+            x[list(support)] = np.linalg.lstsq(A[:, support], b, rcond=None)[0]
+            residual = np.linalg.norm(A @ x - b)
+            if (x >= 0).all() and residual < best_residual:
+                best, best_residual = x, residual
+    return best
+
+
+class TestNnls:
+    """HM's stacking solver (Lawson–Hanson, NumPy only)."""
+
+    @given(nnls_problems())
+    @example((np.array([[2.0], [4.0]]), np.array([1.0, 2.0])))
+    @example((np.ones((3, 2)), np.zeros(3)))
+    @settings(max_examples=200, deadline=None)
+    def test_kkt_conditions(self, problem):
+        A, b = problem
+        x = _nnls(A, b)
+        gradient = A.T @ (A @ x - b)
+        tol = 64 * EPS * _scale(A, b, x)
+        assert (x >= 0).all()
+        assert (np.abs(gradient[x > 0]) <= tol).all()
+        assert (gradient[x == 0] >= -tol).all()
+        if (A >= 0).all() and (b <= 0).all():
+            assert not x.any()
+
+    @given(nnls_problems(max_columns=4))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_every_support_enumeration(self, problem):
+        A, b = problem
+        x, reference = _nnls(A, b), _nnls_by_enumeration(A, b)
+        residual = np.linalg.norm(A @ x - b)
+        expected = np.linalg.norm(A @ reference - b)
+        assert residual == pytest.approx(
+            expected, rel=0, abs=64 * EPS * _scale(A, b, np.maximum(x, reference))
+        )
+        cond = np.linalg.cond(A) if len(A) >= A.shape[1] else np.inf
+        if cond < 1e4:  # full column rank: the optimum is unique
+            np.testing.assert_allclose(
+                x, reference, rtol=0, atol=cond**2 * 64 * EPS * _scale(A, b, x)
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["A", "b"])
+    def test_non_finite_input_raises(self, bad, where):
+        A, b = np.ones((4, 2)), np.ones(4)
+        (A if where == "A" else b)[1] = bad
+        with pytest.raises(ValueError):
+            _nnls(A, b)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        # A least-squares step that never turns feasible cycles forever.
+        monkeypatch.setattr(
+            np.linalg, "lstsq", lambda a, b, rcond: (-np.ones(a.shape[1]),)
+        )
+        with pytest.raises(RuntimeError):
+            _nnls(np.eye(3), np.ones(3))
+
+    def test_combine_falls_back_to_average_when_all_weights_are_zero(self):
+        predictions = [np.array([1.0, 2.0, 3.0]), np.array([2.0, 1.0, 4.0])]
+        weights = HierarchicalModel._combine(predictions, -np.ones(3))
+        np.testing.assert_array_equal(weights, [0.5, 0.5])

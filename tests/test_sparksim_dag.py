@@ -173,11 +173,13 @@ class TestJobSpec:
         assert edges == {("a", "b"), ("b", "c")}
 
 
-def test_networkx_is_not_imported():
-    """The stage sort is in-house: no entry point loads networkx."""
+@pytest.mark.parametrize("module", ["networkx", "scipy"])
+def test_entry_points_do_not_import(module):
+    """The stage sort (networkx) and HM's stacking solve (scipy) are
+    in-house: no entry point loads either dependency."""
     code = (
         "import sys, repro.core.tuner, repro.service, repro.cli.main; "
-        "sys.exit('networkx' in sys.modules)"
+        f"sys.exit({module!r} in sys.modules)"
     )
     src = str(Path(__file__).parent.parent / "src")
     child = subprocess.run(
