@@ -19,6 +19,10 @@ inner loop with a histogram kernel:
   Node values come from the per-child target sums the same pass
   computes.  The tree still grows in exactly the reference's
   best-first order, see the determinism notes below.
+* **No pass for the last pair** — the children of a tree's
+  ``tree_complexity``-th split are valued without a histogram pass.
+  Their splits could only join a frontier that is never popped again,
+  so no node table depends on them; their mtry draws still run.
 
 Determinism
 -----------
@@ -207,13 +211,16 @@ class FrontierEvaluator:
         else:
             self.flat = flat
 
-    def evaluate(self, *nodes: np.ndarray) -> List[list]:
+    def evaluate(self, *nodes: np.ndarray, search: bool = True) -> List[list]:
         """``[value, split]`` per node, in order.
 
         ``value`` is the node's mean target; ``split`` is the reference
         tuple ``(gain, feature, bin, left_idx, right_idx)`` or ``None``.
         The size guard and any RNG draw run node by node, in order —
         exactly the reference's sequential left-then-right child loop.
+        ``search=False`` values the nodes without the histogram pass:
+        every split is ``None``, but the draws still happen, so the RNG
+        stream ends where the reference's does.
         """
         rows = nodes[0] if len(nodes) == 1 else np.concatenate(nodes)
         targets = self.y[rows]
@@ -227,7 +234,7 @@ class FrontierEvaluator:
             results.append([float(total / len(idx)), None])
             if len(idx) >= 2 * self.min_samples_leaf:
                 plans.append((len(results) - 1, idx, y_node, total, self._draw()))
-        if plans and self.nb_max >= 2 and len(self.offsets):
+        if search and plans and self.nb_max >= 2 and len(self.offsets):
             if len(plans) < len(nodes):
                 _, rows, targets, _, _ = plans[0]
             for slot, split in self._best_splits(plans, rows, targets):

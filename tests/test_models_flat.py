@@ -38,30 +38,35 @@ def _walk_gbt(model: GradientBoostedTrees, X: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 class TestBinWithEdges:
     def test_matches_searchsorted_on_specials(self):
-        rng = np.random.default_rng(0)
-        X = rng.random((300, 6))
-        binner = BinnedDataset(X, max_bins=32)
-        Q = rng.random((64, 6))
-        Q[0, 0] = np.nan
-        Q[1, 1] = np.inf
-        Q[2, 2] = -np.inf
-        Q[3, 3] = binner.edges[3][0]  # exactly on an edge
-        Q[4, 4] = np.nextafter(binner.edges[4][0], -np.inf)
-        reference = np.empty(Q.shape, dtype=np.int64)
-        for j in range(6):
-            reference[:, j] = np.searchsorted(binner.edges[j], Q[:, j], side="right")
-        assert np.array_equal(bin_with_edges(Q, binner.edges), reference)
-
-    def test_chunking_is_invisible(self, monkeypatch):
-        import repro.models.tree as tree_mod
-
-        rng = np.random.default_rng(1)
-        X = rng.random((200, 4))
-        binner = BinnedDataset(X)
-        Q = rng.random((97, 4))
-        whole = bin_with_edges(Q, binner.edges)
-        monkeypatch.setattr(tree_mod, "_BIN_CHUNK_ELEMENTS", 16)
-        assert np.array_equal(bin_with_edges(Q, binner.edges), whole)
+        """A code counts the edges ``<= x``: NaN and +inf take the top
+        bin, -inf and anything below the first edge bin 0, and a value
+        exactly on edge ``k`` bins ``k + 1``."""
+        edges = [
+            np.array([0.25, 0.5, 0.75]),
+            np.array([-1.0, 0.0, 1.0, 2.0]),
+            np.array([3.0]),
+            np.array([]),  # a constant training column has no edges
+        ]
+        Q = np.array(
+            [
+                [np.nan, np.inf, -np.inf, np.nan],
+                [0.5, 0.0, 3.0, 1.0],  # on edges 1, 1, 0
+                [0.75, 2.0, np.inf, np.inf],  # on each last edge
+                # just below each first edge
+                [*np.nextafter([0.25, -1.0, 3.0], -np.inf), -np.inf],
+                [0.6, 0.5, 2.9, 0.0],
+            ]
+        )
+        expected = [
+            [3, 4, 0, 0],
+            [2, 2, 1, 0],
+            [3, 4, 1, 0],
+            [0, 0, 0, 0],
+            [2, 2, 0, 0],
+        ]
+        assert bin_with_edges(Q, edges).tolist() == expected
+        binner = BinnedDataset.from_edges(edges)
+        assert binner.bin_matrix(Q).tolist() == expected
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)

@@ -155,6 +155,40 @@ class TestSplitEquivalence:
             n.feature in (4, 1, 5) for n in knl._nodes if not n.is_leaf
         )
 
+    @pytest.mark.parametrize("tc", [1, 2, 5])
+    @pytest.mark.parametrize("mtry", [False, True])
+    def test_last_child_pair_is_valued_not_searched(self, tc, mtry, monkeypatch):
+        """The tc-th split's children could only push splits onto a
+        frontier that is never popped again, so the kernel values them
+        without a histogram pass: the root plus tc - 1 child pairs."""
+        rng = np.random.default_rng(tc)
+        X = rng.random((400, 6))
+        # A step at 0.5 on every feature: whichever features a node may
+        # use, its best split halves it, so every child stays far above
+        # 2 * min_samples_leaf.
+        y = (X > 0.5) @ 2.0 ** np.arange(6) + 0.1 * rng.normal(size=400)
+        kwargs = dict(
+            tree_complexity=tc,
+            min_samples_leaf=5,
+            split_features=3 if mtry else None,
+            random_state=tc,
+        )
+        ref = RegressionTree(fit_path="reference", **kwargs).fit(X, y)
+        passes = []
+        original = histkernel.FrontierEvaluator._best_splits
+
+        def counting(self, plans, rows, targets):
+            passes.append(len(plans))
+            return original(self, plans, rows, targets)
+
+        monkeypatch.setattr(histkernel.FrontierEvaluator, "_best_splits", counting)
+        knl = RegressionTree(fit_path="numpy", **kwargs).fit(X, y)
+        # Every scored node was splittable: one root, then full pairs.
+        assert passes == [1] + [2] * (tc - 1)
+        assert knl.n_internal_nodes == tc
+        assert node_table(knl) == node_table(ref)
+        assert ref._rng.bit_generator.state == knl._rng.bit_generator.state
+
 
 # ----------------------------------------------------------------------
 # Fit-path resolution
