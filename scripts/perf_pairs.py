@@ -16,10 +16,12 @@ comparison resumes where it stopped.
 
 It then prints, per end-to-end metric of ``BENCHMARK.json``: each
 side's median and quartiles, the parent's interquartile range, the
-change's wins and ties over the pairs, and whether the gain rule holds
+change's wins and ties over the pairs, whether the gain rule holds
 (at least nine tenths of the pairs won and a median difference larger
-than the parent's IQR).  It also prints failed/attempted ops per side
-and checks that every op's fingerprint is the same on both sides.
+than the parent's IQR), and the no-regression verdict against the
+metric's ``bound`` (see :func:`no_regression`).  It also prints
+failed/attempted ops per side and checks that every op's fingerprint
+is the same on both sides.
 
 Exits 1 when a run fails or a fingerprint differs.  The benchmark's
 own files are only executed, never imported or modified.
@@ -93,6 +95,29 @@ def quartiles(values):
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
+def no_regression(parent, change, bound, lower):
+    """``within``, ``worse`` or ``unresolved`` for one metric, or None.
+
+    ``bound`` is the metric's ``BENCHMARK.json`` bound, a fraction of
+    the parent median (None: the metric has no bound).  The change is
+    ``within`` when its median is worse than the parent's by at most
+    that much and ``worse`` when by more.  When the parent's own IQR is
+    wider than the bound the runs are too noisy to tell: ``unresolved``,
+    unless every change run beats every parent run.
+    """
+    if bound is None:
+        return None
+    flip = 1.0 if lower else -1.0
+    if max(flip * c for c in change) < min(flip * p for p in parent):
+        return "within"
+    q1, p50, q3 = quartiles(parent)
+    scale = abs(p50) or 1.0
+    if (q3 - q1) / scale > bound:
+        return "unresolved"
+    c50 = statistics.median(change)
+    return "within" if flip * (c50 - p50) / scale <= bound else "worse"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, type=Path)
@@ -139,7 +164,7 @@ def main(argv=None) -> int:
     print(f"\n{args.workload}: {len(seeds)} pairs, seeds {seeds[0]}-{seeds[-1]}")
     print(f"{'metric':16s} {'parent':>12s} {'(q1-q3)':15s} {'IQR':>8s} "
           f"{'change':>12s} {'(q1-q3)':15s} {'delta':>8s} {'wins':>5s} "
-          f"{'ties':>5s}  gain rule")
+          f"{'ties':>5s}  {'gain rule':9s}  {'bound':>5s}  no regression")
     summary = {"workload": args.workload, "seeds": seeds, "metrics": {}}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -159,14 +184,19 @@ def main(argv=None) -> int:
         delta = (c50 - p50) / p50 if p50 else 0.0
         gained = (c50 < p50) == lower and c50 != p50
         rule = gained and wins >= 0.9 * len(seeds) and abs(c50 - p50) > iqr
+        bound = metric.get("bound")
+        verdict = no_regression(values["parent"], values["change"], bound, lower)
         print(f"{name:16s} {p50:12.4f} ({stats['parent'][0]:.4f}-"
               f"{stats['parent'][2]:.4f}) {iqr:8.4f} {c50:12.4f} "
               f"({stats['change'][0]:.4f}-{stats['change'][2]:.4f}) "
               f"{100 * delta:+7.2f}% {wins:5d} {ties:5d}  "
-              f"{'met' if rule else 'not met'}")
+              f"{'met' if rule else 'not met':9s}  "
+              f"{'-' if bound is None else f'{100 * bound:.0f}%':>5s}  "
+              f"{verdict or '-'}")
         summary["metrics"][name] = {
             "parent": values["parent"], "change": values["change"],
             "wins": wins, "ties": ties, "gain_rule": rule,
+            "no_regression": verdict,
         }
 
     for side in SIDES:

@@ -30,7 +30,7 @@ from repro.engine.backends import (
     InProcessBackend,
     ProcessPoolBackend,
 )
-from repro.engine.cache import CACHE_FORMAT, CachedBackend, request_key
+from repro.engine.cache import CachedBackend, request_key
 from repro.engine.request import (
     ExecOutcome,
     ExecRequest,
@@ -42,7 +42,6 @@ from repro.engine.request import (
 from repro.engine.stats import EngineStats
 
 __all__ = [
-    "CACHE_FORMAT",
     "CachedBackend",
     "DEFAULT_BACKOFF_SECONDS",
     "DEFAULT_MAX_ATTEMPTS",

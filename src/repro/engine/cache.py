@@ -33,14 +33,10 @@ from repro.sparksim.simulator import RunResult
 from repro.store import blobfmt
 from repro.telemetry.metrics import get_registry
 
-#: First bytes of legacy on-disk cache entries (plain tagged pickle).
-#: Still readable; new entries are written as checksummed
-#: :mod:`repro.store.blobfmt` containers instead, so a torn or corrupt
-#: entry is detected by digest rather than by pickle happening to blow
-#: up.  Anything that is neither format reads as a miss and is evicted.
-CACHE_FORMAT = b"repro-cache/1\n"
-
-#: ``kind`` tag of blob-container cache entries.
+#: ``kind`` tag of on-disk cache entries.  Each entry is a checksummed
+#: :mod:`repro.store.blobfmt` container, so a torn or corrupt entry is
+#: detected by digest rather than by pickle happening to blow up.
+#: Anything else reads as a miss and is evicted.
 _CACHE_BLOB_KIND = "cache_entry"
 
 
@@ -71,7 +67,7 @@ class CachedBackend(ExecutionBackend):
     inner:
         The backend that answers cache misses.
     directory:
-        Optional on-disk store (one pickle per key).  Sharing a
+        Optional on-disk store (one blob container per key).  Sharing a
         directory across processes/sessions is safe: writes go through
         a same-directory temp file + atomic rename, and unreadable
         entries are treated as misses.
@@ -174,23 +170,16 @@ class CachedBackend(ExecutionBackend):
             blob = path.read_bytes()
         except OSError:  # absent (or unreadable): miss
             return None
-        if blob.startswith(blobfmt.MAGIC):
-            try:
-                header, sections = blobfmt.decode_sections(blob, verify=True)
-                if header.get("kind") != _CACHE_BLOB_KIND:
-                    raise blobfmt.BlobError("not a cache entry")
-                run = pickle.loads(sections["pickle"].tobytes())
-            except Exception:  # truncated/corrupt entry: miss + overwrite
-                self._evict(path)
-                return None
-        elif blob.startswith(CACHE_FORMAT):  # legacy tagged-pickle entry
-            try:
-                run = pickle.loads(blob[len(CACHE_FORMAT) :])
-            except Exception:  # truncated/corrupt entry: miss + overwrite
-                self._evict(path)
-                return None
-        else:
+        if not blob.startswith(blobfmt.MAGIC):
             self._evict(path)  # stale format or foreign file: rewrite it
+            return None
+        try:
+            header, sections = blobfmt.decode_sections(blob, verify=True)
+            if header.get("kind") != _CACHE_BLOB_KIND:
+                raise blobfmt.BlobError("not a cache entry")
+            run = pickle.loads(sections["pickle"].tobytes())
+        except Exception:  # truncated/corrupt entry: miss + overwrite
+            self._evict(path)
             return None
         if not isinstance(run, RunResult):
             self._evict(path)

@@ -6,12 +6,13 @@ This registry maps those pairs to the code that encodes/decodes them,
 which is what lets new writers and old stores coexist:
 
 * new artifacts are written with the kind's *default* codec (the
-  columnar blob format, ``blob1``);
-* old artifacts (``csv`` training sets, ``pickle`` models) keep their
-  original codec name and decode through the legacy paths forever;
-* an artifact written by a *newer* code level carries a codec name this
-  registry doesn't know, and reads back as absent — the caller
-  regenerates it, which is the store's invalidation idiom.
+  columnar blob format, ``blob1``); models that do not lower to
+  sections (custom ``component_factory`` estimators) use ``pickle``;
+* an artifact whose codec this registry doesn't know — written by newer
+  code, or under a retired codec such as ``csv`` training sets — reads
+  back as absent: the caller regenerates it, which is the store's
+  invalidation idiom.  A format change bumps the codec name rather than
+  keeping an old decoder.
 
 A codec may also implement ``open(path, offset, **ctx)`` — the
 zero-copy path: given the artifact file and the payload's byte offset
@@ -63,7 +64,7 @@ def register(codec: Codec, default: bool = False) -> Codec:
 
 def lookup(kind: str, name: str) -> Optional[Codec]:
     """The codec for a stored ``(kind, codec)`` pair, or ``None``
-    (unknown = written by newer code = treat the artifact as absent)."""
+    (unknown codec = treat the artifact as absent)."""
     return _REGISTRY.get((kind, name))
 
 
@@ -80,20 +81,6 @@ def _space_or_default(space):
     from repro.sparksim.confspace import SPARK_CONF_SPACE
 
     return SPARK_CONF_SPACE
-
-
-def _encode_training_set_csv(training_set) -> bytes:
-    from repro.io.csvsets import dumps_training_set
-
-    return dumps_training_set(training_set).encode("utf-8")
-
-
-def _decode_training_set_csv(payload: bytes, space=None, source="store"):
-    from repro.io.csvsets import loads_training_set
-
-    return loads_training_set(
-        payload.decode("utf-8"), _space_or_default(space), source=source
-    )
 
 
 def _encode_training_set_blob(training_set) -> bytes:
@@ -116,12 +103,12 @@ def _training_set_from_blob(header, sections, space):
     return TrainingSet.from_columns(space, sections)
 
 
-def _decode_training_set_blob(payload: bytes, space=None, source="store"):
+def _decode_training_set_blob(payload: bytes, space=None):
     header, sections = blobfmt.decode_sections(payload, verify=False)
     return _training_set_from_blob(header, sections, space)
 
 
-def _open_training_set_blob(path, offset: int, space=None, source="store"):
+def _open_training_set_blob(path, offset: int, space=None):
     header, sections = blobfmt.map_sections(path, offset=offset)
     return _training_set_from_blob(header, sections, space)
 
@@ -161,14 +148,6 @@ def _open_model_blob(path, offset: int):
     return _model_from_blob(header, sections)
 
 
-register(
-    Codec(
-        kind="training_set",
-        name="csv",
-        encode=_encode_training_set_csv,
-        decode=_decode_training_set_csv,
-    )
-)
 register(
     Codec(
         kind="training_set",

@@ -21,7 +21,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.models.flat import FlatForest, accumulate, observe_predict, timed
-from repro.models.histkernel import flat_codes, observe_fit, resolve_fit_path
+from repro.models.histkernel import flat_codes, observe_fit
 from repro.models.metrics import mean_relative_error
 from repro.models.tree import BinnedDataset, RegressionTree
 
@@ -47,11 +47,6 @@ class GradientBoostedTrees:
     patience / convergence_tol:
         Convergence detector: stop when no ``convergence_tol`` improvement
         for ``patience`` trees.
-    fit_path:
-        Split-search implementation for every tree (see
-        :class:`~repro.models.tree.RegressionTree`); ``None`` defers to
-        :func:`repro.models.histkernel.resolve_fit_path`.  Both paths
-        produce the byte-identical model.
     """
 
     def __init__(
@@ -66,7 +61,6 @@ class GradientBoostedTrees:
         convergence_tol: float = 1e-4,
         min_samples_leaf: int = 5,
         random_state: int = 0,
-        fit_path: Optional[str] = None,
     ):
         if n_trees < 1:
             raise ValueError("n_trees must be >= 1")
@@ -84,7 +78,6 @@ class GradientBoostedTrees:
         self.convergence_tol = convergence_tol
         self.min_samples_leaf = min_samples_leaf
         self.random_state = random_state
-        self.fit_path = fit_path
 
         self._trees: List[RegressionTree] = []
         self._base: float = 0.0
@@ -116,7 +109,6 @@ class GradientBoostedTrees:
         if len(X) < 4:
             raise ValueError("need at least 4 samples")
         fit_start = time.perf_counter()
-        path = resolve_fit_path(self.fit_path)
         rng = np.random.default_rng(self.random_state)
 
         n_val = max(1, int(round(len(X) * self.validation_fraction)))
@@ -154,7 +146,6 @@ class GradientBoostedTrees:
             tree = RegressionTree(
                 tree_complexity=self.tree_complexity,
                 min_samples_leaf=self.min_samples_leaf,
-                fit_path=path,
             )
             tree.fit_binned(
                 self._binner, residual, sample_indices=sample, flat_codes=flat
@@ -180,7 +171,6 @@ class GradientBoostedTrees:
                     self.stopped_reason_ = "converged"
                     break
         observe_fit(
-            path,
             "gbt",
             time.perf_counter() - fit_start,
             len(self._trees),
@@ -341,11 +331,3 @@ class GradientBoostedTrees:
         if not self.validation_errors_:
             raise RuntimeError("model is not fitted")
         return self.validation_errors_[-1]
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        # Models pickled before the flat layer predate the cache slot;
-        # they rebuild the stacked table on first predict.  Models
-        # pickled before the histogram kernel predate fit_path.
-        self.__dict__.setdefault("_flat", None)
-        self.__dict__.setdefault("fit_path", None)

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.models.boosting import GradientBoostedTrees
 from repro.models.flat import MergedBinner, observe_predict, timed
-from repro.models.histkernel import observe_fit, resolve_fit_path
+from repro.models.histkernel import observe_fit
 from repro.models.metrics import mean_relative_error
 from repro.telemetry import events as tele
 
@@ -109,7 +109,6 @@ class HierarchicalModel:
         patience: int = 200,
         random_state: int = 0,
         component_factory=None,
-        fit_path: Optional[str] = None,
     ):
         if max_order < 1:
             raise ValueError("max_order must be >= 1")
@@ -125,9 +124,6 @@ class HierarchicalModel:
         self.patience = patience
         self.random_state = random_state
         self.component_factory = component_factory
-        #: Split-search implementation forwarded to every GBT component
-        #: (see :class:`~repro.models.tree.RegressionTree`).
-        self.fit_path = fit_path
 
         self._components: List[object] = []
         self._weights: Optional[np.ndarray] = None
@@ -258,7 +254,6 @@ class HierarchicalModel:
             if (1.0 - self.holdout_error_) >= self.target_accuracy:
                 break
         observe_fit(
-            resolve_fit_path(self.fit_path),
             "hm",
             time.perf_counter() - fit_start,
             sum(getattr(c, "n_trees_fitted", 0) for c in self._components),
@@ -314,7 +309,6 @@ class HierarchicalModel:
             validation_fraction=self.validation_fraction,
             patience=self.patience,
             random_state=self.random_state + 7919 * order,
-            fit_path=self.fit_path,
         )
 
     # ------------------------------------------------------------------
@@ -442,11 +436,3 @@ class HierarchicalModel:
     @property
     def n_components(self) -> int:
         return len(self._components)
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        # Models pickled before the flat layer predate the merged-binner
-        # cache; it is rebuilt on first predict.  Models pickled before
-        # the histogram kernel predate fit_path.
-        self.__dict__.setdefault("_merged", None)
-        self.__dict__.setdefault("fit_path", None)

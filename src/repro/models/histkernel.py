@@ -61,8 +61,6 @@ full argument.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -70,70 +68,10 @@ import numpy as np
 from repro.telemetry import events as tele
 from repro.telemetry.metrics import get_registry
 
-__all__ = [
-    "FrontierEvaluator",
-    "available_fit_paths",
-    "flat_codes",
-    "observe_fit",
-    "resolve_fit_path",
-    "set_fit_path",
-    "use_fit_path",
-]
+__all__ = ["FrontierEvaluator", "flat_codes", "observe_fit"]
 
 #: Gain floor shared with the reference: a split must beat this strictly.
 MIN_GAIN = 1e-12
-
-#: Recognized fit-path names.  ``auto`` resolves to ``numpy``;
-#: ``reference`` forces the original per-feature Python loop (kept for
-#: equivalence tests).
-FIT_PATHS = ("auto", "numpy", "reference")
-
-#: Environment override consulted when no explicit path is set.
-FIT_PATH_ENV = "REPRO_FIT_PATH"
-
-_path_override: Optional[str] = None
-
-
-def set_fit_path(path: Optional[str]) -> None:
-    """Set the process-wide default fit path (``None`` clears it)."""
-    global _path_override
-    if path is not None and path not in FIT_PATHS:
-        raise ValueError(f"unknown fit path {path!r}; choose from {FIT_PATHS}")
-    _path_override = path
-
-
-@contextmanager
-def use_fit_path(path: Optional[str]):
-    """Temporarily force a fit path (benchmarks and equivalence tests).
-
-    Process-local: worker processes spawned mid-context (e.g. the HM's
-    speculative parallel fit) do not inherit it — set ``REPRO_FIT_PATH``
-    in the environment instead when that matters.
-    """
-    previous = _path_override
-    set_fit_path(path)
-    try:
-        yield
-    finally:
-        set_fit_path(previous)
-
-
-def resolve_fit_path(requested: Optional[str] = None) -> str:
-    """Concrete path for a fit call: ``numpy`` or ``reference``.
-
-    Priority: explicit ``requested`` (a model's ``fit_path``), then
-    :func:`set_fit_path`/:func:`use_fit_path`, then the
-    ``REPRO_FIT_PATH`` environment variable, then ``auto``.
-    """
-    path = requested or _path_override or os.environ.get(FIT_PATH_ENV) or "auto"
-    if path not in FIT_PATHS:
-        raise ValueError(f"unknown fit path {path!r}; choose from {FIT_PATHS}")
-    return "numpy" if path == "auto" else path
-
-
-def available_fit_paths() -> Tuple[str, ...]:
-    """The concrete paths runnable in this process."""
-    return ("reference", "numpy")
 
 
 # ----------------------------------------------------------------------
@@ -322,35 +260,30 @@ class FrontierEvaluator:
 # ----------------------------------------------------------------------
 # Fit telemetry (mirrors flat.observe_predict)
 # ----------------------------------------------------------------------
-def observe_fit(
-    path: str, model: str, seconds: float, trees: int, nodes: int
-) -> None:
+def observe_fit(model: str, seconds: float, trees: int, nodes: int) -> None:
     """Record one model fit in the metrics registry and event stream.
 
     Emits ``model.fit.seconds`` (timer) plus ``model.fit.trees`` /
-    ``model.fit.nodes`` (counters) labeled by model kind and fit path
-    (``numpy``/``reference``), mirroring the
+    ``model.fit.nodes`` (counters) labeled by model kind, mirroring the
     ``model.predict.*`` family, and — when event telemetry is on — a
     ``model.fit`` event so ``repro top`` can surface a fit row in the
     engine panel.
     """
     registry = get_registry()
     if registry.enabled:
-        labels = {"model": model, "path": path}
         registry.timer("model.fit.seconds", "model fit latency").labels(
-            **labels
+            model=model
         ).observe(seconds)
-        registry.counter("model.fit.trees", "trees fitted").labels(**labels).inc(
-            trees
-        )
+        registry.counter("model.fit.trees", "trees fitted").labels(
+            model=model
+        ).inc(trees)
         registry.counter("model.fit.nodes", "tree nodes fitted").labels(
-            **labels
+            model=model
         ).inc(nodes)
     if tele.enabled():
         tele.event(
             "model.fit",
             model=model,
-            path=path,
             seconds=float(seconds),
             trees=int(trees),
             nodes=int(nodes),

@@ -13,10 +13,10 @@ bincount rather than a sort — essential when boosting fits thousands of
 trees (``nt`` up to 12 000 in Figure 8).  The per-node search itself
 runs through :mod:`repro.models.histkernel` — all features histogrammed
 in one flattened ``np.bincount``, both children of a committed split
-scored in one histogram pass — with the original per-feature Python
-loop kept verbatim as :meth:`RegressionTree._best_split_reference`;
-the kernel is bit-identical to it by construction (see the histkernel
-module docstring and DESIGN.md §17).
+scored in one histogram pass.  The original per-feature Python loop is
+kept verbatim as :meth:`RegressionTree._fit_binned_reference`, the
+oracle tests fit against; the kernel is bit-identical to it by
+construction (see the histkernel module docstring and DESIGN.md §17).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.models.histkernel import FrontierEvaluator, resolve_fit_path
+from repro.models.histkernel import FrontierEvaluator
 
 #: Default number of histogram bins per feature.
 DEFAULT_BINS = 64
@@ -231,11 +231,6 @@ class BinnedDataset:
         state["_code_cache"] = {}
         return state
 
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        # Artifacts pickled before the cache existed lack the attribute.
-        self.__dict__.setdefault("_code_cache", {})
-
     def threshold(self, feature: int, bin_index: int) -> float:
         """Real-valued threshold for 'go left if code <= bin_index'."""
         edges = self.edges[feature]
@@ -270,12 +265,6 @@ class RegressionTree:
     max_bins:
         Histogram resolution when the tree bins its own data; ignored
         when fitted through :meth:`fit_binned`.
-    fit_path:
-        Split-search implementation: ``numpy`` (histogram kernel),
-        ``reference`` (the original per-feature loop), or
-        ``auto``/``None`` to defer to
-        :func:`repro.models.histkernel.resolve_fit_path`.  Both paths
-        grow the byte-identical tree.
     """
 
     def __init__(
@@ -285,7 +274,6 @@ class RegressionTree:
         max_bins: int = DEFAULT_BINS,
         split_features: Optional[int] = None,
         random_state: int = 0,
-        fit_path: Optional[str] = None,
     ):
         if tree_complexity < 1:
             raise ValueError("tree_complexity must be >= 1")
@@ -300,7 +288,6 @@ class RegressionTree:
         #: every split (None = consider all features at each split).
         self.split_features = split_features
         self.random_state = random_state
-        self.fit_path = fit_path
         self._nodes: List[_Node] = []
         self._binner: Optional[BinnedDataset] = None
         self._flat = None
@@ -349,9 +336,6 @@ class RegressionTree:
         else:
             features = np.asarray(feature_indices)
             flat_codes = None
-
-        if resolve_fit_path(self.fit_path) == "reference":
-            return self._fit_binned_reference(binner, y, idx, features)
         return self._fit_binned_kernel(binner, y, idx, features, flat_codes)
 
     def _fit_binned_kernel(
@@ -419,11 +403,14 @@ class RegressionTree:
         y: np.ndarray,
         idx: np.ndarray,
         features: np.ndarray,
+        flat_codes: Optional[np.ndarray],
     ) -> "RegressionTree":
         """The original one-node-at-a-time growth loop, kept verbatim.
 
-        Equivalence tests fit the same data through this path and the
-        kernel path and require byte-identical node tables.
+        A test oracle with the kernel's signature (``flat_codes`` is
+        ignored): equivalence tests patch it over
+        :meth:`_fit_binned_kernel`, fit the same data both ways and
+        require byte-identical node tables.
         """
         self._nodes = [_Node(value=float(np.mean(y[idx])))]
         # Best-first frontier: (-gain, tiebreak, node_id, idx, split_info)
@@ -568,10 +555,3 @@ class RegressionTree:
     @property
     def n_leaves(self) -> int:
         return sum(1 for node in self._nodes if node.is_leaf)
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        # Trees pickled before the flat layer predate the cache slot;
-        # trees pickled before the histogram kernel predate fit_path.
-        self.__dict__.setdefault("_flat", None)
-        self.__dict__.setdefault("fit_path", None)

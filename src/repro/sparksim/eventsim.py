@@ -11,34 +11,11 @@ It exists for validation (tests assert the analytic makespan tracks the
 event-driven one within tolerance across configurations) and for users
 who want task-level timelines — :func:`simulate_stage` returns every
 task's start/finish for Gantt-style inspection.
-
-Two implementations coexist:
-
-* :func:`simulate_stage` — one replication with a full event timeline.
-  Slot placement stays a heap loop (it is inherently sequential), but
-  the speculative-copy scan is vectorized and **bit-identical** to the
-  original per-event loop, which is kept verbatim as
-  :func:`simulate_stage_reference`: the qualifying mask enumerates
-  events in the same order the loop visited them, and
-  ``rng.standard_normal(m)`` produces the exact values ``m`` scalar
-  draws would have.
-* :func:`simulate_replications` — ``R`` replications as one batch over
-  an ``(R, slots)`` state matrix.  Given the same duration matrix it
-  reproduces the per-replication loop bit-for-bit (the heap pop only
-  ever exposes the *minimum* slot-free time, which ``argmin`` recovers,
-  and speculation draws happen in replication-major task order — the
-  same order a shared-RNG loop over replications consumes).
-  :func:`expected_makespan` runs through it by default; drawing all
-  task durations up front does reorder the *sampling* stream relative
-  to the old interleaved loop, so the Monte-Carlo estimate is
-  statistically (not bitwise) equivalent — ``batch=False`` retains the
-  original loop.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -99,14 +76,6 @@ def draw_task_times(
     return times
 
 
-def _stage_constants(conf: SparkConf) -> Tuple[int, float, float]:
-    """(slots, per-task dispatch latency, first-wave latency)."""
-    slots = max(int(conf.total_task_slots), 1)
-    dispatch = 0.0012 / max(min(conf.akka_threads, conf.driver_cores * 2), 1)
-    wave_latency = 0.3 * conf.revive_interval + 0.08 * conf.locality_wait
-    return slots, dispatch, wave_latency
-
-
 def simulate_stage(
     profile: TaskProfile,
     conf: SparkConf,
@@ -121,96 +90,6 @@ def simulate_stage(
     completion quantile is reached, any running task whose elapsed time
     exceeds ``multiplier x median(done)`` gets one speculative copy; the
     task finishes at the earlier of the two attempts.
-
-    Bit-identical to :func:`simulate_stage_reference` (same timeline,
-    same RNG consumption); the speculative scan runs vectorized instead
-    of as a quadratic ``list.remove`` loop.
-    """
-    slots, dispatch, wave_latency = _stage_constants(conf)
-    times = draw_task_times(profile, rng) if task_times is None else np.asarray(
-        task_times, dtype=float
-    )
-    n = len(times)
-    if n == 0:
-        return StageTimeline(makespan=0.0, events=(), speculative_copies=0)
-
-    # slot_free[i] = when slot i next becomes idle.
-    slot_free = [0.0] * slots
-    heapq.heapify(slot_free)
-    events: List[TaskEvent] = []
-    finish_times = np.empty(n)
-
-    for task_id in range(n):
-        free_at = heapq.heappop(slot_free)
-        start = free_at + dispatch
-        if task_id < slots:
-            start += wave_latency  # first wave pays the initial offer delay
-        finish = start + times[task_id]
-        events.append(TaskEvent(task_id=task_id, start=start, finish=finish))
-        finish_times[task_id] = finish
-        heapq.heappush(slot_free, finish)
-
-    speculative = 0
-    if conf.speculation and n >= 2:
-        quantile = min(max(conf.speculation_quantile, 0.0), 0.999)
-        sorted_finish = np.sort(finish_times)
-        launch_clock = float(sorted_finish[int(quantile * (n - 1))])
-        median_time = float(np.median(times))
-        threshold = median_time * conf.speculation_multiplier
-
-        # The reference walked the event list (task order), drew one
-        # normal per *qualifying* event, and moved improved events to
-        # the tail in scan order.  Reproduce exactly: mask in the same
-        # order, one batched draw (a Generator's standard_normal(m)
-        # equals m scalar draws), same per-copy arithmetic.
-        starts = np.array([e.start for e in events])
-        finishes = np.array([e.finish for e in events])
-        qualifying = np.flatnonzero(
-            (finishes > launch_clock) & (finishes - starts > threshold)
-        )
-        if len(qualifying):
-            copy_starts = np.maximum(launch_clock, starts[qualifying] + threshold)
-            copy_durations = median_time * np.clip(
-                1.0 + 0.1 * rng.standard_normal(len(qualifying)), 0.5, 2.0
-            )
-            copy_finishes = copy_starts + copy_durations
-            improved = qualifying[copy_finishes < finishes[qualifying]]
-            if len(improved):
-                replacements = [
-                    TaskEvent(
-                        task_id=events[i].task_id,
-                        start=events[i].start,
-                        finish=float(copy_finishes[pos]),
-                        speculative=True,
-                    )
-                    for pos, i in zip(
-                        np.flatnonzero(copy_finishes < finishes[qualifying]),
-                        improved,
-                    )
-                ]
-                improved_set = set(improved.tolist())
-                events = [
-                    e for i, e in enumerate(events) if i not in improved_set
-                ] + replacements
-                speculative = len(replacements)
-
-    makespan = float(max(e.finish for e in events))
-    return StageTimeline(
-        makespan=makespan, events=tuple(events), speculative_copies=speculative
-    )
-
-
-def simulate_stage_reference(
-    profile: TaskProfile,
-    conf: SparkConf,
-    rng: np.random.Generator,
-    task_times: Optional[np.ndarray] = None,
-) -> StageTimeline:
-    """The original per-event speculative scan, kept verbatim.
-
-    Equivalence tests run the same inputs through this and
-    :func:`simulate_stage` and require identical timelines and RNG
-    states.
     """
     slots = max(int(conf.total_task_slots), 1)
     times = draw_task_times(profile, rng) if task_times is None else np.asarray(
@@ -246,7 +125,10 @@ def simulate_stage_reference(
         launch_clock = float(sorted_finish[int(quantile * (n - 1))])
         median_time = float(np.median(times))
         threshold = median_time * conf.speculation_multiplier
-        for event in list(events):
+        # Events a copy beats move to the tail, in scan order.
+        kept: List[TaskEvent] = []
+        copies: List[TaskEvent] = []
+        for event in events:
             duration = event.finish - event.start
             if event.finish > launch_clock and duration > threshold:
                 # The copy launches once both the quantile is reached and
@@ -258,8 +140,7 @@ def simulate_stage_reference(
                 )
                 copy_finish = copy_start + copy_duration
                 if copy_finish < event.finish:
-                    events.remove(event)
-                    events.append(
+                    copies.append(
                         TaskEvent(
                             task_id=event.task_id,
                             start=event.start,
@@ -267,8 +148,10 @@ def simulate_stage_reference(
                             speculative=True,
                         )
                     )
-                    finish_times[event.task_id] = copy_finish
-                    speculative += 1
+                    continue
+            kept.append(event)
+        events = kept + copies
+        speculative = len(copies)
 
     makespan = float(max(e.finish for e in events))
     return StageTimeline(
@@ -276,119 +159,20 @@ def simulate_stage_reference(
     )
 
 
-def simulate_replications(
-    profile: TaskProfile,
-    conf: SparkConf,
-    rng: np.random.Generator,
-    replications: int,
-    task_times: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Makespans of ``replications`` independent stage executions, batched.
-
-    One ``(replications, slots)`` slot-free matrix replaces
-    ``replications`` separate heaps: per task, ``argmin`` over each
-    row recovers exactly the value a heap pop would have exposed (ties
-    may pick a different slot *index*, but every min-valued slot yields
-    the same start/finish sequence, so the timelines are identical).
-    Speculation is evaluated for all replications at once; qualifying
-    copies draw their normals in replication-major task order — the
-    same order a loop over :func:`simulate_stage` sharing this ``rng``
-    would consume — so for a given ``task_times`` matrix the result is
-    bit-identical to that loop.
-
-    ``task_times`` may be ``(replications, n)``, or ``(n,)`` to reuse
-    one duration vector everywhere; when omitted, durations are drawn
-    here in one batch (statistically, not bitwise, matching the
-    sequential loop's interleaved draws).
-    """
-    if replications < 1:
-        raise ValueError("need at least one replication")
-    slots, dispatch, wave_latency = _stage_constants(conf)
-    if task_times is None:
-        sigma = max(profile.skew, 1e-3)
-        noise = rng.lognormal(
-            mean=-0.5 * sigma * sigma,
-            sigma=sigma,
-            size=(replications, profile.num_tasks),
-        )
-        times = profile.mean_seconds * noise
-        stragglers = (
-            rng.random((replications, profile.num_tasks)) < _STRAGGLER_PROBABILITY
-        )
-        times[stragglers] *= _STRAGGLER_FACTOR
-    else:
-        task_times = np.asarray(task_times, dtype=float)
-        if task_times.ndim == 1:
-            times = np.broadcast_to(
-                task_times, (replications, len(task_times))
-            )
-        elif task_times.shape[0] == replications:
-            times = task_times
-        else:
-            raise ValueError(
-                "task_times must be (n,) or (replications, n)"
-            )
-    n = times.shape[1]
-    if n == 0:
-        return np.zeros(replications)
-
-    reps = np.arange(replications)
-    slot_free = np.zeros((replications, slots))
-    starts = np.empty((replications, n))
-    finishes = np.empty((replications, n))
-    for task_id in range(n):
-        j = np.argmin(slot_free, axis=1)
-        start = slot_free[reps, j] + dispatch
-        if task_id < slots:
-            start = start + wave_latency
-        finish = start + times[:, task_id]
-        slot_free[reps, j] = finish
-        starts[:, task_id] = start
-        finishes[:, task_id] = finish
-
-    if conf.speculation and n >= 2:
-        quantile = min(max(conf.speculation_quantile, 0.0), 0.999)
-        launch = np.sort(finishes, axis=1)[:, int(quantile * (n - 1))]
-        median_time = np.median(times, axis=1)
-        threshold = median_time * conf.speculation_multiplier
-        qualifying = np.flatnonzero(
-            (finishes > launch[:, None])
-            & (finishes - starts > threshold[:, None])
-        )  # C-order flattening = replication-major, task order within
-        if len(qualifying):
-            rep_of = qualifying // n
-            copy_start = np.maximum(
-                launch[rep_of], starts.ravel()[qualifying] + threshold[rep_of]
-            )
-            copy_finish = copy_start + median_time[rep_of] * np.clip(
-                1.0 + 0.1 * rng.standard_normal(len(qualifying)), 0.5, 2.0
-            )
-            improved = copy_finish < finishes.ravel()[qualifying]
-            finishes = finishes.copy()
-            finishes.ravel()[qualifying[improved]] = copy_finish[improved]
-
-    return finishes.max(axis=1)
-
-
 def expected_makespan(
     profile: TaskProfile,
     conf: SparkConf,
     rng: np.random.Generator,
     replications: int = 25,
-    batch: bool = True,
 ) -> float:
     """Monte-Carlo estimate of the true expected makespan.
 
     Used by validation tests as the reference the analytic scheduler
-    must track.  ``batch=True`` (default) runs the replications through
-    :func:`simulate_replications`; ``batch=False`` keeps the original
-    one-at-a-time loop (a different — interleaved — draw order, so the
-    two estimates agree statistically, not bitwise).
+    must track: the mean makespan of ``replications`` stage runs drawn
+    one after another from ``rng``.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
-    if batch:
-        return float(np.mean(simulate_replications(profile, conf, rng, replications)))
     total = 0.0
     for _ in range(replications):
         total += simulate_stage(profile, conf, rng).makespan

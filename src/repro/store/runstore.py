@@ -294,7 +294,7 @@ class RunStore:
         validates only the artifact header and hands the codec the file
         path + payload offset, so the object comes back as read-only
         memmap views sharing the page cache across processes.  Any
-        defect — unknown codec (written by newer code), mismatched
+        defect — unknown codec (newer or retired), mismatched
         header, corrupt section, undecodable payload — reads as
         ``None``, the store's uniform "absent" answer.
         """
@@ -351,11 +351,11 @@ class RunStore:
         """The stored training set, or ``None``.
 
         ``mode="mmap"`` returns a column-backed set whose arrays are
-        read-only views over the artifact file (blob-codec entries
-        only; legacy CSV entries always copy).
+        read-only views over the artifact file.  A retired ``csv``
+        entry reads as ``None``, like any unknown codec.
         """
         return self._decode_with_codec(
-            key, "training_set", mode, space=space, source=key
+            key, "training_set", mode, space=space
         )  # type: ignore[return-value]
 
     def put_model(self, key: str, model: "HierarchicalModel") -> str:

@@ -236,38 +236,23 @@ def test_disk_cache_entries_are_blob_containers(space, tmp_path):
     )
 
 
-def test_legacy_tagged_pickle_entry_still_serves(space, tmp_path):
-    """Entries written under the old tagged-pickle layout keep hitting."""
-    request = _requests(space, n=1)[0]
-    warm = CachedBackend(InProcessBackend(), directory=tmp_path)
-    expected = warm.submit([request])[0].run
-    entry = next(tmp_path.glob("*.pkl"))
-    from repro.engine import CACHE_FORMAT
-
-    entry.write_bytes(CACHE_FORMAT + pickle.dumps(expected))
-
-    cold = CachedBackend(InProcessBackend(), directory=tmp_path)
-    outcome = cold.submit([request])[0]
-    assert outcome.cache_hit and cold.inner.stats.runs == 0
-    assert outcome.run.seconds == expected.seconds
-
-
 def test_stale_format_entry_invalidated_and_rewritten(space, tmp_path):
-    """A cache entry from an older format version reads as a miss and is
-    replaced by a current-format entry."""
-    request = _requests(space, n=1)[0]
-    warm = CachedBackend(InProcessBackend(), directory=tmp_path)
-    expected = warm.submit([request])[0].run
-    entry = next(tmp_path.glob("*.pkl"))
-    entry.write_bytes(b"repro-cache/0\n" + pickle.dumps(expected))
-
+    """A cache entry in an older layout — the retired tagged pickle or an
+    earlier version of it — reads as a miss and is replaced by a blob
+    container entry."""
     from repro.store import blobfmt
 
-    cold = CachedBackend(InProcessBackend(), directory=tmp_path)
-    outcome = cold.submit([request])[0]
-    assert not outcome.cache_hit  # stale format did not serve
-    assert entry.read_bytes().startswith(blobfmt.MAGIC)  # rewritten
-    assert outcome.run.seconds == expected.seconds
+    request = _requests(space, n=1)[0]
+    warm = CachedBackend(InProcessBackend(), directory=tmp_path)
+    expected = warm.submit([request])[0].run
+    entry = next(tmp_path.glob("*.pkl"))
+    for prefix in (b"repro-cache/1\n", b"repro-cache/0\n"):
+        entry.write_bytes(prefix + pickle.dumps(expected))
+        cold = CachedBackend(InProcessBackend(), directory=tmp_path)
+        outcome = cold.submit([request])[0]
+        assert not outcome.cache_hit, prefix  # stale format did not serve
+        assert entry.read_bytes().startswith(blobfmt.MAGIC)  # rewritten
+        assert outcome.run.seconds == expected.seconds
 
 
 def test_truncated_disk_entry_evicted_then_overwritten(space, tmp_path):

@@ -281,37 +281,6 @@ class TestFlatForest:
         assert clone.predict(Q).tobytes() == expected.tobytes()
         assert isinstance(clone.flatten(), FlatForest)
 
-    def test_setstate_accepts_pre_flat_pickles(self):
-        """A model state dict without the flat-cache slots (an artifact
-        written before this layer existed) must load and predict."""
-        rng = np.random.default_rng(14)
-        model = GradientBoostedTrees(n_trees=8, random_state=5).fit(
-            rng.random((90, 3)), rng.random(90)
-        )
-        Q = rng.random((12, 3))
-        expected = model.predict(Q)
-
-        old_state = dict(model.__dict__)
-        old_state.pop("_flat")
-        old_state["_trees"] = []
-        for tree in model._trees:
-            tree_state = dict(tree.__dict__)
-            tree_state.pop("_flat")
-            revived_tree = RegressionTree.__new__(RegressionTree)
-            revived_tree.__setstate__(tree_state)
-            old_state["_trees"].append(revived_tree)
-        binner_state = dict(model._binner.__dict__)
-        binner_state.pop("_code_cache")
-        revived_binner = BinnedDataset.__new__(BinnedDataset)
-        revived_binner.__setstate__(binner_state)
-        old_state["_binner"] = revived_binner
-        for tree in old_state["_trees"]:
-            tree._binner = revived_binner
-
-        revived = GradientBoostedTrees.__new__(GradientBoostedTrees)
-        revived.__setstate__(old_state)
-        assert revived.predict(Q).tobytes() == expected.tobytes()
-
 
 # ----------------------------------------------------------------------
 # Merged binning across HM components

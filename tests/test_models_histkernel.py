@@ -1,12 +1,15 @@
-"""Histogram-kernel fit path: equivalence, plumbing, sharing, telemetry.
+"""Histogram-kernel fitting: equivalence, sharing, telemetry.
 
 The kernel's contract is *byte identity* with the reference per-feature
 split search — same node tables, same leaf values, same RNG
 consumption — because report fingerprints, dedup, and crash-resume all
 assume fitted models are bit-stable.  These tests pin that contract on
-adversarial inputs, plus the fit-path resolution order, the shared
-binner cache, and the ``model.fit.*`` telemetry.
+adversarial inputs by patching the reference growth loop over the
+kernel (:func:`reference_fit`), plus the shared binner cache and the
+``model.fit.*`` telemetry.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,14 +20,7 @@ from repro.models import histkernel
 from repro.models.boosting import GradientBoostedTrees
 from repro.models.forest import RandomForest
 from repro.models.hierarchical import HierarchicalModel
-from repro.models.histkernel import (
-    FIT_PATH_ENV,
-    available_fit_paths,
-    observe_fit,
-    resolve_fit_path,
-    set_fit_path,
-    use_fit_path,
-)
+from repro.models.histkernel import observe_fit
 from repro.models.tree import (
     BinnedDataset,
     RegressionTree,
@@ -52,10 +48,18 @@ def node_table(tree):
     return structure, values
 
 
-def fit_paths_pair(X, y, path, **kwargs):
-    ref = RegressionTree(fit_path="reference", **kwargs).fit(X, y)
-    alt = RegressionTree(fit_path=path, **kwargs).fit(X, y)
-    return ref, alt
+def reference_fit():
+    """Grow every tree through the reference loop while active."""
+    return mock.patch.object(
+        RegressionTree, "_fit_binned_kernel", RegressionTree._fit_binned_reference
+    )
+
+
+def fit_both(X, y, **kwargs):
+    """The same tree fitted by the reference loop and by the kernel."""
+    with reference_fit():
+        ref = RegressionTree(**kwargs).fit(X, y)
+    return ref, RegressionTree(**kwargs).fit(X, y)
 
 
 # ----------------------------------------------------------------------
@@ -113,7 +117,7 @@ class TestSplitEquivalence:
             random_state=seed % 13,
         )
         with np.errstate(over="ignore", invalid="ignore"):  # "huge" overflows
-            ref, knl = fit_paths_pair(X, y, "numpy", **kwargs)
+            ref, knl = fit_both(X, y, **kwargs)
         assert node_table(ref) == node_table(knl)
         # Same mtry draws consumed in the same order.
         assert ref._rng.bit_generator.state == knl._rng.bit_generator.state
@@ -127,15 +131,13 @@ class TestSplitEquivalence:
         rng = np.random.default_rng(msl * 10 + offset)
         X = rng.random((n, 4))
         y = rng.normal(size=n)
-        ref, knl = fit_paths_pair(
-            X, y, "numpy", tree_complexity=3, min_samples_leaf=msl
-        )
+        ref, knl = fit_both(X, y, tree_complexity=3, min_samples_leaf=msl)
         assert node_table(ref) == node_table(knl)
 
     def test_all_equal_target_leafs_out(self):
         X = np.random.default_rng(0).random((40, 5))
         y = np.full(40, 3.0)
-        ref, knl = fit_paths_pair(X, y, "numpy", tree_complexity=5)
+        ref, knl = fit_both(X, y, tree_complexity=5)
         assert node_table(ref) == node_table(knl)
         assert len(knl._nodes) == 1 and knl._nodes[0].is_leaf
 
@@ -146,9 +148,10 @@ class TestSplitEquivalence:
         y = rng.normal(size=60)
         binner = BinnedDataset(X)
         features = np.array([4, 1, 5])
-        ref = RegressionTree(fit_path="reference", tree_complexity=4)
-        ref.fit_binned(binner, y, feature_indices=features)
-        knl = RegressionTree(fit_path="numpy", tree_complexity=4)
+        with reference_fit():
+            ref = RegressionTree(tree_complexity=4)
+            ref.fit_binned(binner, y, feature_indices=features)
+        knl = RegressionTree(tree_complexity=4)
         knl.fit_binned(binner, y, feature_indices=features)
         assert node_table(ref) == node_table(knl)
         assert all(
@@ -173,7 +176,8 @@ class TestSplitEquivalence:
             split_features=3 if mtry else None,
             random_state=tc,
         )
-        ref = RegressionTree(fit_path="reference", **kwargs).fit(X, y)
+        with reference_fit():
+            ref = RegressionTree(**kwargs).fit(X, y)
         passes = []
         original = histkernel.FrontierEvaluator._best_splits
 
@@ -182,50 +186,12 @@ class TestSplitEquivalence:
             return original(self, plans, rows, targets)
 
         monkeypatch.setattr(histkernel.FrontierEvaluator, "_best_splits", counting)
-        knl = RegressionTree(fit_path="numpy", **kwargs).fit(X, y)
+        knl = RegressionTree(**kwargs).fit(X, y)
         # Every scored node was splittable: one root, then full pairs.
         assert passes == [1] + [2] * (tc - 1)
         assert knl.n_internal_nodes == tc
         assert node_table(knl) == node_table(ref)
         assert ref._rng.bit_generator.state == knl._rng.bit_generator.state
-
-
-# ----------------------------------------------------------------------
-# Fit-path resolution
-# ----------------------------------------------------------------------
-class TestFitPathResolution:
-    def test_auto_resolves_to_best_available(self):
-        assert resolve_fit_path(None) in available_fit_paths()
-        assert resolve_fit_path("auto") == "numpy"
-
-    def test_explicit_argument_beats_context(self):
-        with use_fit_path("reference"):
-            assert resolve_fit_path("numpy") == "numpy"
-            assert resolve_fit_path(None) == "reference"
-
-    def test_context_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(FIT_PATH_ENV, "reference")
-        assert resolve_fit_path(None) == "reference"
-        with use_fit_path("numpy"):
-            assert resolve_fit_path(None) == "numpy"
-        assert resolve_fit_path(None) == "reference"
-
-    def test_unknown_path_rejected(self):
-        for path in ("cython", "numba"):
-            with pytest.raises(ValueError):
-                resolve_fit_path(path)
-        with pytest.raises(ValueError):
-            set_fit_path("fortran")
-
-    def test_context_restores_after_exception(self):
-        set_fit_path(None)
-        with pytest.raises(RuntimeError):
-            with use_fit_path("reference"):
-                raise RuntimeError("boom")
-        assert histkernel._path_override is None
-
-    def test_available_paths_always_include_fallbacks(self):
-        assert available_fit_paths() == ("reference", "numpy")
 
 
 # ----------------------------------------------------------------------
@@ -279,38 +245,40 @@ class TestEnsemblesBitwiseAcrossPaths:
         rng = np.random.default_rng(seed)
         return rng.random((n, d)), rng.normal(size=n)
 
+    @staticmethod
+    def _both(fit, probe):
+        """``fit()``'s predictions on ``probe``, reference then kernel."""
+        with reference_fit():
+            ref = fit().predict(probe).tobytes()
+        return ref, fit().predict(probe).tobytes()
+
     def test_gbt_predictions_identical(self):
         X, y = self._data(20)
         probe = np.random.default_rng(21).random((40, 6))
-        outs = {}
-        for path in available_fit_paths():
-            with use_fit_path(path):
-                model = GradientBoostedTrees(n_trees=12, random_state=1).fit(X, y)
-            outs[path] = model.predict(probe).tobytes()
-        assert len(set(outs.values())) == 1, sorted(outs)
+        ref, knl = self._both(
+            lambda: GradientBoostedTrees(n_trees=12, random_state=1).fit(X, y),
+            probe,
+        )
+        assert ref == knl
 
     def test_random_forest_predictions_identical(self):
         X, y = self._data(22)
         probe = np.random.default_rng(23).random((40, 6))
-        outs = {}
-        for path in available_fit_paths():
-            with use_fit_path(path):
-                model = RandomForest(n_trees=10, random_state=2).fit(X, y)
-            outs[path] = model.predict(probe).tobytes()
-        assert len(set(outs.values())) == 1, sorted(outs)
+        ref, knl = self._both(
+            lambda: RandomForest(n_trees=10, random_state=2).fit(X, y), probe
+        )
+        assert ref == knl
 
     def test_hierarchical_model_predictions_identical(self):
         X, y = self._data(24, n=120)
         probe = np.random.default_rng(25).random((40, 6))
-        outs = {}
-        for path in available_fit_paths():
-            with use_fit_path(path):
-                model = HierarchicalModel(
-                    n_trees=10, target_accuracy=0.999, max_order=2,
-                    random_state=3,
-                ).fit(X, y)
-            outs[path] = model.predict(probe).tobytes()
-        assert len(set(outs.values())) == 1, sorted(outs)
+        ref, knl = self._both(
+            lambda: HierarchicalModel(
+                n_trees=10, target_accuracy=0.999, max_order=2, random_state=3,
+            ).fit(X, y),
+            probe,
+        )
+        assert ref == knl
 
 
 # ----------------------------------------------------------------------
@@ -321,11 +289,11 @@ class TestFitTelemetry:
         registry = MetricsRegistry()
         previous = set_registry(registry)
         try:
-            observe_fit("numpy", "gbt", 0.25, trees=30, nodes=330)
+            observe_fit("gbt", 0.25, trees=30, nodes=330)
             snap = registry.snapshot()
-            assert snap.counters["model.fit.trees{model=gbt,path=numpy}"] == 30
-            assert snap.counters["model.fit.nodes{model=gbt,path=numpy}"] == 330
-            hist = snap.histograms["model.fit.seconds{model=gbt,path=numpy}"]
+            assert snap.counters["model.fit.trees{model=gbt}"] == 30
+            assert snap.counters["model.fit.nodes{model=gbt}"] == 330
+            hist = snap.histograms["model.fit.seconds{model=gbt}"]
             assert hist.count == 1
         finally:
             set_registry(previous)
@@ -335,15 +303,14 @@ class TestFitTelemetry:
         previous = set_registry(registry)
         try:
             rng = np.random.default_rng(30)
-            with use_fit_path("numpy"):
-                model = GradientBoostedTrees(n_trees=6, random_state=0).fit(
-                    rng.random((50, 4)), rng.normal(size=50)
-                )
+            model = GradientBoostedTrees(n_trees=6, random_state=0).fit(
+                rng.random((50, 4)), rng.normal(size=50)
+            )
             snap = registry.snapshot()
-            key = "model.fit.trees{model=gbt,path=numpy}"
+            key = "model.fit.trees{model=gbt}"
             assert snap.counters[key] == model.n_trees_fitted
             nodes = sum(len(t._nodes) for t in model._trees)
-            assert snap.counters["model.fit.nodes{model=gbt,path=numpy}"] == nodes
+            assert snap.counters["model.fit.nodes{model=gbt}"] == nodes
         finally:
             set_registry(previous)
 
@@ -352,10 +319,9 @@ class TestFitTelemetry:
         previous = set_registry(registry)
         try:
             rng = np.random.default_rng(31)
-            with use_fit_path("numpy"):
-                HierarchicalModel(
-                    n_trees=6, target_accuracy=0.5, max_order=1, random_state=0
-                ).fit(rng.random((60, 4)), rng.normal(size=60))
+            HierarchicalModel(
+                n_trees=6, target_accuracy=0.5, max_order=1, random_state=0
+            ).fit(rng.random((60, 4)), rng.normal(size=60))
             snap = registry.snapshot()
             keys = [k for k in snap.histograms if k.startswith("model.fit.seconds")]
             assert any("model=hm" in k for k in keys), keys

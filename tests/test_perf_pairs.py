@@ -1,4 +1,5 @@
-"""scripts/perf_pairs.py on kept outputs: pairing, wins, fingerprints.
+"""scripts/perf_pairs.py on kept outputs: pairing, wins, fingerprints,
+and the no-regression verdict.
 
 Every output already ends in perfbench's JSON line, so the script reuses
 it and runs no benchmark.
@@ -39,7 +40,8 @@ def write_run(path: Path, op_s: float, fingerprints, failed: int = 0):
 
 def checkout(tmp_path: Path) -> Path:
     spec = {"run_seconds": 40,
-            "end_to_end": [{"name": "op_p50_s", "better": "lower"}]}
+            "end_to_end": [{"name": "op_p50_s", "better": "lower",
+                            "bound": 0.25}]}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
     return tmp_path
 
@@ -59,14 +61,33 @@ def test_pairs_wins_ties_and_fingerprints(perf_pairs, tmp_path, capsys):
     assert summary["metrics"]["op_p50_s"]["wins"] == 2
     assert summary["metrics"]["op_p50_s"]["ties"] == 1
     assert summary["metrics"]["op_p50_s"]["gain_rule"] is False
+    assert summary["metrics"]["op_p50_s"]["no_regression"] == "within"
     assert summary["fingerprints"] == {"compared": 8, "mismatched": 0}
-    assert "seed 1: change first" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "seed 1: change first" in printed
+    assert "25%  within\n" in printed
 
     write_run(out / "tune-cold-3-change.txt", 1.05, ["a", "x"])
     assert perf_pairs.main(args) == 1
     assert "fingerprint differs on op1 TS seed=7 size=10: b vs x" in (
         capsys.readouterr().out
     )
+
+
+def test_no_regression_verdicts(perf_pairs):
+    verdict = perf_pairs.no_regression
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99]  # IQR 2% of the median
+    slower = [1.20, 1.22, 1.19, 1.21, 1.18]
+    assert verdict(parent, [1.05, 1.06, 1.04, 1.05, 1.07], 0.1, True) == "within"
+    assert verdict(parent, slower, 0.1, True) == "worse"
+    assert verdict(parent, slower, 0.1, False) == "within"  # higher is better
+    assert verdict(parent, [0.85, 0.8, 0.82, 0.9, 0.86], 0.1, False) == "worse"
+    assert verdict(parent, slower, None, True) is None
+    noisy = [0.6, 1.0, 1.4, 0.8, 1.2]  # IQR 40% of the median
+    assert verdict(noisy, [1.0] * 5, 0.25, True) == "unresolved"
+    assert verdict(noisy, [1.5] * 5, 0.25, True) == "unresolved"
+    # Every change run beats every parent run: resolved however noisy.
+    assert verdict(noisy, [0.5, 0.55, 0.4, 0.59, 0.5], 0.25, True) == "within"
 
 
 def test_seed_ranges(perf_pairs):

@@ -379,10 +379,9 @@ class TestDrain:
     def test_old_path_checkpoint_resumes_to_same_fingerprint(
         self, tmp_path, monkeypatch
     ):
-        """A mixed-format resume: a worker running the *old* code level
-        (pickle-codec model checkpoints, no flat-cache slots in the
-        state) drains mid-fit, and a worker on the current code —
-        which reads the legacy pickle and writes columnar-blob
+        """A mixed-codec resume: a worker that checkpoints its model
+        through the pickle codec drains mid-fit, and a worker on the
+        default path — which reads the pickle and writes columnar-blob
         checkpoints — finishes the job to the byte-identical
         fingerprint."""
         from repro.store import RunStore
@@ -395,8 +394,8 @@ class TestDrain:
             fit = data.get("progress", {}).get("fit", {})
             return fit.get("orders_done", 0) >= 1
 
-        # The first session checkpoints through the legacy pickle path,
-        # exactly as a pre-blob-format worker did.
+        # The first session checkpoints through the pickle codec, the
+        # path models that do not lower to blob sections take.
         with monkeypatch.context() as patched:
             patched.setattr(
                 RunStore,
@@ -409,19 +408,9 @@ class TestDrain:
         assert paused.state == RUNNING
         assert paused.progress["fit"]["orders_done"] >= 1
 
-        # Rewrite the model artifact as the old node-walk code would
-        # have pickled it: strip every flat-cache slot, then re-store.
         key = record.artifact_key("model")
-        model = service.store.get_model(key)
         assert service.store.entry(key)["codec"] == "pickle"
-        assert model._components[0]._trees  # legacy pickles carry trees
-        model.__dict__.pop("_merged")
-        for component in model._components:
-            component.__dict__.pop("_flat")
-            component._binner.__dict__.pop("_code_cache")
-            for tree in component._trees:
-                tree.__dict__.pop("_flat")
-        service.store.put_object(key, model, kind="model")
+        assert service.store.get_model(key)._components[0]._trees  # pickled
 
         other = JobService(tmp_path / "store", use_cache=False, worker_id="w2")
         done = other.work(poll_interval=0.01, idle_polls=3)

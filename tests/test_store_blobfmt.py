@@ -1,9 +1,10 @@
 """The zero-copy data path: blob containers, codecs, mmap reads, gc.
 
 Property-based round trips for :mod:`repro.store.blobfmt`, the codec
-registry's legacy fallbacks, bit-exactness of the mmap read path
-against the copying path, the streaming :class:`MatrixBuilder`, the
-mmap-safe matrix cache key, and ``RunStore.gc``.
+registry's dispatch (unknown codecs read absent), bit-exactness of the
+mmap read path against the copying path, the streaming
+:class:`MatrixBuilder`, the mmap-safe matrix cache key, and
+``RunStore.gc``.
 """
 
 from __future__ import annotations
@@ -203,23 +204,21 @@ class TestRawColumns:
 
 
 # ----------------------------------------------------------------------
-# Store reads: legacy codecs, mmap bit-exactness, corruption handling
+# Store reads: codec dispatch, mmap bit-exactness, corruption handling
 # ----------------------------------------------------------------------
 class TestStoreCodecPaths:
     @pytest.fixture()
     def training(self, terasort):
         return Collector(terasort, seed=11).collect(24, stream="train")
 
-    def test_legacy_csv_training_set_still_loads(self, tmp_path, training, space):
+    def test_retired_csv_training_set_reads_absent(self, tmp_path, training, space):
+        """The ``csv`` codec is retired: such an entry is a miss, so the
+        caller recollects and rewrites it in the blob format."""
         store = RunStore(tmp_path / "store")
         payload = dumps_training_set(training).encode("utf-8")
         store.put_bytes("ts", payload, kind="training_set", codec="csv")
-        loaded = store.get_training_set("ts", space=space)
-        assert loaded is not None and len(loaded) == len(training)
-        np.testing.assert_allclose(loaded.times(), training.times())
-        # legacy entries have no zero-copy path; mmap mode falls back
-        mapped = store.get_training_set("ts", space=space, mode="mmap")
-        np.testing.assert_allclose(mapped.times(), training.times())
+        for mode in ("copy", "mmap"):
+            assert store.get_training_set("ts", space=space, mode=mode) is None
 
     def test_legacy_pickle_model_still_loads(self, tmp_path, terasort):
         store = RunStore(tmp_path / "store")
