@@ -330,11 +330,5 @@ class ConfigurationSpace:
         }
         return Configuration(self, values)
 
-    def encode_many(self, configs: Sequence[Configuration]) -> np.ndarray:
-        """Stack encodings into an (n_configs, n_params) matrix."""
-        return np.vstack([self.encode(c) for c in configs]) if configs else (
-            np.empty((0, len(self.parameters)))
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ConfigurationSpace({self.name!r}, {len(self.parameters)} params)"

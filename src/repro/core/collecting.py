@@ -8,16 +8,18 @@ as a performance vector (Equation 5):
 
     Pv_i = {t_i, c_i1, ..., c_i41, dsize_i}
 
-The assembled :class:`TrainingSet` exposes the model-facing matrix view:
-features are the 41 normalized parameter encodings plus a log-scaled
-dataset size, targets are log execution times (predicting log-time is
+Each batch of vectors is laid out as one float64 row block
+(:func:`performance_rows`), and a :class:`TrainingSet` is built from
+such blocks.  It exposes the model-facing matrix view: features are the
+41 normalized parameter encodings plus the dataset size over the
+largest one, targets are log execution times (predicting log-time is
 what makes minimizing Equation 2's *relative* error well-posed).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -141,43 +143,50 @@ def encode_raw_columns(space: ConfigurationSpace, values: np.ndarray) -> np.ndar
     return out
 
 
+def performance_rows(
+    space: ConfigurationSpace,
+    seconds,
+    datasize,
+    datasize_bytes,
+    configurations: Sequence[Configuration],
+) -> np.ndarray:
+    """Lay performance vectors out as one ``(n, 3 + n_params)`` float64
+    row block: seconds, datasize, datasize_bytes, then the raw parameter
+    values of :func:`raw_columns` — the layout every
+    :class:`TrainingSet` is built from.  ``datasize`` and
+    ``datasize_bytes`` may be one value for the whole block.
+
+    Rejects exactly what :class:`PerformanceVector` rejects.
+    """
+    block = np.empty((len(configurations), 3 + len(space.parameters)))
+    block[:, 0] = seconds
+    block[:, 1] = datasize
+    block[:, 2] = datasize_bytes
+    block[:, 3:] = raw_columns(space, configurations)
+    if np.any(block[:, 0] <= 0):
+        raise ValueError("execution time must be positive")
+    if np.any(block[:, 2] <= 0):
+        raise ValueError("datasize must be positive")
+    return block
+
+
 class TrainingSet:
     """The matrix ``S`` of Section 3.2, with feature/target views.
 
-    Two equivalent backings share this class: the classic eager form (a
-    tuple of :class:`PerformanceVector`) and the columnar form
-    (float64 arrays: seconds, datasize, datasize_bytes, raw parameter
-    values) produced by the streaming collector, the job runner's
-    checkpoints and the store's blob codec — where the columns may be
-    read-only ``np.memmap`` views, so a large set is never copied into
-    private memory.  ``vectors`` is materialized lazily from columns
-    only when row objects are actually asked for (CSV export).
+    Held as float64 columns (seconds, datasize, datasize_bytes, raw
+    parameter values) built from the collector's row blocks, the job
+    runner's checkpoints, a CSV file's rows or the store's blob codec —
+    where the columns may be read-only ``np.memmap`` views, so a large
+    set is never copied into private memory.  ``vectors`` is
+    materialized lazily only when row objects are actually asked for
+    (CSV export).
     """
 
-    def __init__(self, space: ConfigurationSpace, vectors: Sequence[PerformanceVector]):
-        vectors = tuple(vectors)
-        if not vectors:
-            raise ValueError("training set cannot be empty")
-        self.space = space
-        self._vectors: Optional[Tuple[PerformanceVector, ...]] = vectors
-        self._n = len(vectors)
-        self._size_scale = max(v.datasize_bytes for v in vectors)
-        self._columns = None
-        # Matrix views are rebuilt lazily once; the backing is immutable,
-        # so the cached (read-only) arrays can be handed out directly.
-        self._features: Optional[np.ndarray] = None
-        self._log_times: Optional[np.ndarray] = None
-        self._times: Optional[np.ndarray] = None
-
-    @classmethod
-    def from_columns(cls, space: ConfigurationSpace, columns) -> "TrainingSet":
-        """Build from column arrays (``seconds``, ``datasize``,
+    def __init__(self, space: ConfigurationSpace, columns):
+        """Adopt column arrays (``seconds``, ``datasize``,
         ``datasize_bytes``, ``values`` and optionally precomputed
-        ``features`` / ``log_times``).
-
-        Arrays are adopted as-is — ordinary, read-only, or memmap —
-        and never copied here.
-        """
+        ``features`` / ``log_times``) as-is — ordinary, read-only, or
+        memmap — never copying them."""
         seconds = np.asarray(columns["seconds"], dtype=float)
         datasize = np.asarray(columns["datasize"], dtype=float)
         datasize_bytes = np.asarray(columns["datasize_bytes"], dtype=float)
@@ -192,9 +201,8 @@ class TrainingSet:
                 f"expected (n, {len(space.names)}) raw-value matrix, "
                 f"got {values.shape}"
             )
-        self = cls.__new__(cls)
         self.space = space
-        self._vectors = None
+        self._vectors: Optional[Tuple[PerformanceVector, ...]] = None
         self._n = n
         self._size_scale = float(np.max(datasize_bytes))
         self._columns = {
@@ -203,25 +211,26 @@ class TrainingSet:
             "datasize_bytes": datasize_bytes,
             "values": values,
         }
-        self._features = (
+        # Derived views are built lazily once; the columns never change,
+        # so the cached (read-only) arrays can be handed out directly.
+        self._features: Optional[np.ndarray] = (
             np.asarray(columns["features"], dtype=float)
             if columns.get("features") is not None
             else None
         )
-        self._log_times = (
+        self._log_times: Optional[np.ndarray] = (
             np.asarray(columns["log_times"], dtype=float)
             if columns.get("log_times") is not None
             else None
         )
-        self._times = seconds
-        return self
 
     @classmethod
     def from_rows(cls, space: ConfigurationSpace, rows: np.ndarray) -> "TrainingSet":
         """Build from an ``(n, 3 + n_params)`` row block laid out as
-        :meth:`Collector.run_batch` hands it to its sink (seconds,
-        datasize, datasize_bytes, raw parameter values)."""
-        return cls.from_columns(
+        :func:`performance_rows` does; the block is marked read-only
+        and its columns are adopted as views."""
+        rows.setflags(write=False)
+        return cls(
             space,
             {
                 "seconds": rows[:, 0],
@@ -229,6 +238,22 @@ class TrainingSet:
                 "datasize_bytes": rows[:, 2],
                 "values": rows[:, 3:],
             },
+        )
+
+    @classmethod
+    def from_vectors(
+        cls, space: ConfigurationSpace, vectors: Sequence[PerformanceVector]
+    ) -> "TrainingSet":
+        """Build from row objects (CSV rows, tests)."""
+        return cls.from_rows(
+            space,
+            performance_rows(
+                space,
+                [v.seconds for v in vectors],
+                [v.datasize for v in vectors],
+                [v.datasize_bytes for v in vectors],
+                [v.configuration for v in vectors],
+            ),
         )
 
     @property
@@ -266,29 +291,15 @@ class TrainingSet:
     def features(self) -> np.ndarray:
         """(n, 42) matrix: 41 encoded parameters + normalized datasize.
 
-        Built once and cached (read-only) — copy before mutating.
-        Column-backed sets use the vectorized encoder (bit-identical to
-        the row loop); blob-loaded sets return the stored section
-        without recomputing anything.
+        Built once with the vectorized encoder (bit-identical to
+        ``space.encode`` row by row) and cached read-only — copy before
+        mutating.  Blob-loaded sets return the stored section without
+        recomputing anything.
         """
         if self._features is None:
-            if self._columns is not None:
-                matrix = np.empty((self._n, len(self.space.names) + 1))
-                matrix[:, :-1] = encode_raw_columns(
-                    self.space, self._columns["values"]
-                )
-                matrix[:, -1] = self._columns["datasize_bytes"] / self._size_scale
-            else:
-                rows = [
-                    np.concatenate(
-                        [
-                            self.space.encode(v.configuration),
-                            [v.datasize_bytes / self._size_scale],
-                        ]
-                    )
-                    for v in self.vectors
-                ]
-                matrix = np.vstack(rows)
+            matrix = np.empty((self._n, len(self.space.names) + 1))
+            matrix[:, :-1] = encode_raw_columns(self.space, self._columns["values"])
+            matrix[:, -1] = self._columns["datasize_bytes"] / self._size_scale
             matrix.setflags(write=False)
             self._features = matrix
         return self._features
@@ -315,31 +326,23 @@ class TrainingSet:
         return self._log_times
 
     def times(self) -> np.ndarray:
-        """Cached (read-only) raw-seconds targets — copy before mutating."""
-        if self._times is None:
-            seconds = np.array([v.seconds for v in self.vectors])
-            seconds.setflags(write=False)
-            self._times = seconds
-        return self._times
+        """Raw-seconds targets: the adopted column, read-only for every
+        set the collector, the runner, a CSV file or the store builds."""
+        return self._columns["seconds"]
+
+    def rows(self) -> np.ndarray:
+        """A fresh ``(n, 3 + n_params)`` row block, the layout of
+        :func:`performance_rows`."""
+        cols = self._columns
+        return np.column_stack(
+            [cols["seconds"], cols["datasize"], cols["datasize_bytes"], cols["values"]]
+        )
 
     def to_columns(self) -> dict:
         """Column form for serialization (always includes the derived
         ``features``/``log_times`` arrays, so a reader never recomputes
         them)."""
-        if self._columns is not None:
-            cols = dict(self._columns)
-        else:
-            values = raw_columns(
-                self.space, [v.configuration for v in self.vectors]
-            )
-            cols = {
-                "seconds": np.array([v.seconds for v in self.vectors]),
-                "datasize": np.array([v.datasize for v in self.vectors]),
-                "datasize_bytes": np.array(
-                    [v.datasize_bytes for v in self.vectors]
-                ),
-                "values": values,
-            }
+        cols = dict(self._columns)
         cols["features"] = self.features()
         cols["log_times"] = self.log_times()
         return cols
@@ -347,7 +350,9 @@ class TrainingSet:
     def merged_with(self, other: "TrainingSet") -> "TrainingSet":
         if other.space is not self.space and other.space.names != self.space.names:
             raise ValueError("cannot merge training sets over different spaces")
-        return TrainingSet(self.space, self.vectors + other.vectors)
+        return TrainingSet.from_rows(
+            self.space, np.concatenate([self.rows(), other.rows()])
+        )
 
 
 class Collector:
@@ -392,13 +397,7 @@ class Collector:
         self.sizes: List[float] = DatasetSizeGenerator(num_sizes).generate(low, high)
 
     # ------------------------------------------------------------------
-    def collect(
-        self,
-        total_examples: int,
-        stream: str = "train",
-        progress: Optional[Callable[[int, int], None]] = None,
-        spill_dir: Optional[str] = None,
-    ) -> TrainingSet:
+    def collect(self, total_examples: int, stream: str = "train") -> TrainingSet:
         """Collect ``total_examples`` performance vectors.
 
         Examples are spread evenly over the generator's dataset sizes
@@ -409,41 +408,23 @@ class Collector:
         Execution is batched per size through the engine, so a parallel
         or caching backend accelerates the whole sampling loop; the CG's
         random stream is drawn up front in the original order, keeping
-        the collected set identical across backends.
-
-        Rows stream batch-by-batch into a spill-capable
-        :class:`~repro.store.matrixbuilder.MatrixBuilder`, so the full
-        matrix is never resident as Python row objects, and a
-        larger-than-budget collection lands in a (transparently
-        memmapped) spill file rather than the heap.
+        the collected set identical across backends.  Each batch's row
+        block is kept and the blocks are concatenated once, so the
+        matrix is never resident as Python row objects.
         """
-        from repro.store.matrixbuilder import MatrixBuilder
-
         batches = self.plan(total_examples, stream=stream)
-        builder = MatrixBuilder(3 + len(self.space.names), spill_dir=spill_dir)
+        blocks: List[np.ndarray] = []
         done = 0
-        try:
-            with tele.span(
-                "collect",
-                program=self.workload.abbr,
-                examples=total_examples,
-                stream=stream,
-            ):
-                for batch in batches:
-                    done += len(
-                        self.run_batch(
-                            batch,
-                            done=done,
-                            total=total_examples,
-                            progress=progress,
-                            sink=builder,
-                        )
-                    )
-            matrix = builder.finalize()
-        except BaseException:
-            builder.close()
-            raise
-        return TrainingSet.from_rows(self.space, matrix)
+        with tele.span(
+            "collect",
+            program=self.workload.abbr,
+            examples=total_examples,
+            stream=stream,
+        ):
+            for batch in batches:
+                blocks.append(self.run_batch(batch, done=done, total=total_examples))
+                done += len(blocks[-1])
+        return TrainingSet.from_rows(self.space, np.concatenate(blocks))
 
     def plan(self, total_examples: int, stream: str = "train") -> List[CollectBatch]:
         """Draw the full batch plan for a collection, without executing.
@@ -475,65 +456,41 @@ class Collector:
         return batches
 
     def run_batch(
-        self,
-        batch: CollectBatch,
-        done: int = 0,
-        total: Optional[int] = None,
-        progress: Optional[Callable[[int, int], None]] = None,
-        sink=None,
-    ) -> List[PerformanceVector]:
-        """Execute one planned batch through the engine.
+        self, batch: CollectBatch, done: int = 0, total: Optional[int] = None
+    ) -> np.ndarray:
+        """Execute one planned batch through the engine and return its
+        ``(k, 3 + n_params)`` row block (:func:`performance_rows`).
 
         ``done``/``total`` carry overall progress into the
         ``collect.size`` telemetry event so resumed collections emit the
-        same event stream an uninterrupted one does.  ``sink``, if
-        given, receives the batch's rows as one
-        ``(k, 3 + n_params)`` float64 chunk
-        (seconds, datasize, datasize_bytes, raw parameter values),
-        built one parameter column at a time — the streaming-collect
-        path appends them to a
-        :class:`~repro.store.matrixbuilder.MatrixBuilder`, the job
-        runner to a list.
+        same event stream an uninterrupted one does.
         """
         runs = require_success(self.engine.submit(list(batch.requests)))
-        vectors: List[PerformanceVector] = []
-        for request, run in zip(batch.requests, runs):
-            vectors.append(
-                PerformanceVector(
-                    seconds=run.seconds,
-                    configuration=request.config,
-                    datasize=batch.size,
-                    datasize_bytes=batch.datasize_bytes,
-                )
-            )
-            if progress is not None:
-                progress(done + len(vectors), total or done + len(vectors))
-        if sink is not None:
-            block = np.empty((len(vectors), 3 + len(self.space.parameters)))
-            block[:, 0] = [v.seconds for v in vectors]
-            block[:, 1] = batch.size
-            block[:, 2] = batch.datasize_bytes
-            block[:, 3:] = raw_columns(
-                self.space, [request.config for request in batch.requests]
-            )
-            sink.append(block)
+        block = performance_rows(
+            self.space,
+            [run.seconds for run in runs],
+            batch.size,
+            batch.datasize_bytes,
+            [request.config for request in batch.requests],
+        )
+        done += len(block)
         tele.event(
             "collect.size",
             program=self.workload.abbr,
             size=batch.size,
             examples=len(batch.requests),
-            done=done + len(vectors),
-            total=total if total is not None else done + len(vectors),
+            done=done,
+            total=total if total is not None else done,
         )
-        return vectors
+        return block
 
-    def simulated_hours(self, training_set: TrainingSet) -> float:
+    @staticmethod
+    def simulated_hours(training_set: TrainingSet) -> float:
         """Cluster-hours the collection would have cost on real hardware
         (Table 3's 'Collecting' column).
 
         Summed left-to-right over ``times()`` — the same order and the
-        same float adds the eager row path used, so the value (which
-        feeds the report fingerprint) is identical for eager,
-        column-backed, and blob-loaded sets alike.
+        same float adds for collected and store-loaded sets alike (the
+        value feeds the report fingerprint).
         """
         return float(sum(float(s) for s in training_set.times()) / 3600.0)

@@ -18,7 +18,6 @@ caller but the next identical request goes back to the substrate.
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
 import time
 from pathlib import Path
@@ -31,6 +30,7 @@ from repro.engine.request import ExecOutcome, ExecRequest, ExecResult
 from repro.engine.stats import EngineStats
 from repro.sparksim.simulator import RunResult
 from repro.store import blobfmt
+from repro.store.artifacts import atomic_write
 from repro.telemetry.metrics import get_registry
 
 #: ``kind`` tag of on-disk cache entries.  Each entry is a checksummed
@@ -199,16 +199,12 @@ class CachedBackend(ExecutionBackend):
         self._memory[key] = run
         if self.directory is None:
             return
-        path = self.directory / f"{key}.pkl"
-        tmp = self.directory / f".{key}.{os.getpid()}.tmp"
         pickled = pickle.dumps(run, protocol=pickle.HIGHEST_PROTOCOL)
         blob = blobfmt.encode_sections(
             {"pickle": np.frombuffer(pickled, dtype=np.uint8)},
             kind=_CACHE_BLOB_KIND,
         )
         try:
-            with tmp.open("wb") as handle:
-                handle.write(blob)
-            tmp.replace(path)
+            atomic_write(self.directory / f"{key}.pkl", blob)
         except OSError:  # read-only/full disk: memory layer still works
-            tmp.unlink(missing_ok=True)
+            pass

@@ -134,16 +134,9 @@ def collected(abbr: str, n: int, stream: str, seed: int = 0) -> TrainingSet:
 
 def test_matrix(train: TrainingSet, test: TrainingSet) -> Tuple[np.ndarray, np.ndarray]:
     """Features/measured-times of a test set, normalized like ``train``."""
-    rows = [
-        np.concatenate(
-            [
-                train.space.encode(v.configuration),
-                [v.datasize_bytes / train.size_scale],
-            ]
-        )
-        for v in test.vectors
-    ]
-    return np.vstack(rows), test.times()
+    matrix = np.array(test.features())
+    matrix[:, -1] = test.to_columns()["datasize_bytes"] / train.size_scale
+    return matrix, test.times()
 
 
 # ----------------------------------------------------------------------

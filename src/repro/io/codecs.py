@@ -100,7 +100,7 @@ def _training_set_from_blob(header, sections, space):
     meta = header.get("meta", {})
     if list(meta.get("params", [])) != list(space.names):
         raise CodecError("stored training set covers a different parameter space")
-    return TrainingSet.from_columns(space, sections)
+    return TrainingSet(space, sections)
 
 
 def _decode_training_set_blob(payload: bytes, space=None):

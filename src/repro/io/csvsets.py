@@ -99,7 +99,7 @@ def loads_training_set(
             )
     if not vectors:
         raise ValueError(f"{path}: no data rows")
-    return TrainingSet(space, vectors)
+    return TrainingSet.from_vectors(space, vectors)
 
 
 def _serialize(value) -> str:

@@ -32,13 +32,13 @@ import os
 import socket
 import threading
 import time
-import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Union
 
 from repro.service.jobs import DONE, PHASES, QUEUED, RUNNING, JobRecord
 from repro.service.lease import LeaseInfo, LeaseManager
+from repro.store.artifacts import atomic_write
 
 __all__ = [
     "ALIVE",
@@ -190,17 +190,12 @@ class HeartbeatWriter:
                 },
                 sort_keys=True,
             )
-            tmp = self.path.with_name(
-                f".{self.path.name}.{self.pid}.{uuid.uuid4().hex[:8]}.tmp"
-            )
             try:
                 self.directory.mkdir(parents=True, exist_ok=True)
-                tmp.write_text(payload + "\n", encoding="utf-8")
-                tmp.replace(self.path)
+                atomic_write(self.path, payload + "\n")
             except OSError:
                 # A full or vanished disk must never take the worker
                 # down; liveness reporting is strictly best-effort.
-                tmp.unlink(missing_ok=True)
                 return
             self._last_beat = time.monotonic()
 

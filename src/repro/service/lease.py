@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Union
 
+from repro.store.artifacts import atomic_write
 from repro.telemetry import events as tele
 
 __all__ = [
@@ -399,16 +400,7 @@ class LeaseManager:
 
     def _write_replace(self, info: LeaseInfo) -> None:
         """Atomically replace the lease file (renewal by the holder)."""
-        path = self._lease_path(info.job_id)
-        tmp = path.with_name(
-            f".{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
-        )
-        try:
-            tmp.write_text(self._encode(info), encoding="utf-8")
-            tmp.replace(path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        atomic_write(self._lease_path(info.job_id), self._encode(info))
 
     @staticmethod
     def _encode(info: LeaseInfo) -> str:

@@ -202,7 +202,7 @@ class JobRunner:
             record.result = {
                 "examples": len(training),
                 "training_key": record.artifact_key("training"),
-                "simulated_hours": self._hours(training),
+                "simulated_hours": Collector.simulated_hours(training),
             }
             return
 
@@ -215,7 +215,7 @@ class JobRunner:
             seed=request.seed,
             engine=engine,
         )
-        tuner.restore(training, collect_hours=self._hours(training))
+        tuner.restore(training, collect_hours=Collector.simulated_hours(training))
 
         record.phase = "fit"
         self._phase_fit(record, tuner, engine, session)
@@ -276,8 +276,8 @@ class JobRunner:
         batches = collector.plan(request.n_train, stream="train")
         progress["total_batches"] = len(batches)
 
-        # Row blocks in run_batch's sink layout; each checkpoint stores a
-        # column-backed set over their concatenation.
+        # run_batch's row blocks; each checkpoint stores the set over
+        # their concatenation.
         blocks: List[np.ndarray] = []
         training: Optional[TrainingSet] = None
         batches_done = int(progress.get("batches_done", 0))
@@ -286,9 +286,7 @@ class JobRunner:
             expected = sum(len(b.requests) for b in batches[:batches_done])
             if partial is not None and len(partial) == expected:
                 training = partial
-                cols = partial.to_columns()
-                names = ("seconds", "datasize", "datasize_bytes", "values")
-                blocks.append(np.column_stack([cols[name] for name in names]))
+                blocks.append(partial.rows())
             else:  # checkpoint missing or from different parameters
                 batches_done = 0
                 progress["batches_done"] = 0
@@ -301,11 +299,12 @@ class JobRunner:
             resumed=batches_done > 0,
         ):
             for batch in batches[batches_done:]:
-                collector.run_batch(
-                    batch,
-                    done=sum(len(b) for b in blocks),
-                    total=request.n_train,
-                    sink=blocks,
+                blocks.append(
+                    collector.run_batch(
+                        batch,
+                        done=sum(len(b) for b in blocks),
+                        total=request.n_train,
+                    )
                 )
                 training = TrainingSet.from_rows(
                     collector.space, np.concatenate(blocks)
@@ -568,10 +567,3 @@ class JobRunner:
             raise LeaseLost(
                 f"job {record.job_id}: cancelled by another process"
             )
-
-    @staticmethod
-    def _hours(training: TrainingSet) -> float:
-        # Left-to-right over times(): the same float adds for eager,
-        # column-backed and mmap-loaded sets (the value feeds the
-        # report fingerprint).
-        return float(sum(float(s) for s in training.times()) / 3600.0)

@@ -8,12 +8,12 @@ schema-versioned, digest-verified container so partially-written
 artifacts are detected and treated as absent.
 
 * :mod:`repro.store.artifacts` — the self-verifying artifact file
-  format (atomic tmp-file + rename, header + SHA-256 digest);
+  format (header + SHA-256 digest) and :func:`atomic_write`, the one
+  tmp-file + rename write that the store, the engine cache, leases,
+  heartbeats and dashboard exports share;
 * :mod:`repro.store.blobfmt` — the columnar blob container nested
   inside artifacts: aligned, per-section-checksummed arrays that
   decode as zero-copy views or memory-map straight from the file;
-* :mod:`repro.store.matrixbuilder` — streaming row accumulation with
-  spill-to-disk for larger-than-RAM training matrices;
 * :mod:`repro.store.runstore` — :class:`RunStore`, the
   content-addressed object store + append-only index + job records,
   with codec-dispatched typed reads (``mode="mmap"`` for zero-copy)
@@ -36,7 +36,6 @@ from repro.store.blobfmt import (
     encode_sections,
     map_sections,
 )
-from repro.store.matrixbuilder import MatrixBuilder
 from repro.store.runstore import (
     KIND_SCHEMAS,
     STORE_SCHEMA,
@@ -49,7 +48,6 @@ __all__ = [
     "ArtifactError",
     "BlobError",
     "KIND_SCHEMAS",
-    "MatrixBuilder",
     "RunStore",
     "STORE_SCHEMA",
     "StoreError",

@@ -42,6 +42,35 @@ def payload_digest(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+def atomic_write(
+    path: Union[str, Path], data: Union[bytes, str], fsync: bool = False
+) -> None:
+    """Replace ``path`` with ``data`` (``str`` is written as UTF-8).
+
+    The bytes go to a temp file in the destination directory, named
+    with the pid and a random suffix so concurrent writers (threads
+    included) never share one, then ``rename`` over ``path`` — atomic
+    on POSIX, so a reader sees the old file or the new one, never a
+    mix.  With ``fsync`` the bytes reach stable storage before the
+    rename (SIGKILL-safety never needs this — only power loss does).
+    On any failure the temp file is removed and the error re-raised.
+    """
+    path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
+    try:
+        with tmp.open("wb") as handle:
+            handle.write(data)
+            if fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_artifact(
     path: Union[str, Path],
     payload: bytes,
@@ -50,13 +79,8 @@ def write_artifact(
     codec: str,
     fsync: bool = False,
 ) -> str:
-    """Atomically write ``payload`` as an artifact file; returns its digest.
-
-    The temp file lives in the destination directory so the final
-    ``rename`` is atomic on POSIX; with ``fsync`` the payload is forced
-    to stable storage before the rename (SIGKILL-safety never needs
-    this — only power loss does).
-    """
+    """Atomically write ``payload`` as an artifact file (via
+    :func:`atomic_write`); returns its digest."""
     path = Path(path)
     digest = payload_digest(payload)
     header = {
@@ -69,17 +93,7 @@ def write_artifact(
         "sha256": digest,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
-    try:
-        with tmp.open("wb") as handle:
-            handle.write(blob)
-            handle.flush()
-            if fsync:
-                os.fsync(handle.fileno())
-        tmp.replace(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    atomic_write(path, blob, fsync=fsync)
     return digest
 
 

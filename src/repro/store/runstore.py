@@ -35,12 +35,12 @@ import os
 import pickle
 import threading
 import time
-import uuid
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.store.artifacts import (
     ArtifactError,
+    atomic_write,
     payload_digest,
     read_artifact,
     write_artifact,
@@ -99,12 +99,13 @@ class RunStore:
                 )
         elif create:
             self.root.mkdir(parents=True, exist_ok=True)
-            self._write_atomic(
+            atomic_write(
                 meta_path,
                 json.dumps(
                     {"store_schema": STORE_SCHEMA, "created": time.time()},
                     sort_keys=True,
                 ).encode("utf-8"),
+                fsync=self.fsync,
             )
         else:
             raise StoreError(f"{self.root}: not a run store")
@@ -136,22 +137,6 @@ class RunStore:
 
     def _index_path(self) -> Path:
         return self.root / "index.jsonl"
-
-    # -- low-level atomic file write ------------------------------------
-    def _write_atomic(self, path: Path, payload: bytes) -> None:
-        tmp = path.with_name(
-            f".{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
-        )
-        try:
-            with tmp.open("wb") as handle:
-                handle.write(payload)
-                handle.flush()
-                if self.fsync:
-                    os.fsync(handle.fileno())
-            tmp.replace(path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
 
     # -- the index ------------------------------------------------------
     def _load_index(self) -> Dict[str, Dict[str, object]]:
@@ -402,7 +387,7 @@ class RunStore:
     def save_job(self, job_id: str, record: Dict[str, object]) -> None:
         """Persist a job record (atomic whole-file replace)."""
         payload = json.dumps(record, sort_keys=True, default=str).encode("utf-8")
-        self._write_atomic(self.root / "jobs" / f"{job_id}.json", payload)
+        atomic_write(self.root / "jobs" / f"{job_id}.json", payload, fsync=self.fsync)
 
     def load_job(self, job_id: str) -> Optional[Dict[str, object]]:
         path = self.root / "jobs" / f"{job_id}.json"

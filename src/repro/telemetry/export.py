@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
-import uuid
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
+from repro.store.artifacts import atomic_write
 from repro.telemetry.metrics import MetricsSnapshot
 
 __all__ = [
@@ -268,13 +267,7 @@ def prometheus_from_fleet(
 def _write_atomic(path: Union[str, Path], text: str) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        tmp.replace(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    atomic_write(path, text)
     return path
 
 

@@ -13,7 +13,6 @@ instants).
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,6 +28,7 @@ from typing import (
     Union,
 )
 
+from repro.telemetry.aggregate import LogCursor
 from repro.telemetry.events import ROOT
 
 __all__ = [
@@ -112,92 +112,31 @@ def follow_events(
 ) -> Iterator[Dict[str, object]]:
     """Tail a JSONL event log, yielding each record as it lands.
 
-    The ``repro trace --follow`` engine: existing records stream out
-    first, then the file is polled for appended lines — including a file
-    that does not exist yet (a job about to start) and lines written by
-    another process mid-append (a torn tail line is held back until its
-    newline arrives; the flush-per-record :class:`JsonlSink` makes that
-    window tiny).  A log that is truncated or rotated mid-follow (the
-    file shrank below our offset, or its inode changed under the same
-    path) is reopened from the start — the replacement is a new log,
-    and tailing the stale offset would silently drop everything.
-    Iteration ends when ``stop()`` returns true or, with
-    ``idle_timeout``, after that many seconds without a new record.
+    The ``repro trace --follow`` engine: a polling loop over
+    :class:`~repro.telemetry.aggregate.LogCursor`, the tailer behind
+    ``repro top``.  Existing records stream out first, then appended
+    ones; the log may not exist yet (a job about to start), a torn tail
+    line is held back until its newline arrives, and a log truncated or
+    replaced mid-follow is reread from the start.  Session ``meta``
+    records are consumed as wall-clock epochs, not yielded.  Iteration
+    ends when ``stop()`` returns true or, with ``idle_timeout``, after
+    that many seconds without a new record.
     """
-    path = Path(path)
-    handle = None
-
-    def reopen():
-        """Open the file and remember its identity; None when absent."""
-        try:
-            opened = path.open("r", encoding="utf-8")
-        except OSError:
-            return None, None
-        try:
-            inode = os.fstat(opened.fileno()).st_ino
-        except OSError:
-            inode = None
-        return opened, inode
-
-    def rotated(position: int) -> bool:
-        """Did the path stop being the file we hold at this offset?"""
-        try:
-            stat = path.stat()
-        except OSError:
-            return True  # unlinked: wait for the replacement
-        return stat.st_ino != inode or stat.st_size < position
-
-    try:
-        waited = 0.0
-        while True:
-            handle, inode = reopen()
-            if handle is not None:
-                break
-            if stop is not None and stop():
-                return
-            if idle_timeout is not None and waited >= idle_timeout:
-                return
-            time.sleep(poll_seconds)
-            waited += poll_seconds
-        idle = 0.0
-        while True:
-            position = handle.tell()
-            line = handle.readline()
-            if line.endswith("\n"):
-                idle = 0.0
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    record = json.loads(stripped)
-                except json.JSONDecodeError:
-                    continue
-                if isinstance(record, dict):
-                    yield record
-                continue
-            # EOF (or a torn tail still being written): rewind and wait.
-            handle.seek(position)
-            if rotated(position):
-                handle.close()
-                handle, inode = reopen()
-                while handle is None:
-                    if stop is not None and stop():
-                        return
-                    if idle_timeout is not None and idle >= idle_timeout:
-                        return
-                    time.sleep(poll_seconds)
-                    idle += poll_seconds
-                    handle, inode = reopen()
-                continue
-            if stop is not None and stop():
-                return
-            if idle_timeout is not None and idle >= idle_timeout:
-                return
-            time.sleep(poll_seconds)
-            idle += poll_seconds
-    finally:
-        if handle is not None:
-            handle.close()
+    cursor = LogCursor(path, labels={})
+    idle = 0.0
+    while True:
+        records = cursor.poll()
+        if records:
+            idle = 0.0
+            for tagged in records:
+                yield tagged.record  # type: ignore[misc]
+            continue
+        if stop is not None and stop():
+            return
+        if idle_timeout is not None and idle >= idle_timeout:
+            return
+        time.sleep(poll_seconds)
+        idle += poll_seconds
 
 
 def format_record(record: Dict[str, object]) -> Optional[str]:

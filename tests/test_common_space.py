@@ -168,15 +168,6 @@ class TestConfigurationSpace:
         with pytest.raises(ValueError):
             toy_space.decode([0.5, 0.5])
 
-    def test_encode_many(self, toy_space):
-        rng = derive_rng("many")
-        configs = toy_space.sample(5, rng)
-        mat = toy_space.encode_many(configs)
-        assert mat.shape == (5, 4)
-
-    def test_encode_many_empty(self, toy_space):
-        assert toy_space.encode_many([]).shape == (0, 4)
-
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_random_encode_decode_roundtrip(self, seed):

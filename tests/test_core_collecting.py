@@ -8,6 +8,7 @@ from repro.core.collecting import (
     Collector,
     PerformanceVector,
     TrainingSet,
+    performance_rows,
     raw_value,
 )
 from repro.engine import ExecRequest
@@ -32,6 +33,15 @@ class TestPerformanceVector:
                 configuration=space.default(),
                 datasize=10.0,
                 datasize_bytes=0.0,
+            )
+
+    @pytest.mark.parametrize("seconds, datasize_bytes", [(0.0, 1e9), (5.0, 0.0)])
+    def test_row_blocks_reject_what_vectors_reject(
+        self, space, seconds, datasize_bytes
+    ):
+        with pytest.raises(ValueError):
+            performance_rows(
+                space, [5.0, seconds], 10.0, datasize_bytes, [space.default()] * 2
             )
 
 
@@ -66,12 +76,10 @@ class TestCollector:
         with pytest.raises(ValueError):
             Collector(get_workload("TS")).collect(0)
 
-    def test_progress_callback_invoked(self):
-        calls = []
-        Collector(get_workload("TS"), seed=2).collect(
-            5, progress=lambda done, total: calls.append((done, total))
-        )
-        assert calls == [(i, 5) for i in range(1, 6)]
+    def test_collected_columns_are_read_only(self):
+        ts = Collector(get_workload("TS"), seed=2).collect(5)
+        assert not ts.times().flags.writeable
+        assert not ts.to_columns()["values"].flags.writeable
 
     def test_simulated_hours_matches_sum(self, small_training_set):
         collector = Collector(get_workload("TS"), seed=7)
@@ -103,7 +111,7 @@ class TestTrainingSet:
 
     def test_empty_training_set_rejected(self, space):
         with pytest.raises(ValueError):
-            TrainingSet(space, [])
+            TrainingSet.from_vectors(space, [])
 
     def test_merge(self, small_training_set):
         merged = small_training_set.merged_with(small_training_set)
@@ -130,42 +138,37 @@ class TestBatchPlan:
     def test_batchwise_equals_collect(self):
         whole = Collector(get_workload("TS"), seed=11).collect(20, stream="train")
         collector = Collector(get_workload("TS"), seed=11)
-        vectors = []
+        blocks = []
         for batch in collector.plan(20, stream="train"):
-            vectors.extend(collector.run_batch(batch, done=len(vectors), total=20))
-        assert [v.seconds for v in vectors] == [v.seconds for v in whole.vectors]
-        assert [v.configuration for v in vectors] == [
-            v.configuration for v in whole.vectors
-        ]
+            done = sum(len(b) for b in blocks)
+            blocks.append(collector.run_batch(batch, done=done, total=20))
+        assert np.concatenate(blocks).tobytes() == whole.rows().tobytes()
 
     def test_sink_block_matches_per_cell_loop(self, space):
-        """run_batch's sink block, column by column, equals the row-by-row
+        """run_batch's row block, column by column, equals the row-by-row
         raw_value layout — defaults outside a knob's range included."""
         collector = Collector(get_workload("TS"), seed=3)
         (planned, *_) = collector.plan(30, stream="train")
         default = ExecRequest(job=planned.requests[0].job, config=space.default())
         batch = CollectBatch(0, planned.size, planned.requests + (default,))
-        blocks = []
-        vectors = collector.run_batch(batch, sink=blocks)
+        block = collector.run_batch(batch)
+        runs = collector.engine.submit(list(batch.requests))
         loop = np.array(
             [
-                [v.seconds, v.datasize, v.datasize_bytes]
-                + [raw_value(p, v.configuration[p.name]) for p in space.parameters]
-                for v in vectors
+                [run.seconds, batch.size, batch.datasize_bytes]
+                + [raw_value(p, request.config[p.name]) for p in space.parameters]
+                for request, run in zip(batch.requests, runs)
             ]
         )
-        assert len(blocks) == 1 and blocks[0].tobytes() == loop.tobytes()
+        assert block.tobytes() == loop.tobytes()
 
     def test_resume_from_partial_prefix(self):
         """Replanning after a crash reproduces the unfinished suffix."""
         whole = Collector(get_workload("TS"), seed=13).collect(20, stream="train")
         first = Collector(get_workload("TS"), seed=13)
         batches = first.plan(20, stream="train")
-        vectors = []
-        for batch in batches[:3]:  # crash after three batches
-            vectors.extend(first.run_batch(batch))
+        blocks = [first.run_batch(b) for b in batches[:3]]  # crash after three
         second = Collector(get_workload("TS"), seed=13)  # fresh process
         replanned = second.plan(20, stream="train")
-        for batch in replanned[3:]:
-            vectors.extend(second.run_batch(batch))
-        assert [v.seconds for v in vectors] == [v.seconds for v in whole.vectors]
+        blocks += [second.run_batch(b) for b in replanned[3:]]
+        assert np.concatenate(blocks).tobytes() == whole.rows().tobytes()

@@ -236,6 +236,29 @@ def test_disk_cache_entries_are_blob_containers(space, tmp_path):
     )
 
 
+def test_disk_cache_writers_never_share_a_temp_file(space, tmp_path, monkeypatch):
+    """Two stores of one key — two JobService threads sharing a store's
+    cache directory and running the same program and seed — each write
+    through their own temp file before renaming it over the entry."""
+    from pathlib import Path
+
+    backend = CachedBackend(InProcessBackend(), directory=tmp_path)
+    run = backend.inner.submit(_requests(space, n=1))[0].run
+    renames = []
+    real_replace = Path.replace
+
+    def spy(self, target):
+        renames.append((self.name, Path(target).name))
+        return real_replace(self, target)
+
+    monkeypatch.setattr(Path, "replace", spy)
+    backend._store("key", run)
+    backend._store("key", run)
+    assert [target for _, target in renames] == ["key.pkl", "key.pkl"]
+    assert renames[0][0] != renames[1][0]
+    assert [p.name for p in tmp_path.iterdir()] == ["key.pkl"]
+
+
 def test_stale_format_entry_invalidated_and_rewritten(space, tmp_path):
     """A cache entry in an older layout — the retired tagged pickle or an
     earlier version of it — reads as a miss and is replaced by a blob

@@ -3,15 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.core.collecting import Collector
 from repro.io import (
+    codecs,
+    dumps_training_set,
     format_spark_submit,
     load_spark_conf,
     load_training_set,
+    loads_training_set,
     save_spark_conf,
     save_training_set,
 )
 from repro.io.sparkconf_file import format_value, parse_value
 from repro.sparksim.confspace import SPARK_CONF_SPACE
+from repro.store import payload_digest
 
 
 class TestTrainingSetCsv:
@@ -50,6 +55,28 @@ class TestTrainingSetCsv:
         path.write_text(header + "\n")
         with pytest.raises(ValueError, match="no data rows"):
             load_training_set(path, SPARK_CONF_SPACE)
+
+    def test_loaded_set_merged_with_a_collection_matches_golden(self, terasort):
+        """A CSV-loaded set topped up by ``merged_with`` (DacSession's
+        path) writes the same CSV, features and stored artifact as when
+        both were built row by row from PerformanceVector objects; the
+        digests were recorded then."""
+        first = Collector(terasort, seed=21).collect(20, stream="train")
+        loaded = loads_training_set(dumps_training_set(first), SPARK_CONF_SPACE)
+        merged = loaded.merged_with(
+            Collector(terasort, seed=22).collect(15, stream="extra")
+        )
+        blob = codecs.default_for("training_set").encode(merged)
+        assert len(merged) == 35
+        assert payload_digest(dumps_training_set(merged).encode()) == (
+            "ceb741746e739098d5e28e2ffa8a10fb0051c8a3bff35cd51975d985d4bb7d29"
+        )
+        assert payload_digest(merged.features().tobytes()) == (
+            "4439a34118a7d160ddde98cee82b66d1c65732a5de9ecae3cdce7eff7768ddf4"
+        )
+        assert payload_digest(blob) == (
+            "81fd6f4d11c534d8c3d41d48729489b4a262cbe869c15a93481f2f6469e4995f"
+        )
 
 
 class TestSparkConfFile:

@@ -69,7 +69,7 @@ class TestTrainingSetCsvProperty:
             )
             for seed, seconds, datasize_bytes in rows
         ]
-        training = TrainingSet(SPARK_CONF_SPACE, vectors)
+        training = TrainingSet.from_vectors(SPARK_CONF_SPACE, vectors)
         path = tmp_path_factory.mktemp("csv") / "S.csv"
         save_training_set(training, path)
         loaded = load_training_set(path, SPARK_CONF_SPACE)

@@ -30,6 +30,23 @@ from repro.workloads import get_workload
 FAST = dict(n_train=40, n_trees=15, generations=3, patience=None, seed=2)
 
 
+#: SHA-256 of each per-batch checkpoint of a TS collect job (30 examples,
+#: seed 1), recorded when checkpoints were still checked against sets
+#: encoded row by row from PerformanceVector objects.
+COLLECT_JOB_CHECKPOINT_DIGESTS = [
+    "d0beae6c2fb006a2ca89a8599589007acb9aa262a489f575b7a2c2dc6ad68242",
+    "72c3566a1c86f02ae854fdbb0b6eb206bea9ede9383d18f8f3cfcad15f08737d",
+    "520193970d9964af5989b25dec9ae5b067fd32945af3ed24d6721a462c6ba8f4",
+    "f20775cea543745b38f8e3ae8742973346ed8f8c181c1226dc2fa6041852a404",
+    "32acd785d9fdc8d3d9a4617014824aaa2b7b36cbc87e87bb11e744f70c42ff6f",
+    "91a07135fe0fdd276abd31ed5762c1166e54c1e7cf40c9b4527184974dc9f89f",
+    "f7719e0df32176d12d5d78283ab51d29c0bf0cd2ee1b6fd5b413b1890279f0eb",
+    "789adc5dd832847c2cb2150a41b43fccd5997c85129b36f0034b53e509516622",
+    "c8f0e44b9fdb7e196dd32f90c324832113b701b7326398fcbfe4e78a765343ef",
+    "8376c87fef4ac9aa0f40aca41e179d8d5d8e8bdf9f8873b82fe9cf59cf4e960d",
+]
+
+
 def _request(**overrides) -> TuneRequest:
     return TuneRequest(**{"program": "TS", "size": 10.0, **FAST, **overrides})
 
@@ -164,17 +181,19 @@ class TestExecution:
         assert len(training) == 30
 
         # Every per-batch checkpoint (one index line each) is the
-        # artifact the eager encode of the vectors so far would give.
+        # artifact a set built from the row objects so far would give.
         index = (service.store.root / "index.jsonl").read_text().splitlines()
         written = [e["digest"] for e in map(json.loads, index) if e["key"] == key]
         collector = Collector(get_workload("TS"), seed=1)
+        vectors = collector.collect(30, stream="train").vectors
         codec = codecs.default_for("training_set")
-        vectors, expected = [], []
+        expected, done = [], 0
         for batch in collector.plan(30, stream="train"):
-            vectors.extend(collector.run_batch(batch))
-            eager = TrainingSet(collector.space, vectors)
-            expected.append(payload_digest(codec.encode(eager)))
+            done += len(batch.requests)
+            prefix = TrainingSet.from_vectors(collector.space, vectors[:done])
+            expected.append(payload_digest(codec.encode(prefix)))
         assert len(expected) > 1 and written == expected
+        assert written == COLLECT_JOB_CHECKPOINT_DIGESTS
 
     def test_budget_exhaustion_then_resume(self, tmp_path):
         service = JobService(tmp_path / "store", use_cache=False)

@@ -2,9 +2,8 @@
 
 Property-based round trips for :mod:`repro.store.blobfmt`, the codec
 registry's dispatch (unknown codecs read absent), bit-exactness of the
-mmap read path against the copying path, the streaming
-:class:`MatrixBuilder`, the mmap-safe matrix cache key, and
-``RunStore.gc``.
+mmap read path against the copying path, the mmap-safe matrix cache
+key, and ``RunStore.gc``.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from repro.core.collecting import (
 from repro.core.tuner import DacTuner
 from repro.io import codecs, dumps_training_set
 from repro.models.tree import _CACHE_CONTENT_BYTES, _matrix_cache_key
-from repro.store import KIND_SCHEMAS, MatrixBuilder, RunStore, blobfmt
+from repro.store import KIND_SCHEMAS, RunStore, blobfmt
 from repro.store.blobfmt import (
     BlobError,
     decode_sections,
@@ -260,7 +259,7 @@ class TestStoreCodecPaths:
         configs = [v.configuration for v in training.vectors]
         sets = {
             "columns": training,
-            "eager": TrainingSet(space, training.vectors),
+            "vectors": TrainingSet.from_vectors(space, training.vectors),
             "mmap": store.get_training_set("ts", space=space, mode="mmap"),
         }
         for backing, ts in sets.items():
@@ -353,39 +352,6 @@ class TestStoreCodecPaths:
         store.put_training_set("ts", training)
         other = ConfigurationSpace(list(space.parameters[:-1]), name="other")
         assert store.get_training_set("ts", space=other) is None
-
-
-# ----------------------------------------------------------------------
-# Streaming MatrixBuilder
-# ----------------------------------------------------------------------
-class TestMatrixBuilder:
-    @given(
-        st.lists(
-            st.integers(min_value=0, max_value=9), min_size=0, max_size=12
-        ),
-        st.integers(min_value=1, max_value=5),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_spill_and_ram_paths_agree(self, chunk_sizes, n_cols):
-        gen = np.random.default_rng(sum(chunk_sizes) + n_cols)
-        chunks = [gen.random((k, n_cols)) for k in chunk_sizes]
-
-        ram = MatrixBuilder(n_cols)  # default threshold: never spills here
-        spill = MatrixBuilder(n_cols, spill_bytes=1)  # spills on append
-        for chunk in chunks:
-            ram.append(chunk)
-            spill.append(chunk)
-        assert spill.spilled == any(chunk_sizes)
-        a, b = ram.finalize(), spill.finalize()
-        np.testing.assert_array_equal(a, b)
-        assert a.shape == (sum(chunk_sizes), n_cols)
-        assert not b.flags.writeable
-
-    def test_collector_streams_identically(self, terasort):
-        eager = Collector(terasort, seed=5).collect(30, stream="train")
-        streamed = Collector(terasort, seed=5).collect(30, stream="train")
-        np.testing.assert_array_equal(eager.features(), streamed.features())
-        np.testing.assert_array_equal(eager.times(), streamed.times())
 
 
 # ----------------------------------------------------------------------
