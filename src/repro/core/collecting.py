@@ -18,6 +18,7 @@ what makes minimizing Equation 2's *relative* error well-posed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -69,6 +70,9 @@ class PerformanceVector:
     datasize_bytes: float
 
     def __post_init__(self) -> None:
+        measured = (self.seconds, self.datasize, self.datasize_bytes)
+        if not all(map(math.isfinite, measured)):
+            raise ValueError("execution time and datasize must be finite")
         if self.seconds <= 0:
             raise ValueError("execution time must be positive")
         if self.datasize_bytes <= 0:
@@ -163,6 +167,8 @@ def performance_rows(
     block[:, 1] = datasize
     block[:, 2] = datasize_bytes
     block[:, 3:] = raw_columns(space, configurations)
+    if not np.isfinite(block[:, :3]).all():
+        raise ValueError("execution time and datasize must be finite")
     if np.any(block[:, 0] <= 0):
         raise ValueError("execution time must be positive")
     if np.any(block[:, 2] <= 0):

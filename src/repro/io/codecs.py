@@ -1,7 +1,7 @@
 """Typed artifact codecs: version negotiation for the run store.
 
 Every typed artifact in the :class:`~repro.store.RunStore` is written
-under a ``(kind, codec)`` pair recorded in its index entry and header.
+under a ``(kind, codec)`` pair recorded in its index entry.
 This registry maps those pairs to the code that encodes/decodes them,
 which is what lets new writers and old stores coexist:
 
@@ -14,11 +14,11 @@ which is what lets new writers and old stores coexist:
   invalidation idiom.  A format change bumps the codec name rather than
   keeping an old decoder.
 
-A codec may also implement ``open(path, offset, **ctx)`` — the
-zero-copy path: given the artifact file and the payload's byte offset
-inside it, return the object backed by read-only ``np.memmap`` views
-instead of heap copies.  Codecs without ``open`` simply fall back to
-the copying path under ``mode="mmap"``.
+A codec may also implement ``open(path, **ctx)`` — the zero-copy path:
+given the object file, which holds exactly the payload, return the
+object backed by read-only ``np.memmap`` views instead of heap copies.
+Codecs without ``open`` simply fall back to the copying path under
+``mode="mmap"``.
 """
 
 from __future__ import annotations
@@ -108,8 +108,8 @@ def _decode_training_set_blob(payload: bytes, space=None):
     return _training_set_from_blob(header, sections, space)
 
 
-def _open_training_set_blob(path, offset: int, space=None):
-    header, sections = blobfmt.map_sections(path, offset=offset)
+def _open_training_set_blob(path, space=None):
+    header, sections = blobfmt.map_sections(path)
     return _training_set_from_blob(header, sections, space)
 
 
@@ -143,8 +143,8 @@ def _decode_model_blob(payload: bytes):
     return _model_from_blob(header, sections)
 
 
-def _open_model_blob(path, offset: int):
-    header, sections = blobfmt.map_sections(path, offset=offset)
+def _open_model_blob(path):
+    header, sections = blobfmt.map_sections(path)
     return _model_from_blob(header, sections)
 
 

@@ -19,12 +19,12 @@ not the label the dying process never got to update.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 import uuid
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional
+
+from repro.store.artifacts import canonical_digest, exact
 
 #: Job states (plain strings so records stay JSON-native).
 QUEUED = "queued"
@@ -101,9 +101,7 @@ def request_fingerprint(request: TuneRequest) -> str:
     answer".  Priority is *not* a request field — the first
     submission's priority wins for the shared job.
     """
-    doc = {k: repr(v) for k, v in sorted(request.to_dict().items())}
-    payload = json.dumps(doc, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+    return canonical_digest({k: exact(v) for k, v in request.to_dict().items()})
 
 
 @dataclass

@@ -28,6 +28,7 @@ direct evidence that resuming cost strictly less than starting over.
 
 from __future__ import annotations
 
+import itertools
 import time
 import traceback
 from contextlib import contextmanager
@@ -280,16 +281,17 @@ class JobRunner:
         # their concatenation.
         blocks: List[np.ndarray] = []
         training: Optional[TrainingSet] = None
-        batches_done = int(progress.get("batches_done", 0))
-        if batches_done:
-            partial = store.get_training_set(key)
-            expected = sum(len(b.requests) for b in batches[:batches_done])
-            if partial is not None and len(partial) == expected:
-                training = partial
-                blocks.append(partial.rows())
-            else:  # checkpoint missing or from different parameters
-                batches_done = 0
-                progress["batches_done"] = 0
+        # Resume from whatever batch prefix the stored set holds: a crash
+        # between its put and the record save leaves it one batch ahead
+        # of ``batches_done``.  Anything else starts over.
+        batches_done = 0
+        partial = store.get_training_set(key)
+        prefix_rows = list(itertools.accumulate(len(b.requests) for b in batches))
+        if partial is not None and len(partial) in prefix_rows:
+            batches_done = prefix_rows.index(len(partial)) + 1
+            training = partial
+            blocks.append(partial.rows())
+        progress["batches_done"] = batches_done
 
         with tele.span(
             "collect",

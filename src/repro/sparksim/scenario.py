@@ -34,7 +34,6 @@ collect→fit→search pipeline tunes *under interference*.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -62,7 +61,7 @@ from repro.sparksim.events import (
     SCENARIO_REVOCATION,
     SCENARIO_SPAN,
 )
-from repro.store.artifacts import payload_digest
+from repro.store.artifacts import canonical_digest, exact
 from repro.telemetry import events as tele
 
 #: Relative tolerance for "this job's remaining work is zero".
@@ -456,26 +455,26 @@ def scenario_fingerprint(report: ScenarioReport) -> str:
             {
                 "job_id": j.job_id,
                 "program": j.program,
-                "size": repr(j.size),
+                "size": exact(j.size),
                 "demand": j.demand,
-                "arrival_s": repr(j.arrival_s),
-                "start_s": repr(j.start_s),
-                "finish_s": repr(j.finish_s),
-                "isolated_s": repr(j.isolated_s),
-                "straggler_factor": repr(j.straggler_factor),
-                "io_fraction": repr(j.io_fraction),
-                "busy_executor_s": repr(j.busy_executor_s),
+                "arrival_s": exact(j.arrival_s),
+                "start_s": exact(j.start_s),
+                "finish_s": exact(j.finish_s),
+                "isolated_s": exact(j.isolated_s),
+                "straggler_factor": exact(j.straggler_factor),
+                "io_fraction": exact(j.io_fraction),
+                "busy_executor_s": exact(j.busy_executor_s),
                 "revocation_hits": j.revocation_hits,
             }
             for j in report.jobs
         ],
         "revocations": [
-            [repr(r.at_s), r.slots, repr(r.duration_s)] for r in report.revocations
+            [exact(r.at_s), r.slots, exact(r.duration_s)] for r in report.revocations
         ],
-        "makespan_s": repr(report.makespan_s),
-        "pool_busy_executor_s": repr(report.pool_busy_executor_s),
+        "makespan_s": exact(report.makespan_s),
+        "pool_busy_executor_s": exact(report.pool_busy_executor_s),
     }
-    return payload_digest(json.dumps(doc, sort_keys=True).encode("utf-8"))
+    return canonical_digest(doc)
 
 
 def report_to_dict(report: ScenarioReport) -> Dict[str, object]:

@@ -3,17 +3,18 @@
 The serving substrate's durability layer: a directory-rooted,
 content-addressed experiment store holding every expensive artifact of
 the DAC pipeline (training sets, fitted models, GA populations,
-reports, telemetry event logs), each written atomically with a
-schema-versioned, digest-verified container so partially-written
-artifacts are detected and treated as absent.
+reports, telemetry event logs).  Each object file is exactly its
+payload, named by its SHA-256 and written atomically; a read checks it
+against the digest in the index, so a partially-written object is
+detected and treated as absent.
 
-* :mod:`repro.store.artifacts` — the self-verifying artifact file
-  format (header + SHA-256 digest) and :func:`atomic_write`, the one
-  tmp-file + rename write that the store, the engine cache, leases,
-  heartbeats and dashboard exports share;
-* :mod:`repro.store.blobfmt` — the columnar blob container nested
-  inside artifacts: aligned, per-section-checksummed arrays that
-  decode as zero-copy views or memory-map straight from the file;
+* :mod:`repro.store.artifacts` — :func:`payload_digest`, the canonical
+  fingerprint digest, and :func:`atomic_write`, the one tmp-file +
+  rename write that the store, the engine cache, leases, heartbeats and
+  dashboard exports share;
+* :mod:`repro.store.blobfmt` — the columnar blob format of training
+  sets and models: aligned, per-section-checksummed arrays that decode
+  as zero-copy views or memory-map straight from the object file;
 * :mod:`repro.store.runstore` — :class:`RunStore`, the
   content-addressed object store + append-only index + job records,
   with codec-dispatched typed reads (``mode="mmap"`` for zero-copy)
@@ -23,13 +24,7 @@ artifacts are detected and treated as absent.
 on top of this package.
 """
 
-from repro.store.artifacts import (
-    ArtifactError,
-    payload_digest,
-    read_artifact,
-    read_artifact_header,
-    write_artifact,
-)
+from repro.store.artifacts import payload_digest
 from repro.store.blobfmt import (
     BlobError,
     decode_sections,
@@ -45,7 +40,6 @@ from repro.store.runstore import (
 )
 
 __all__ = [
-    "ArtifactError",
     "BlobError",
     "KIND_SCHEMAS",
     "RunStore",
@@ -55,8 +49,5 @@ __all__ = [
     "encode_sections",
     "map_sections",
     "payload_digest",
-    "read_artifact",
-    "read_artifact_header",
     "report_fingerprint",
-    "write_artifact",
 ]

@@ -21,8 +21,8 @@ reader can verify or map any one section without touching the rest.
 
 Three access paths share the layout:
 
-* :func:`encode_sections` — arrays -> ``bytes`` (for the artifact
-  container / content-addressed store);
+* :func:`encode_sections` — arrays -> ``bytes`` (an object file of
+  the content-addressed store);
 * :func:`decode_sections` — ``bytes`` -> read-only array views over the
   buffer (zero copy; ``verify=True`` checks per-section digests);
 * :func:`map_sections` — file path -> read-only :class:`numpy.memmap`
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple, Union
@@ -217,43 +218,29 @@ def decode_sections(
 
 
 def map_sections(
-    path: Union[str, Path],
-    offset: int = 0,
-    length: Optional[int] = None,
-    verify: bool = False,
+    path: Union[str, Path], verify: bool = False
 ) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
-    """Memory-map a blob stored at byte ``offset`` inside ``path``.
+    """Memory-map the blob that is the whole file at ``path``.
 
     Returns ``(header, {name: read-only memmap view})``.  Only the
     header bytes are read eagerly; section data stays untouched until
     a consumer gathers from it, and the pages it does touch live in the
     shared page cache — N reader processes cost one resident copy.
 
-    ``length`` bounds the blob (defaults to rest-of-file); ``verify``
-    forces a full per-section digest check, which reads everything and
-    therefore forfeits laziness — the store uses it only on the
-    copying path.
+    ``verify`` forces a full per-section digest check, which reads
+    everything and therefore forfeits laziness.
     """
     path = Path(path)
     try:
-        size = path.stat().st_size
-    except OSError as exc:
-        raise BlobError(f"{path}: unreadable ({exc})") from exc
-    if length is None:
-        length = size - offset
-    if offset < 0 or length < 0 or offset + length > size:
-        raise BlobError(f"{path}: blob extent outside file")
-    try:
         with path.open("rb") as handle:
-            handle.seek(offset)
-            prefix = handle.read(min(length, len(MAGIC) + _PREFIX.size))
-            if len(prefix) >= len(MAGIC) + _PREFIX.size:
+            size = os.fstat(handle.fileno()).st_size
+            prefix = handle.read(len(MAGIC) + _PREFIX.size)
+            if len(prefix) == len(MAGIC) + _PREFIX.size:
                 (header_len,) = _PREFIX.unpack_from(prefix, len(MAGIC))
-                want = min(length, len(MAGIC) + _PREFIX.size + min(header_len, _MAX_HEADER_BYTES))
-                prefix += handle.read(max(0, want - len(prefix)))
+                prefix += handle.read(min(header_len, _MAX_HEADER_BYTES))
     except OSError as exc:
         raise BlobError(f"{path}: unreadable ({exc})") from exc
-    header, data_start = _parse_header(prefix, length)
+    header, data_start = _parse_header(prefix, size)
     arrays: Dict[str, np.ndarray] = {}
     for desc in header["sections"]:
         dtype = np.dtype(str(desc["dtype"]))
@@ -267,7 +254,7 @@ def map_sections(
             path,
             dtype=dtype,
             mode="r",
-            offset=offset + data_start + int(desc["offset"]),
+            offset=data_start + int(desc["offset"]),
             shape=shape,
             order="C",
         )

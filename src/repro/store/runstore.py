@@ -12,7 +12,8 @@ On disk::
     <root>/
       meta.json            store identity + schema version
       index.jsonl          append-only key -> digest index (latest wins)
-      objects/ab/<sha256>  content-addressed artifact blobs
+      objects/ab/<sha256>  content-addressed objects: each file is exactly
+                           the payload whose SHA-256 names it
       jobs/<job_id>.json   job records (atomic rewrite per update)
       events/<id>.jsonl    per-job telemetry event logs (append across
                            sessions, readable by ``repro trace``)
@@ -20,12 +21,12 @@ On disk::
       leases/              per-job worker leases + fencing-token ledger
                            (:mod:`repro.service.lease`)
 
-Crash safety is layered: blobs are self-verifying artifact containers
-written via tmp-file + atomic rename (:mod:`repro.store.artifacts`);
-the index is append-only JSONL whose torn tail lines are skipped on
-read; job records are whole-file atomic replaces.  A reader therefore
-always sees either a complete prior version of anything or nothing —
-never a torn object.
+Crash safety is layered: objects are written via tmp-file + atomic
+rename (:mod:`repro.store.artifacts`) and checked on read against the
+digest in their index entry; the index is append-only JSONL whose torn
+tail lines are skipped on read; job records are whole-file atomic
+replaces.  A reader therefore always sees either a complete prior
+version of anything or nothing — never a torn object.
 """
 
 from __future__ import annotations
@@ -39,11 +40,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.store.artifacts import (
-    ArtifactError,
     atomic_write,
+    canonical_digest,
+    exact,
     payload_digest,
-    read_artifact,
-    write_artifact,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
@@ -53,7 +53,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.models.hierarchical import HierarchicalModel
 
 #: Store-level layout version (bumped only on incompatible layout change).
-STORE_SCHEMA = 1
+#: 2: object files are bare payloads (1 prefixed a JSON header line).
+STORE_SCHEMA = 2
 
 #: Payload schema per artifact kind; bumping one invalidates only that
 #: kind's stored entries (they read back as absent and are rewritten).
@@ -63,7 +64,6 @@ KIND_SCHEMAS = {
     "model": 2,
     "ga_state": 1,
     "report": 1,
-    "json": 1,
     "bytes": 1,
 }
 
@@ -191,10 +191,7 @@ class RunStore:
         blob_path = self._object_path(digest)
         if not blob_path.exists():
             blob_path.parent.mkdir(parents=True, exist_ok=True)
-            write_artifact(
-                blob_path, payload, kind=kind, schema=schema, codec=codec,
-                fsync=self.fsync,
-            )
+            atomic_write(blob_path, payload, fsync=self.fsync)
         entry = {
             "key": key,
             "kind": kind,
@@ -213,25 +210,33 @@ class RunStore:
             self._load_index()[key] = entry
         return digest
 
-    def get_bytes(self, key: str, kind: str = "bytes") -> Optional[bytes]:
-        """The latest intact payload for ``key``, or ``None``.
-
-        ``None`` covers every defect uniformly: unknown key, kind or
-        schema mismatch (stale format), missing blob, torn or corrupt
-        blob — a partially-written artifact is treated as absent.
-        """
+    def _current_entry(self, key: str, kind: str) -> Optional[Dict[str, object]]:
+        """``key``'s index entry if it is a ``kind`` at today's schema."""
         entry = self.entry(key)
         if entry is None or entry.get("kind") != kind:
             return None
         if entry.get("schema") != KIND_SCHEMAS[kind]:
             return None
+        return entry
+
+    def _read_verified(self, entry: Dict[str, object]) -> Optional[bytes]:
+        """The entry's object bytes, if they hash to its digest."""
+        digest = str(entry["digest"])
         try:
-            header, payload = read_artifact(self._object_path(str(entry["digest"])))
-        except ArtifactError:
+            payload = self._object_path(digest).read_bytes()
+        except OSError:
             return None
-        if header.get("kind") != kind or header.get("schema") != KIND_SCHEMAS[kind]:
-            return None
-        return payload
+        return payload if payload_digest(payload) == digest else None
+
+    def get_bytes(self, key: str, kind: str = "bytes") -> Optional[bytes]:
+        """The latest intact payload for ``key``, or ``None``.
+
+        ``None`` covers every defect uniformly: unknown key, kind or
+        schema mismatch (stale format), missing, torn or corrupt object
+        file — a partially-written object is treated as absent.
+        """
+        entry = self._current_entry(key, kind)
+        return None if entry is None else self._read_verified(entry)
 
     # -- typed codecs ---------------------------------------------------
     def put_object(self, key: str, obj: object, kind: str) -> str:
@@ -251,23 +256,6 @@ class RunStore:
         except Exception:  # corrupt-but-digest-valid should be impossible;
             return None    # treat defensively as absent all the same
 
-    def put_json(self, key: str, obj: object) -> str:
-        return self.put_bytes(
-            key,
-            json.dumps(obj, sort_keys=True).encode("utf-8"),
-            kind="json",
-            codec="json",
-        )
-
-    def get_json(self, key: str) -> Optional[object]:
-        payload = self.get_bytes(key, kind="json")
-        if payload is None:
-            return None
-        try:
-            return json.loads(payload.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return None
-
     # -- codec-dispatched typed artifacts -------------------------------
     def _decode_with_codec(
         self, key: str, kind: str, mode: str, **ctx
@@ -276,46 +264,30 @@ class RunStore:
 
         ``mode="copy"`` reads + fully digest-verifies the payload, then
         decodes; ``mode="mmap"`` (for codecs that support ``open``)
-        validates only the artifact header and hands the codec the file
-        path + payload offset, so the object comes back as read-only
-        memmap views sharing the page cache across processes.  Any
-        defect — unknown codec (newer or retired), mismatched
-        header, corrupt section, undecodable payload — reads as
-        ``None``, the store's uniform "absent" answer.
+        hands the codec the object file's path, so the object comes
+        back as read-only memmap views sharing the page cache across
+        processes — the codec checks the blob framing (magic, version,
+        every section inside the file), which catches truncation.  Any
+        defect — unknown codec (newer or retired), digest mismatch,
+        bad framing, undecodable payload — reads as ``None``, the
+        store's uniform "absent" answer.
         """
         from repro.io import codecs
         from repro.store.blobfmt import BlobError
 
-        entry = self.entry(key)
-        if entry is None or entry.get("kind") != kind:
-            return None
-        if entry.get("schema") != KIND_SCHEMAS[kind]:
+        entry = self._current_entry(key, kind)
+        if entry is None:
             return None
         codec = codecs.lookup(kind, str(entry.get("codec")))
         if codec is None:
             return None
-        path = self._object_path(str(entry["digest"]))
         if mode == "mmap" and codec.open is not None:
-            from repro.store.artifacts import read_artifact_header
-
             try:
-                header, offset = read_artifact_header(path)
-            except ArtifactError:
-                return None
-            if (
-                header.get("kind") != kind
-                or header.get("schema") != KIND_SCHEMAS[kind]
-            ):
-                return None
-            try:
-                return codec.open(path, offset, **ctx)
+                return codec.open(self._object_path(str(entry["digest"])), **ctx)
             except (BlobError, codecs.CodecError, OSError, ValueError, KeyError):
                 return None
-        try:
-            header, payload = read_artifact(path)
-        except ArtifactError:
-            return None
-        if header.get("kind") != kind or header.get("schema") != KIND_SCHEMAS[kind]:
+        payload = self._read_verified(entry)
+        if payload is None:
             return None
         try:
             return codec.decode(payload, **ctx)
@@ -336,7 +308,7 @@ class RunStore:
         """The stored training set, or ``None``.
 
         ``mode="mmap"`` returns a column-backed set whose arrays are
-        read-only views over the artifact file.  A retired ``csv``
+        read-only views over the object file.  A retired ``csv``
         entry reads as ``None``, like any unknown codec.
         """
         return self._decode_with_codec(
@@ -365,7 +337,7 @@ class RunStore:
         """The stored model, or ``None``.
 
         ``mode="mmap"`` maps the node tables and bin edges read-only
-        from the artifact file — loading touches no array data, and N
+        from the object file — loading touches no array data, and N
         processes share one page-cache copy.  Predictions are
         bit-for-bit identical on every path.
         """
@@ -485,12 +457,12 @@ def report_fingerprint(report: "TuningReport") -> str:
     config = report.configuration
     doc = {
         "program": report.program,
-        "datasize": repr(report.datasize),
-        "configuration": {name: repr(config[name]) for name in config},
-        "predicted_seconds": repr(report.predicted_seconds),
-        "ga_history": [repr(v) for v in report.ga.history],
+        "datasize": exact(report.datasize),
+        "configuration": {name: exact(config[name]) for name in config},
+        "predicted_seconds": exact(report.predicted_seconds),
+        "ga_history": [exact(v) for v in report.ga.history],
         "ga_generations": report.ga.generations,
-        "model_holdout_error": repr(report.model_holdout_error),
-        "collecting_simulated_hours": repr(report.collecting_simulated_hours),
+        "model_holdout_error": exact(report.model_holdout_error),
+        "collecting_simulated_hours": exact(report.collecting_simulated_hours),
     }
-    return payload_digest(json.dumps(doc, sort_keys=True).encode("utf-8"))
+    return canonical_digest(doc)

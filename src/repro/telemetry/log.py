@@ -30,6 +30,17 @@ class _CurrentStdout:
             pass
 
 
+class _StdoutHandler(logging.StreamHandler):
+    """Lets ``BrokenPipeError`` propagate: once the reader of stdout is
+    gone (``| head``), the command stops instead of printing one
+    "Logging error" traceback per remaining record."""
+
+    def handleError(self, record: logging.LogRecord) -> None:
+        if isinstance(sys.exc_info()[1], BrokenPipeError):
+            raise
+        super().handleError(record)
+
+
 _HANDLER: Optional[logging.Handler] = None
 
 
@@ -49,7 +60,7 @@ def configure_logging(verbose: int = 0, quiet: bool = False) -> logging.Logger:
     global _HANDLER
     root = logging.getLogger("repro")
     if _HANDLER is None:
-        _HANDLER = logging.StreamHandler(_CurrentStdout())
+        _HANDLER = _StdoutHandler(_CurrentStdout())
         _HANDLER.setFormatter(logging.Formatter("%(message)s"))
         root.addHandler(_HANDLER)
         root.propagate = False

@@ -277,6 +277,28 @@ class TestJobsCliAcrossProcesses:
         assert "collect" in out
         assert "job.completed" in out  # the follow saw the job finish
 
+    def test_trace_follow_into_closed_pipe_stops_quietly(self, tmp_path):
+        """``repro trace --follow | head -1``: once the reader is gone the
+        follow stops at once, exits non-zero and writes nothing to stderr."""
+        events = tmp_path / "events.jsonl"
+        record = {"kind": "event", "name": "tick", "fields": {"pad": "x" * 200}}
+        events.write_text((json.dumps(record) + "\n") * 2000)  # > a pipe buffer
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", "trace", str(events),
+             "--follow", "--idle-timeout", "30"],
+            env={**os.environ, "PYTHONPATH": SRC},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            assert child.stdout.readline()
+            child.stdout.close()
+            assert child.wait(timeout=20) != 0
+            assert b"Logging error" not in child.stderr.read()
+        finally:
+            child.kill()
+            child.wait()
+
 
 class TestWorkerCommand:
     """The ``repro worker`` front end over the lease-based loop."""

@@ -44,6 +44,15 @@ class TestPerformanceVector:
                 space, [5.0, seconds], 10.0, datasize_bytes, [space.default()] * 2
             )
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["seconds", "datasize", "datasize_bytes"])
+    def test_non_finite_rejected_by_vectors_and_row_blocks(self, space, field, value):
+        bad = {"seconds": 5.0, "datasize": 10.0, "datasize_bytes": 1e9, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            PerformanceVector(configuration=space.default(), **bad)
+        with pytest.raises(ValueError, match="finite"):
+            performance_rows(space, configurations=[space.default()], **bad)
+
 
 class TestCollector:
     def test_sizes_satisfy_equation4(self):

@@ -1,5 +1,8 @@
 """Tests for CSV training sets and spark-dac.conf round trips."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -55,6 +58,16 @@ class TestTrainingSetCsv:
         path.write_text(header + "\n")
         with pytest.raises(ValueError, match="no data rows"):
             load_training_set(path, SPARK_CONF_SPACE)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["t_seconds", "dsize", "dsize_bytes"])
+    def test_non_finite_meta_value_rejected(self, small_training_set, column, value):
+        rows = list(csv.reader(io.StringIO(dumps_training_set(small_training_set))))
+        rows[1][rows[0].index(column)] = value
+        text = io.StringIO()
+        csv.writer(text).writerows(rows)
+        with pytest.raises(ValueError, match="finite"):
+            loads_training_set(text.getvalue(), SPARK_CONF_SPACE)
 
     def test_loaded_set_merged_with_a_collection_matches_golden(self, terasort):
         """A CSV-loaded set topped up by ``merged_with`` (DacSession's

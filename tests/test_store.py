@@ -1,7 +1,8 @@
-"""The run store: artifact containers, index, typed codecs, job records."""
+"""The run store: object files, index, typed codecs, job records, digests."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,70 +16,80 @@ from repro.core.collecting import Collector, TrainingSet
 from repro.core.ga import GeneticAlgorithm
 from repro.core.tuner import DacTuner
 from repro.common.rng import derive_rng
+from repro.service.jobs import TuneRequest, request_fingerprint
+from repro.sparksim.scenario import ScenarioRunner, builtin_trace, scenario_fingerprint
 from repro.store import (
-    ArtifactError,
     KIND_SCHEMAS,
     RunStore,
     STORE_SCHEMA,
     StoreError,
     payload_digest,
-    read_artifact,
     report_fingerprint,
-    write_artifact,
 )
 from repro.workloads import get_workload
 
 
 # ----------------------------------------------------------------------
-# Artifact container
+# Object files: each is its bare payload, named by the payload's SHA-256
 # ----------------------------------------------------------------------
 class TestArtifacts:
     def test_round_trip(self, tmp_path):
-        path = tmp_path / "blob"
+        store = RunStore(tmp_path / "store")
         payload = b"x" * 1000
-        digest = write_artifact(path, payload, kind="bytes", schema=3, codec="raw")
-        header, read_back = read_artifact(path)
-        assert read_back == payload
-        assert digest == payload_digest(payload)
-        assert header["kind"] == "bytes"
-        assert header["schema"] == 3
-        assert header["codec"] == "raw"
-        assert header["size"] == 1000
-        assert header["sha256"] == digest
+        digest = store.put_bytes("k", payload)
+        path = store._object_path(digest)
+        assert path.read_bytes() == payload
+        assert path.name == digest == payload_digest(payload)
+        assert store.get_bytes("k") == payload
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ArtifactError):
-            read_artifact(tmp_path / "nope")
+        store = RunStore(tmp_path / "store")
+        store._object_path(store.put_bytes("k", b"v")).unlink()
+        assert store.get_bytes("k") is None
 
-    def test_truncated_payload(self, tmp_path):
-        path = tmp_path / "blob"
-        write_artifact(path, b"abcdefgh" * 64, kind="bytes", schema=1, codec="raw")
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-17])  # torn write
-        with pytest.raises(ArtifactError, match="truncated"):
-            read_artifact(path)
+    def test_truncated_payload(self, tmp_path, terasort):
+        """A torn object reads as absent on both paths: the copy read
+        by its digest, the mmap read by the blob framing."""
+        store = RunStore(tmp_path / "store")
+        training = Collector(terasort, seed=3).collect(20, stream="train")
+        path = store._object_path(store.put_training_set("ts", training))
+        path.write_bytes(path.read_bytes()[:-17])
+        assert store.get_training_set("ts") is None
+        assert store.get_training_set("ts", mode="mmap") is None
 
     def test_corrupt_payload(self, tmp_path):
-        path = tmp_path / "blob"
-        write_artifact(path, b"abcdefgh" * 64, kind="bytes", schema=1, codec="raw")
+        store = RunStore(tmp_path / "store")
+        path = store._object_path(store.put_object("r", {"x": 1.5}, kind="report"))
         blob = bytearray(path.read_bytes())
-        blob[-1] ^= 0xFF  # same length, wrong content
+        blob[len(blob) // 2] ^= 0xFF  # same length, wrong content
         path.write_bytes(bytes(blob))
-        with pytest.raises(ArtifactError, match="digest"):
-            read_artifact(path)
+        assert store.get_object("r", kind="report") is None
 
-    def test_not_an_artifact(self, tmp_path):
-        path = tmp_path / "blob"
-        path.write_bytes(b'{"magic": "something-else"}\npayload')
-        with pytest.raises(ArtifactError, match="not an artifact"):
-            read_artifact(path)
-        path.write_bytes(b"no header newline at all")
-        with pytest.raises(ArtifactError):
-            read_artifact(path)
+    def test_not_an_artifact(self, tmp_path, terasort):
+        store = RunStore(tmp_path / "store")
+        training = Collector(terasort, seed=3).collect(20, stream="train")
+        for digest in (
+            store.put_object("r", [1, 2, 3], kind="report"),
+            store.put_training_set("ts", training),
+        ):
+            store._object_path(digest).write_bytes(b"foreign bytes")
+        assert store.get_object("r", kind="report") is None
+        assert store.get_training_set("ts", mode="mmap") is None
+
+    def test_same_payload_under_two_kinds(self, tmp_path):
+        store = RunStore(tmp_path / "store")
+        state = {"generation": 3}
+        store.put_object("a", state, kind="report")
+        store.put_object("b", state, kind="ga_state")
+        assert store.get_object("a", kind="report") == state
+        assert store.get_object("b", kind="ga_state") == state
 
     def test_no_tmp_litter(self, tmp_path):
-        write_artifact(tmp_path / "a", b"x", kind="bytes", schema=1, codec="raw")
-        assert [p.name for p in tmp_path.iterdir()] == ["a"]
+        store = RunStore(tmp_path / "store")
+        digest = store.put_bytes("k", b"x")
+        assert [p.name for p in store._object_path(digest).parent.iterdir()] == [
+            digest
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -103,7 +114,7 @@ class TestRunStore:
     def test_kind_mismatch_reads_absent(self, tmp_path):
         store = RunStore(tmp_path / "store")
         store.put_bytes("k", b"v", kind="bytes")
-        assert store.get_bytes("k", kind="json") is None
+        assert store.get_bytes("k", kind="report") is None
 
     def test_schema_bump_invalidates(self, tmp_path, monkeypatch):
         store = RunStore(tmp_path / "store")
@@ -137,10 +148,11 @@ class TestRunStore:
         root = tmp_path / "store"
         RunStore(root)
         meta = json.loads((root / "meta.json").read_text())
-        meta["store_schema"] = STORE_SCHEMA + 1
-        (root / "meta.json").write_text(json.dumps(meta))
-        with pytest.raises(StoreError, match="schema"):
-            RunStore(root)
+        for stale in (STORE_SCHEMA + 1, 1):  # newer, and headered objects
+            meta["store_schema"] = stale
+            (root / "meta.json").write_text(json.dumps(meta))
+            with pytest.raises(StoreError, match="schema"):
+                RunStore(root)
 
     def test_cross_process_round_trip(self, tmp_path):
         """A value written by another process reads back verbatim."""
@@ -241,3 +253,58 @@ class TestJobRecords:
         store.save_job("ok", {"job_id": "ok", "created": 1.0})
         (tmp_path / "store" / "jobs" / "bad.json").write_text("{torn")
         assert [r["job_id"] for r in store.list_jobs()] == ["ok"]
+
+
+# ----------------------------------------------------------------------
+# Fingerprints: one canonical digest, goldens recorded before it existed
+# ----------------------------------------------------------------------
+class TestFingerprints:
+    def test_request_fingerprint_golden(self):
+        requests = [
+            TuneRequest(program="TS", size=10.0),
+            TuneRequest(
+                program="WC", size=20.0, n_train=60, n_trees=20, seed=4,
+                patience=None, budget=30,
+            ),
+            TuneRequest(
+                program="KM", kind="collect", n_train=40, warm_from="job-abc",
+                learning_rate=0.05,
+            ),
+        ]
+        assert [request_fingerprint(r) for r in requests] == [
+            "b1875515e867230224a4070352e7fe9c3339ec54106bdbc981f0abe6a71b0201",
+            "9d2f9fbef8d544322d9e12cc58753133e0ff89d72d46b411b16fbb70c58afa2d",
+            "b4bb9c6df784ffb41e12406f6f081901eccb31f505d3965526d9bfe164d6cc6e",
+        ]
+
+    @pytest.mark.parametrize(
+        "trace, digest",
+        [
+            ("rush", "391d2615e7742d49383f4c3a623cec82c9f94e7c4c5194423502b9ca5e71093a"),
+            ("smoke", "f62f2e2a0b2259d06182347a37e0f4dfc56bbc9ffc02a86d4ba8148f4c767e4d"),
+            ("spot", "4ef0f98de9d076cc32fd3b9442eb43b14128189d747c97826225c470f5d22950"),
+        ],
+    )
+    def test_scenario_fingerprint_golden(self, trace, digest):
+        report = ScenarioRunner().run(builtin_trace(trace), seed=3)
+        assert scenario_fingerprint(report) == digest
+
+    def test_report_fingerprint_golden(self):
+        tuner = DacTuner(get_workload("WC"), n_train=60, n_trees=20, seed=4)
+        tuner.collect()
+        tuner.fit()
+        report = tuner.tune(20.0, generations=10, patience=None)
+        assert report_fingerprint(report) == (
+            "4ff0f62132de438db1cef7269e3ad7c009fa5fff548efac481b54b8d2f32c35e"
+        )
+
+    def test_numpy_scalar_is_refused(self, terasort):
+        tuner = DacTuner(terasort, n_train=30, n_trees=10, seed=0)
+        tuner.collect()
+        tuner.fit()
+        report = tuner.tune(10.0, generations=2, patience=None)
+        report = dataclasses.replace(
+            report, predicted_seconds=np.float64(report.predicted_seconds)
+        )
+        with pytest.raises(TypeError, match="float64"):
+            report_fingerprint(report)

@@ -105,11 +105,8 @@ class TestBlobRoundTripProperty:
     def test_mapped_views_match_decoded_views(self, tmp_path_factory, sections):
         blob = encode_sections(sections, kind="test")
         path = tmp_path_factory.mktemp("blob") / "container"
-        prefix = b"artifact-header-stand-in\n"
-        path.write_bytes(prefix + blob)
-        header, views = map_sections(
-            path, offset=len(prefix), length=len(blob), verify=True
-        )
+        path.write_bytes(blob)
+        header, views = map_sections(path, verify=True)
         for name, original in sections.items():
             assert views[name].tobytes() == original.tobytes()
             assert not views[name].flags.writeable

@@ -5,7 +5,9 @@ it can; the parent SIGKILLs it at an arbitrary moment and then reads.
 The store's contract: the parent sees a complete, digest-valid version
 (any version) or nothing — never torn bytes.  A second test drives the
 full job pipeline in a subprocess, kills it mid-collection, and resumes
-to the byte-identical report (the serving layer's acceptance property).
+to the byte-identical report (the serving layer's acceptance property);
+a third crashes deterministically between a collect checkpoint's
+training-set put and its record save.
 """
 
 from __future__ import annotations
@@ -116,6 +118,21 @@ REQUEST = dict(
 )
 
 
+def _reference_fingerprint() -> str:
+    """The report of the identical request, uninterrupted, no service."""
+    tuner = DacTuner(
+        get_workload("TS"),
+        n_train=REQUEST["n_train"],
+        n_trees=REQUEST["n_trees"],
+        seed=REQUEST["seed"],
+    )
+    tuner.collect()
+    tuner.fit()
+    return report_fingerprint(
+        tuner.tune(REQUEST["size"], generations=REQUEST["generations"], patience=None)
+    )
+
+
 def test_sigkill_mid_job_resume_matches_uninterrupted(tmp_path):
     root = tmp_path / "store"
     service = JobService(root, use_cache=False)
@@ -142,32 +159,26 @@ def test_sigkill_mid_job_resume_matches_uninterrupted(tmp_path):
     crashed = JobRecord.from_dict(RunStore(root).load_job(record.job_id))
     assert crashed.state == "running"
     assert crashed.resumable
+    # Each checkpoint puts the training set before it saves the record,
+    # so the kill may land with the store one batch (10 rows) ahead.
+    recorded = 10 * crashed.progress["collect"]["batches_done"]
+    partial = RunStore(root).get_training_set(crashed.artifact_key("training"))
+    assert len(partial) in (recorded, recorded + 10)
 
     resumed = JobService(root, use_cache=False).resume(record.job_id)
     assert resumed.state == DONE
 
-    # Reference: the identical request, uninterrupted, no service.
-    tuner = DacTuner(
-        get_workload("TS"),
-        n_train=REQUEST["n_train"],
-        n_trees=REQUEST["n_trees"],
-        seed=REQUEST["seed"],
-    )
-    tuner.collect()
-    tuner.fit()
-    reference = tuner.tune(
-        REQUEST["size"], generations=REQUEST["generations"], patience=None
-    )
+    reference = _reference_fingerprint()
     stored = RunStore(root).get_report(resumed.artifact_key("report"))
-    assert report_fingerprint(stored) == report_fingerprint(reference)
-    assert resumed.result["fingerprint"] == report_fingerprint(reference)
+    assert report_fingerprint(stored) == reference
+    assert resumed.result["fingerprint"] == reference
 
-    # Resume efficiency: the second session re-ran only the unfinished
-    # suffix of the collection — strictly fewer than starting over.
+    # Resume efficiency: the first session's saved record counts the
+    # batches it recorded, and the second re-ran only the rows the
+    # stored set lacked — not a re-collection from scratch.
     runs = {int(k): v for k, v in resumed.runs_by_session.items()}
-    assert runs[1] >= 1
-    assert runs[2] < REQUEST["n_train"]
-    assert runs[1] + runs[2] == REQUEST["n_train"]
+    assert runs[1] == recorded
+    assert runs[2] == REQUEST["n_train"] - len(partial)
 
     # The event logs of both sessions landed in one file that still
     # parses (torn tail from the kill is skipped).
@@ -177,3 +188,34 @@ def test_sigkill_mid_job_resume_matches_uninterrupted(tmp_path):
     names = {r.get("name") for r in events.records}
     assert "collect.size" in names
     assert "ga.generation" in names
+
+
+class _Crash(BaseException):
+    """Stands in for SIGKILL: no ``except Exception`` handler stops it."""
+
+
+def test_crash_between_put_and_record_save_resumes_from_stored_set(
+    tmp_path, monkeypatch
+):
+    """The second collect checkpoint's training set lands, then its
+    record save dies: the store is one batch ahead of ``batches_done``.
+    The resume continues from the stored 20 rows, not from scratch."""
+    root = tmp_path / "store"
+    service = JobService(root, use_cache=False)
+    record = service.submit(TuneRequest(**REQUEST))
+    save_job = RunStore.save_job
+
+    def save_job_crashing_at_batch_2(self, job_id, data):
+        if data["progress"].get("collect", {}).get("batches_done") == 2:
+            raise _Crash()
+        save_job(self, job_id, data)
+
+    monkeypatch.setattr(RunStore, "save_job", save_job_crashing_at_batch_2)
+    with pytest.raises(_Crash):
+        service.resume(record.job_id)
+    monkeypatch.undo()
+
+    resumed = JobService(root, use_cache=False).resume(record.job_id)
+    assert resumed.state == DONE
+    assert resumed.runs_by_session == {"1": 10, "2": 80}
+    assert resumed.result["fingerprint"] == _reference_fingerprint()
