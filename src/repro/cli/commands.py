@@ -134,7 +134,7 @@ EXPERIMENTS = tuple(_experiment_registry())
 
 def cmd_tune(args: argparse.Namespace) -> int:
     if getattr(args, "store", None):
-        return _tune_via_service(args)
+        return _run_via_service(args, "tune")
     with telemetry_session(args):
         workload = get_workload(args.program)
         log.info(
@@ -192,7 +192,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 def cmd_collect(args: argparse.Namespace) -> int:
     if getattr(args, "store", None):
-        return _collect_via_service(args)
+        return _run_via_service(args, "collect")
     with telemetry_session(args):
         workload = get_workload(args.program)
         engine = build_backend(args)
@@ -412,7 +412,6 @@ def _build_service(args: argparse.Namespace):
     return JobService(
         Path(args.store),
         engine_factory=lambda: build_backend(args),
-        max_concurrent=getattr(args, "max_concurrent", 1) or 1,
         use_cache=not getattr(args, "no_cache", False),
     )
 
@@ -453,35 +452,31 @@ def _report_job(record) -> None:
         log.info("  substrate executions: %s", sessions)
 
 
-def _tune_via_service(args: argparse.Namespace) -> int:
+def _run_via_service(args: argparse.Namespace, kind: str) -> int:
+    """``tune``/``collect --store``: submit one job and run it here.
+
+    ``--output`` receives the tuned configuration of a tune job, or the
+    training set of a collect job.
+    """
     with telemetry_session(args):
         service = _build_service(args)
-        record = service.submit(_request_from_args(args, "tune"))
+        record = service.submit(_request_from_args(args, kind))
         log.info("submitted job %s to %s", record.job_id, args.store)
         record = service.resume(record.job_id)
         _report_job(record)
-        if record.state == "done" and args.output:
-            report = service.store.get_report(record.artifact_key("report"))
-            if report is not None:
-                save_spark_conf(report.configuration, args.output)
-                log.info("  wrote %s", args.output)
-    return 0 if record.state == "done" else 1
-
-
-def _collect_via_service(args: argparse.Namespace) -> int:
-    with telemetry_session(args):
-        service = _build_service(args)
-        record = service.submit(_request_from_args(args, "collect"))
-        log.info("submitted job %s to %s", record.job_id, args.store)
-        record = service.resume(record.job_id)
-        _report_job(record)
-        if record.state == "done" and getattr(args, "output", None):
-            training = service.store.get_training_set(
-                record.artifact_key("training")
-            )
-            if training is not None:
-                save_training_set(training, args.output)
-                log.info("  wrote %s", args.output)
+        output = getattr(args, "output", None)
+        if record.state == "done" and output:
+            store = service.store
+            if kind == "tune":
+                report = store.get_report(record.artifact_key("report"))
+                if report is not None:
+                    save_spark_conf(report.configuration, output)
+                    log.info("  wrote %s", output)
+            else:
+                training = store.get_training_set(record.artifact_key("training"))
+                if training is not None:
+                    save_training_set(training, output)
+                    log.info("  wrote %s", output)
     return 0 if record.state == "done" else 1
 
 
@@ -835,55 +830,19 @@ def cmd_top(args: argparse.Namespace) -> int:
     ``--once --json`` emits the identical snapshot machine-readably;
     ``--prometheus``/``--snapshot`` additionally export every frame.
     """
-    import sys as _sys
-
     from repro.store import RunStore
-    from repro.telemetry.dashboard import FleetDashboard, render_snapshot, run_top
-    from repro.telemetry.export import write_json_snapshot, write_prometheus
+    from repro.telemetry.dashboard import run_top
 
-    store = RunStore(Path(args.store))
-    prometheus_path = getattr(args, "prometheus", None)
-    snapshot_path = getattr(args, "snapshot", None)
-    if prometheus_path is None and snapshot_path is None:
-        return run_top(
-            store,
-            interval=args.interval,
-            frames=getattr(args, "frames", None),
-            once=getattr(args, "once", False),
-            as_json=getattr(args, "as_json", False),
-            color=False if getattr(args, "no_color", False) else None,
-        )
-
-    # Exporting loop: render + write side files each frame.
-    import json as _json
-    import time as _time
-
-    dashboard = FleetDashboard(store)
-    frames_left = getattr(args, "frames", None)
-    once = getattr(args, "once", False)
-    try:
-        while True:
-            snap = dashboard.snapshot()
-            if prometheus_path:
-                write_prometheus(prometheus_path, fleet_snapshot=snap)
-            if snapshot_path:
-                write_json_snapshot(snapshot_path, snap)
-            if getattr(args, "as_json", False):
-                _sys.stdout.write(
-                    _json.dumps(snap, sort_keys=True, default=str) + "\n"
-                )
-            else:
-                _sys.stdout.write(render_snapshot(snap, color=False) + "\n")
-            _sys.stdout.flush()
-            if once:
-                return 0
-            if frames_left is not None:
-                frames_left -= 1
-                if frames_left <= 0:
-                    return 0
-            _time.sleep(args.interval)
-    except KeyboardInterrupt:
-        return 0
+    return run_top(
+        RunStore(Path(args.store)),
+        interval=args.interval,
+        frames=getattr(args, "frames", None),
+        once=getattr(args, "once", False),
+        as_json=getattr(args, "as_json", False),
+        color=False if getattr(args, "no_color", False) else None,
+        prometheus_path=getattr(args, "prometheus", None),
+        snapshot_path=getattr(args, "snapshot", None),
+    )
 
 
 def cmd_store(args: argparse.Namespace) -> int:

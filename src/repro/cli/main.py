@@ -297,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_jobs = _jobs_parser("run", "run queued jobs (priority order)")
     run_jobs.add_argument("--max-jobs", type=int, default=None, metavar="N")
-    run_jobs.add_argument("--max-concurrent", type=int, default=1, metavar="N",
-                          help="worker threads draining the queue")
 
     resume = _jobs_parser("resume", "continue interrupted jobs from checkpoints")
     resume.add_argument("job_id", nargs="?", default=None)

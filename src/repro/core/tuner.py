@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -154,20 +154,16 @@ class DacTuner:
         return self.training_set
 
     def restore(
-        self,
-        training_set: TrainingSet,
-        model: Optional[HierarchicalModel] = None,
-        collect_hours: float = 0.0,
+        self, training_set: TrainingSet, collect_hours: float = 0.0
     ) -> "DacTuner":
-        """Rehydrate from persisted artifacts instead of re-collecting.
+        """Rehydrate from a persisted training set instead of collecting.
 
         The job service uses this to rebuild a tuner from a
-        :class:`~repro.store.RunStore`'s training set and (optionally)
-        fitted model when resuming a checkpointed run.
+        :class:`~repro.store.RunStore`'s training set when resuming a
+        checkpointed run; it sets :attr:`model` itself once the fit
+        phase has one.
         """
         self.training_set = training_set
-        if model is not None:
-            self.model = model
         self._collect_hours = collect_hours
         return self
 

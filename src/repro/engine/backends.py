@@ -18,6 +18,8 @@ backends ship:
 Failure policy (shared by both): a simulator exception retries with
 bounded exponential backoff; an exhausted request yields a typed
 :class:`FailedRun` in its batch slot instead of poisoning the batch.
+Both run the simulator at its default measurement noise, so both
+report the same :meth:`~ExecutionBackend.signature` for a cluster.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.common.space import Configuration
 from repro.engine.request import (
@@ -159,7 +161,6 @@ class InProcessBackend(ExecutionBackend):
     def __init__(
         self,
         cluster: ClusterSpec = PAPER_CLUSTER,
-        noise_sigma: Optional[float] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         backoff_seconds: float = DEFAULT_BACKOFF_SECONDS,
         simulator: Optional[SparkSimulator] = None,
@@ -168,12 +169,9 @@ class InProcessBackend(ExecutionBackend):
         self.cluster = cluster
         self.max_attempts = max_attempts
         self.backoff_seconds = backoff_seconds
-        if simulator is not None:
-            self._simulator = simulator
-        elif noise_sigma is not None:
-            self._simulator = SparkSimulator(cluster, noise_sigma)
-        else:
-            self._simulator = SparkSimulator(cluster)
+        if simulator is None:
+            simulator = SparkSimulator(cluster)
+        self._simulator = simulator
 
     def submit(self, requests: Sequence[ExecRequest]) -> List[ExecOutcome]:
         # Sequential execution: a request's queue wait is the time the
@@ -205,25 +203,19 @@ class InProcessBackend(ExecutionBackend):
 _WORKER_SIMULATOR: Optional[SparkSimulator] = None
 
 
-def _init_worker(cluster: ClusterSpec, noise_sigma: Optional[float]) -> None:
+def _init_worker(cluster: ClusterSpec) -> None:
     global _WORKER_SIMULATOR
-    if noise_sigma is not None:
-        _WORKER_SIMULATOR = SparkSimulator(cluster, noise_sigma)
-    else:
-        _WORKER_SIMULATOR = SparkSimulator(cluster)
+    _WORKER_SIMULATOR = SparkSimulator(cluster)
 
 
-def _run_in_worker(
-    payload: Tuple[JobSpec, Configuration, int, float],
-) -> ExecOutcome:
-    job, config, max_attempts, backoff_seconds = payload
+def _run_in_worker(request: ExecRequest) -> ExecOutcome:
     assert _WORKER_SIMULATOR is not None, "worker initializer did not run"
     return _execute_with_retry(
         _WORKER_SIMULATOR,
-        job,
-        config,
-        max_attempts,
-        backoff_seconds,
+        request.job,
+        request.config,
+        DEFAULT_MAX_ATTEMPTS,
+        DEFAULT_BACKOFF_SECONDS,
         ProcessPoolBackend.name,
     )
 
@@ -244,18 +236,12 @@ class ProcessPoolBackend(ExecutionBackend):
         self,
         jobs: Optional[int] = None,
         cluster: ClusterSpec = PAPER_CLUSTER,
-        noise_sigma: Optional[float] = None,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        backoff_seconds: float = DEFAULT_BACKOFF_SECONDS,
     ):
         super().__init__()
         self.jobs = jobs if jobs else (os.cpu_count() or 1)
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
         self.cluster = cluster
-        self.noise_sigma = noise_sigma
-        self.max_attempts = max_attempts
-        self.backoff_seconds = backoff_seconds
         self._executor: Optional[ProcessPoolExecutor] = None
 
     def _pool(self) -> ProcessPoolExecutor:
@@ -263,21 +249,19 @@ class ProcessPoolBackend(ExecutionBackend):
             self._executor = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 initializer=_init_worker,
-                initargs=(self.cluster, self.noise_sigma),
+                initargs=(self.cluster,),
             )
         return self._executor
 
     def submit(self, requests: Sequence[ExecRequest]) -> List[ExecOutcome]:
         if not requests:
             return []
-        payloads = [
-            (r.job, r.config, self.max_attempts, self.backoff_seconds)
-            for r in requests
-        ]
         # ~4 chunks per worker balances scheduling slack against the
         # per-chunk pickling of shared objects (space, job specs).
-        chunksize = max(1, math.ceil(len(payloads) / (self.jobs * 4)))
-        outcomes = list(self._pool().map(_run_in_worker, payloads, chunksize=chunksize))
+        chunksize = max(1, math.ceil(len(requests) / (self.jobs * 4)))
+        outcomes = list(
+            self._pool().map(_run_in_worker, requests, chunksize=chunksize)
+        )
         for outcome in outcomes:
             self._recorder.record(outcome)
         return outcomes
@@ -289,12 +273,7 @@ class ProcessPoolBackend(ExecutionBackend):
         return list(self._pool().map(fn, items))
 
     def signature(self) -> str:
-        sigma = (
-            self.noise_sigma
-            if self.noise_sigma is not None
-            else SparkSimulator(self.cluster).noise_sigma
-        )
-        return f"sparksim|{self.cluster!r}|sigma={sigma!r}"
+        return InProcessBackend(self.cluster).signature()
 
     def close(self) -> None:
         if self._executor is not None:

@@ -154,10 +154,6 @@ class CachedBackend(ExecutionBackend):
     def __len__(self) -> int:
         return len(self._memory)
 
-    def clear_memory(self) -> None:
-        """Drop the in-memory layer (the disk layer, if any, survives)."""
-        self._memory.clear()
-
     # -- storage layers -------------------------------------------------
     def _lookup(self, key: str) -> Optional[RunResult]:
         run = self._memory.get(key)

@@ -61,18 +61,6 @@ class EngineStats:
     def simulated_hours(self) -> float:
         return self.simulated_seconds / 3600.0
 
-    def merged(self, other: "EngineStats") -> "EngineStats":
-        return EngineStats(
-            runs=self.runs + other.runs,
-            failures=self.failures + other.failures,
-            cache_hits=self.cache_hits + other.cache_hits,
-            cache_misses=self.cache_misses + other.cache_misses,
-            retries=self.retries + other.retries,
-            wall_seconds=self.wall_seconds + other.wall_seconds,
-            simulated_seconds=self.simulated_seconds + other.simulated_seconds,
-            backends=tuple(sorted(set(self.backends) | set(other.backends))),
-        )
-
     def summary(self) -> str:
         """One-line human rendering for CLI output."""
         parts = [f"{self.runs} runs"]

@@ -22,7 +22,10 @@ Routes::
     GET    /metrics             Prometheus text exposition (API metrics
                                 + fleet gauges)
 
-Three request-shaping layers run in order on every submission:
+A submission body is a :class:`~repro.service.jobs.TuneRequest`'s
+fields plus an optional ``priority``; any other key, or a malformed
+value, is answered with 400 before anything is stored.  Three
+request-shaping layers then run in order:
 
 1. **quota** — the tenant's token bucket
    (:class:`~repro.service.api.quota.QuotaManager`); empty → 429 with
@@ -104,7 +107,6 @@ class ApiServer:
         port: int = 0,
         quota: Optional[QuotaManager] = None,
         limits: Optional[HttpLimits] = None,
-        registry: Optional[MetricsRegistry] = None,
         max_queued: int = 256,
         server_id: Optional[str] = None,
     ):
@@ -118,7 +120,7 @@ class ApiServer:
         self.limits = limits if limits is not None else HttpLimits()
         #: The server's own live registry: `/metrics` must work whether
         #: or not process-global telemetry is enabled.
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.server_id = server_id or f"api-{uuid.uuid4().hex[:8]}"
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -396,6 +398,12 @@ class ApiServer:
             priority = int(doc.pop("priority", 0))
         except (TypeError, ValueError):
             raise HttpError(400, "priority must be an integer", close=False)
+        unknown = sorted(set(doc) - set(TuneRequest.__dataclass_fields__))
+        if unknown:
+            raise HttpError(
+                400, f"unknown request field(s): {', '.join(unknown)}",
+                close=False,
+            )
         try:
             tune_request = TuneRequest.from_dict(doc)
         except (TypeError, ValueError) as exc:
@@ -543,15 +551,13 @@ def _match(pattern: str, path: str) -> Optional[Dict[str, str]]:
 # ----------------------------------------------------------------------
 # The web view: the fleet snapshot as one static self-refreshing page.
 # ----------------------------------------------------------------------
-def render_fleet_html(
-    snapshot: Dict[str, object], refresh_seconds: int = 2
-) -> str:
+def render_fleet_html(snapshot: Dict[str, object]) -> str:
     """Render a dashboard snapshot as a framework-free HTML page.
 
     The page is static — no JavaScript, no assets — and re-requests
-    itself every ``refresh_seconds`` via ``<meta http-equiv="refresh">``,
-    which is all a glanceable fleet view needs and closes the "web view
-    on top of the same snapshot JSON" follow-up from the dashboard PR.
+    itself every 2 seconds via ``<meta http-equiv="refresh">``, which is
+    all a glanceable fleet view needs: a web view on top of the same
+    snapshot JSON.
     """
 
     def esc(value: object) -> str:
@@ -594,7 +600,7 @@ def render_fleet_html(
 <html lang="en">
 <head>
 <meta charset="utf-8">
-<meta http-equiv="refresh" content="{int(refresh_seconds)}">
+<meta http-equiv="refresh" content="2">
 <title>repro fleet — {esc(snapshot.get('store'))}</title>
 <style>
 body {{ font: 14px/1.4 system-ui, sans-serif; margin: 2em; color: #222; }}

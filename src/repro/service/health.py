@@ -8,11 +8,11 @@ TTL — carrying a monotonic sequence number, pid, host, and the job it
 is currently running.  Any process that can read the store can then
 classify every worker:
 
-* **ALIVE** — heartbeat younger than ``stale_after`` (2 intervals);
-* **STALE** — older than ``stale_after`` but not yet declared dead —
-  the worker may be wedged, paused, or partitioned;
-* **DEAD** — older than ``dead_after`` (3 intervals): treated as
-  crashed.  :func:`dead_worker_check` feeds this into
+* **ALIVE** — heartbeat younger than 2 of the writer's intervals;
+* **STALE** — older than that but not yet declared dead — the worker
+  may be wedged, paused, or partitioned;
+* **DEAD** — older than 3 intervals: treated as crashed.
+  :func:`dead_worker_check` feeds this into
   :meth:`LeaseManager.expired`, so a SIGKILLed worker's job is
   reclaimed in a few heartbeat intervals instead of a full lease TTL.
   Fencing tokens make this *safe* even when the verdict is wrong (a
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Union
 
-from repro.service.jobs import DONE, PHASES, QUEUED, RUNNING, JobRecord
+from repro.service.jobs import DONE, PHASES, QUEUED, RUNNING, JobRecord, read_jobs
 from repro.service.lease import LeaseInfo, LeaseManager
 from repro.store.artifacts import atomic_write
 
@@ -101,34 +101,19 @@ class Heartbeat:
         return max(0.0, now - self.wall)
 
 
-def heartbeat_status(
-    heartbeat: Heartbeat,
-    now: float,
-    stale_after: Optional[float] = None,
-    dead_after: Optional[float] = None,
-) -> str:
+def heartbeat_status(heartbeat: Heartbeat, now: float) -> str:
     """Classify a heartbeat at wall time ``now``.
 
-    Thresholds default to :data:`STALE_AFTER_INTERVALS` /
+    The thresholds are :data:`STALE_AFTER_INTERVALS` and
     :data:`DEAD_AFTER_INTERVALS` times the *writer's own* interval, so
     fleets can mix fast and slow beat rates.
     """
     if heartbeat.state == EXITED:
         return EXITED
-    stale_after = (
-        stale_after
-        if stale_after is not None
-        else STALE_AFTER_INTERVALS * heartbeat.interval
-    )
-    dead_after = (
-        dead_after
-        if dead_after is not None
-        else DEAD_AFTER_INTERVALS * heartbeat.interval
-    )
     age = heartbeat.age(now)
-    if age >= dead_after:
+    if age >= DEAD_AFTER_INTERVALS * heartbeat.interval:
         return DEAD
-    if age >= stale_after:
+    if age >= STALE_AFTER_INTERVALS * heartbeat.interval:
         return STALE
     return ALIVE
 
@@ -238,19 +223,13 @@ class HeartbeatWriter:
         while not self._stop.wait(self.interval):
             self.beat()
 
-    def stop(self, state: str = EXITED) -> None:
-        """Stop the loop and publish a final beat in ``state``."""
+    def stop(self) -> None:
+        """Stop the loop and publish a final ``exited`` beat."""
         self._stop.set()
         thread, self._thread = self._thread, None
         if thread is not None:
             thread.join(timeout=2.0 * self.interval)
-        self.beat(state=state)
-
-    def __enter__(self) -> "HeartbeatWriter":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+        self.beat(state=EXITED)
 
 
 # ----------------------------------------------------------------------
@@ -348,13 +327,7 @@ class FleetView:
         return read_heartbeats(self.store.health_dir)
 
     def records(self) -> List[JobRecord]:
-        records = []
-        for data in self.store.list_jobs():
-            try:
-                records.append(JobRecord.from_dict(data))
-            except (TypeError, ValueError):
-                continue
-        return records
+        return read_jobs(self.store)
 
     # -- joined rows ----------------------------------------------------
     def workers(self) -> List[Dict[str, object]]:

@@ -19,9 +19,11 @@ not the label the dying process never got to update.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 import uuid
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.store.artifacts import canonical_digest, exact
@@ -35,6 +37,35 @@ CANCELLED = "cancelled"
 
 #: Phase order of a tune job; a collect job stops after "collect".
 PHASES = ("collect", "fit", "search", "report")
+
+
+#: The type ``TuneRequest.__post_init__`` normalizes each field to;
+#: the fields in ``_OPTIONAL`` may also be None.
+_FIELD_TYPES = {
+    "program": str, "size": float, "kind": str, "n_train": int,
+    "n_trees": int, "learning_rate": float, "generations": int,
+    "population_size": int, "patience": int, "seed": int,
+    "warm_from": str, "budget": int,
+}
+_OPTIONAL = ("patience", "warm_from", "budget")
+
+
+def _normalized(name: str, value: object, kind: type) -> object:
+    """``value`` as ``kind``: a bool or string where a number belongs, a
+    non-finite number, or a fraction for an int field is refused."""
+    if type(value) is kind and (kind is not float or math.isfinite(value)):
+        return value
+    if kind is str or isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be {kind.__name__}, not {type(value).__name__}")
+    try:
+        converted = kind(value)
+    except (OverflowError, ValueError):  # int(inf), int(nan), float(10**400)
+        converted = None
+    if converted is None or converted != value or not (
+        kind is int or math.isfinite(converted)
+    ):
+        raise ValueError(f"{name} must be a finite {kind.__name__}, got {value!r}")
+    return converted
 
 
 @dataclass(frozen=True)
@@ -59,6 +90,15 @@ class TuneRequest:
     budget: Optional[int] = None
 
     def __post_init__(self) -> None:
+        # Normalize where the request is built, so int/float twins
+        # (JSON ``10`` and ``10.0``) share one fingerprint and malformed
+        # values fail at admission, not later inside a worker.
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if value is not None or name not in _OPTIONAL:
+                normalized = _normalized(name, value, kind)
+                if normalized is not value:
+                    object.__setattr__(self, name, normalized)
         if self.kind not in ("tune", "collect"):
             raise ValueError(f"unknown job kind {self.kind!r}")
         if self.kind == "tune" and self.size <= 0:
@@ -198,3 +238,20 @@ class JobRecord:
             self.phase,
             detail,
         ]
+
+
+def parse_job(data: Optional[Dict[str, Any]]) -> Optional[JobRecord]:
+    """A stored job record, or None when it is absent or unreadable —
+    one bad file must never take a listing, or the service, down."""
+    if data is None:
+        return None
+    try:
+        return JobRecord.from_dict(data)
+    except (TypeError, ValueError):
+        return None
+
+
+def read_jobs(store) -> List[JobRecord]:
+    """Every readable job record in ``store``, in listing order."""
+    records = (parse_job(data) for data in store.list_jobs())
+    return [record for record in records if record is not None]

@@ -32,7 +32,7 @@ import itertools
 import time
 import traceback
 from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -46,7 +46,8 @@ from repro.engine import (
 )
 from repro.service.budget import BudgetedBackend, BudgetExceeded
 from repro.service.health import job_progress
-from repro.service.jobs import CANCELLED, DONE, FAILED, RUNNING, JobRecord, TuneRequest
+from repro.service.jobs import CANCELLED, DONE, FAILED, RUNNING, JobRecord
+from repro.service.jobs import TuneRequest, parse_job
 from repro.service.lease import Lease, LeaseLost
 from repro.store import RunStore, report_fingerprint
 from repro.telemetry import events as tele
@@ -73,6 +74,10 @@ class DrainRequested(Exception):
 class JobRunner:
     """Executes one job at a time against a store, checkpointing as it goes.
 
+    Every unit of work ends in a checkpoint: a collect batch, an HM
+    order, a GA generation.  While :meth:`run` drives a job, the runner
+    holds that job's lease and renews it at each checkpoint.
+
     Parameters
     ----------
     store:
@@ -87,10 +92,6 @@ class JobRunner:
         Share substrate results across jobs/sessions through the
         store's ``cache/`` directory.  Crash-recovery tests disable it
         to prove resumption comes from checkpoints, not cached runs.
-    checkpoint_every:
-        Persist the GA state every N generations (1 = every
-        generation).  Collect and fit checkpoint at their natural
-        granularity regardless.
     """
 
     def __init__(
@@ -98,14 +99,10 @@ class JobRunner:
         store: RunStore,
         engine_factory: Optional[Callable[[], ExecutionBackend]] = None,
         use_cache: bool = True,
-        checkpoint_every: int = 1,
     ):
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be positive")
         self.store = store
         self.engine_factory = engine_factory or InProcessBackend
         self.use_cache = use_cache
-        self.checkpoint_every = checkpoint_every
         #: Graceful-drain hook: when set and it returns true, the runner
         #: stops at the next checkpoint boundary (after the persist),
         #: releases the lease and leaves the job RUNNING + resumable.
@@ -115,9 +112,9 @@ class JobRunner:
         #: checkpoint, on top of its own background thread — so a
         #: heartbeat is guaranteed fresh whenever durable progress lands.
         self.heartbeat = None
-        #: Per-job leases for runs in flight (keyed by job id so one
-        #: runner can drive several jobs from pool threads).
-        self._leases: Dict[str, Lease] = {}
+        #: The lease of the job :meth:`run` is driving (None between
+        #: jobs, or for a run without one).
+        self._lease: Optional[Lease] = None
 
     # ------------------------------------------------------------------
     def run(self, record: JobRecord, lease: Optional[Lease] = None) -> JobRecord:
@@ -130,8 +127,7 @@ class JobRunner:
         was stalled) abandons the job without committing anything
         further — the usurper owns it now.
         """
-        if lease is not None:
-            self._leases[record.job_id] = lease
+        self._lease = lease
         try:
             return self._run(record)
         except LeaseLost as exc:
@@ -140,10 +136,10 @@ class JobRunner:
             record.error = str(exc)
             return record
         finally:
-            held = self._leases.pop(record.job_id, None)
-            if held is not None:
+            self._lease = None
+            if lease is not None:
                 try:
-                    held.release()
+                    lease.release()
                 except OSError:  # pragma: no cover - lease dir vanished
                     pass
 
@@ -418,13 +414,9 @@ class JobRunner:
             state = store.get_ga_state(key)
 
         def on_generation(live_state):
-            generation = live_state.generation
-            if generation % self.checkpoint_every and generation:
-                return
-
             def persist():
                 store.put_ga_state(key, live_state)
-                progress["generation"] = generation
+                progress["generation"] = live_state.generation
 
             self._checkpoint(record, engine, session, persist)
 
@@ -481,15 +473,7 @@ class JobRunner:
                 session.close()
 
     def _load_record(self, job_id: Optional[str]) -> Optional[JobRecord]:
-        if not job_id:
-            return None
-        data = self.store.load_job(job_id)
-        if data is None:
-            return None
-        try:
-            return JobRecord.from_dict(data)
-        except (TypeError, ValueError):
-            return None
+        return parse_job(self.store.load_job(job_id)) if job_id else None
 
     def _checkpoint(
         self,
@@ -536,7 +520,7 @@ class JobRunner:
         if engine is not None:
             stats = engine.stats
             record.runs_by_session[session] = int(stats.runs - stats.cache_hits)
-        lease = self._leases.get(record.job_id)
+        lease = self._lease
         if lease is not None:
             lease.renew()  # LeaseLost when the job was taken over
             self._guard_fencing(record, lease)

@@ -2,12 +2,14 @@
 
 :class:`JobService` is the front door of the serving layer.  It accepts
 :class:`~repro.service.jobs.TuneRequest`\\ s, persists them as queued
-:class:`~repro.service.jobs.JobRecord`\\ s, and drains the queue through
-:class:`~repro.service.runner.JobRunner`\\ s — highest priority first,
-FIFO within a priority.  Admission control is two-sided: a cap on how
-many unfinished jobs the store may hold (:class:`AdmissionError` past
-it) and a default per-job substrate-run budget applied to requests that
-carry none.
+:class:`~repro.service.jobs.JobRecord`\\ s, caps how many unfinished
+jobs the store may hold (:class:`AdmissionError` past it), and drains
+the queue through its one :class:`~repro.service.runner.JobRunner`:
+:meth:`~JobService.run_pending`, :meth:`~JobService.resume_all` and the
+:meth:`~JobService.work` loop each claim and run one job at a time in
+the calling thread, in :func:`schedule_order` (highest priority first,
+FIFO within a priority).  The jobs hold the GIL, so parallelism comes
+from more worker processes on one store, not from threads.
 
 Everything durable lives in the store, so a service object is
 stateless: kill the process, construct a new service on the same
@@ -29,10 +31,9 @@ elsewhere) and resumes those from their last durable checkpoint.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.engine import ExecutionBackend
 from repro.service.health import (
@@ -48,6 +49,8 @@ from repro.service.jobs import (
     RUNNING,
     JobRecord,
     TuneRequest,
+    parse_job,
+    read_jobs,
 )
 from repro.service.lease import Lease, LeaseHeld, LeaseManager
 from repro.service.runner import JobRunner
@@ -69,30 +72,34 @@ class JobFinished(ValueError):
     """
 
 
+def schedule_order(jobs: Iterable[JobRecord]) -> List[JobRecord]:
+    """``jobs`` in scheduling order: highest priority first, FIFO
+    within a priority, job id breaking ties."""
+    return sorted(jobs, key=lambda job: (-job.priority, job.created, job.job_id))
+
+
 class JobService:
-    """Submit, schedule, resume and cancel tuning jobs on one store."""
+    """Submit, schedule, resume and cancel tuning jobs on one store.
+
+    ``engine_factory`` and ``use_cache`` configure the runner,
+    ``max_queued`` caps admission, and ``worker_id``, ``lease_ttl`` and
+    ``heartbeat_interval`` are this process's identity to other workers.
+    """
 
     def __init__(
         self,
         store: Union[RunStore, str, Path],
         engine_factory: Optional[Callable[[], ExecutionBackend]] = None,
-        max_concurrent: int = 1,
         max_queued: int = 32,
-        default_budget: Optional[int] = None,
         use_cache: bool = True,
-        checkpoint_every: int = 1,
         worker_id: Optional[str] = None,
         lease_ttl: float = 30.0,
         heartbeat_interval: Optional[float] = None,
     ):
-        if max_concurrent < 1:
-            raise ValueError("max_concurrent must be positive")
         if max_queued < 1:
             raise ValueError("max_queued must be positive")
         self.store = store if isinstance(store, RunStore) else RunStore(store)
-        self.max_concurrent = max_concurrent
         self.max_queued = max_queued
-        self.default_budget = default_budget
         self.heartbeat_interval = (
             heartbeat_interval
             if heartbeat_interval is not None
@@ -107,10 +114,7 @@ class JobService:
             dead_worker_check=dead_worker_check(self.store.health_dir),
         )
         self.runner = JobRunner(
-            self.store,
-            engine_factory=engine_factory,
-            use_cache=use_cache,
-            checkpoint_every=checkpoint_every,
+            self.store, engine_factory=engine_factory, use_cache=use_cache
         )
 
     @property
@@ -126,27 +130,17 @@ class JobService:
             raise AdmissionError(
                 f"queue full ({len(backlog)} active jobs >= {self.max_queued})"
             )
-        if request.budget is None and self.default_budget is not None:
-            request = replace(request, budget=self.default_budget)
         record = JobRecord.new(request, priority=priority)
         self.store.save_job(record.job_id, record.to_dict())
         return record
 
     def jobs(self) -> List[JobRecord]:
-        """Every readable job record in the store, oldest first."""
-        records = []
-        for data in self.store.list_jobs():
-            try:
-                records.append(JobRecord.from_dict(data))
-            except (TypeError, ValueError):
-                continue  # unreadable record: skip, never crash the service
-        return records
+        """Every readable job record in the store."""
+        return read_jobs(self.store)
 
     def pending(self) -> List[JobRecord]:
-        """Queued jobs in scheduling order (priority desc, then FIFO)."""
-        queue = [job for job in self.jobs() if job.state == QUEUED]
-        queue.sort(key=lambda job: (-job.priority, job.created, job.job_id))
-        return queue
+        """Queued jobs in scheduling order."""
+        return schedule_order(job for job in self.jobs() if job.state == QUEUED)
 
     def claimable(self) -> List[JobRecord]:
         """Work this worker could lease right now, in scheduling order.
@@ -155,14 +149,12 @@ class JobService:
         — the signature of a worker that died (or stalled past its TTL)
         mid-job and whose checkpoints are waiting to be taken over.
         """
-        candidates = []
-        for job in self.jobs():
-            if job.state not in (QUEUED, RUNNING):
-                continue
-            if self.leases.holder(job.job_id) is None:
-                candidates.append(job)
-        candidates.sort(key=lambda job: (-job.priority, job.created, job.job_id))
-        return candidates
+        return schedule_order(
+            job
+            for job in self.jobs()
+            if job.state in (QUEUED, RUNNING)
+            and self.leases.holder(job.job_id) is None
+        )
 
     def get(self, job_id: str) -> JobRecord:
         data = self.store.load_job(job_id)
@@ -186,12 +178,7 @@ class JobService:
         lease = self.leases.acquire(job_id)
         if lease is None:
             return None
-        data = self.store.load_job(job_id)
-        record: Optional[JobRecord]
-        try:
-            record = JobRecord.from_dict(data) if data is not None else None
-        except (TypeError, ValueError):
-            record = None
+        record = parse_job(self.store.load_job(job_id))
         if record is None or record.state not in states:
             lease.release()
             return None
@@ -199,11 +186,11 @@ class JobService:
 
     # -- execution ------------------------------------------------------
     def run_pending(self, max_jobs: Optional[int] = None) -> List[JobRecord]:
-        """Drain the queue through the worker pool; returns finished records."""
+        """Run the queued jobs in scheduling order; returns their records."""
         queue = self.pending()
         if max_jobs is not None:
             queue = queue[:max_jobs]
-        return self._run_all([job.job_id for job in queue], states=(QUEUED,))
+        return self._run_all(queue, states=(QUEUED,))
 
     def resume(self, job_id: str, budget: Optional[int] = None) -> JobRecord:
         """Continue one interrupted job from its last durable checkpoint.
@@ -243,35 +230,30 @@ class JobService:
     def resume_all(self) -> List[JobRecord]:
         """Resume every resumable (queued/failed/crashed-running) job."""
         self.store.refresh()
-        resumable = [job for job in self.jobs() if job.resumable]
-        resumable.sort(key=lambda job: (-job.priority, job.created, job.job_id))
-        return self._run_all(
-            [job.job_id for job in resumable], states=(QUEUED, RUNNING, FAILED)
-        )
+        resumable = schedule_order(job for job in self.jobs() if job.resumable)
+        return self._run_all(resumable, states=(QUEUED, RUNNING, FAILED))
 
     def work(
         self,
         poll_interval: float = 1.0,
         max_jobs: Optional[int] = None,
         idle_polls: Optional[int] = None,
-        should_stop: Optional[Callable[[], bool]] = None,
         drain: Optional[Callable[[], bool]] = None,
     ) -> List[JobRecord]:
         """The worker loop behind ``repro worker``: poll, claim, run.
 
-        Each iteration refreshes the store, claims the highest-priority
-        claimable job (queued, or running under an expired lease —
-        another worker's crash), and runs it from its last durable
-        checkpoint.  Returns after ``max_jobs`` finished jobs, after
-        ``idle_polls`` consecutive empty polls, or when ``should_stop``
+        Each iteration refreshes the store, claims the first claimable
+        job in scheduling order (queued, or running under an expired
+        lease — another worker's crash), and runs it from its last
+        durable checkpoint.  Returns after ``max_jobs`` finished jobs,
+        after ``idle_polls`` consecutive empty polls, or once ``drain``
         returns true; with none of them set, loops forever.
 
-        ``should_stop`` is only consulted *between* jobs; ``drain``
-        additionally reaches inside a running job: the runner finishes
-        the checkpoint in progress, persists it, releases the lease and
-        abandons the job (still RUNNING, immediately claimable by any
-        worker), and the loop exits — the graceful-shutdown protocol
-        behind ``repro worker --drain``.
+        ``drain`` is checked between jobs and inside a running one: the
+        runner finishes the checkpoint in progress, persists it,
+        releases the lease and abandons the job (still RUNNING,
+        immediately claimable by any worker), and the loop exits — the
+        graceful-shutdown protocol behind ``repro worker --drain``.
 
         For the loop's lifetime the worker publishes a heartbeat file
         under ``<store>/health/`` (a daemon thread beats every
@@ -287,62 +269,39 @@ class JobService:
             worker_id=self.worker_id,
             interval=self.heartbeat_interval,
         )
-        self.runner.heartbeat = heartbeat
-        try:
-            with heartbeat:
-                return self._work_loop(
-                    poll_interval, max_jobs, idle_polls, should_stop, drain,
-                    heartbeat,
-                )
-        finally:
-            self.runner.heartbeat = None
-            self.runner.should_stop = previous_hook
-
-    def _work_loop(
-        self,
-        poll_interval: float,
-        max_jobs: Optional[int],
-        idle_polls: Optional[int],
-        should_stop: Optional[Callable[[], bool]],
-        drain: Optional[Callable[[], bool]],
-        heartbeat: Optional[HeartbeatWriter] = None,
-    ) -> List[JobRecord]:
         finished: List[JobRecord] = []
         idle = 0
-        while True:
-            if should_stop is not None and should_stop():
-                break
-            if drain is not None and drain():
-                break
-            if heartbeat is not None:
+        try:
+            self.runner.heartbeat = heartbeat.start()
+            while not (drain is not None and drain()):
                 heartbeat.maybe_beat()
-            self.store.refresh()
-            ran = None
-            for job in self.claimable():
-                if heartbeat is not None:
+                self.store.refresh()
+                ran = None
+                for job in self.claimable():
                     heartbeat.update(job=job.job_id)
-                ran = self._claim_and_run(job.job_id, states=(QUEUED, RUNNING))
-                if heartbeat is not None:
+                    ran = self._claim_and_run(job.job_id, states=(QUEUED, RUNNING))
                     heartbeat.update(
                         clear_job=True,
-                        jobs_done=heartbeat.jobs_done
-                        + (1 if ran is not None else 0),
+                        jobs_done=heartbeat.jobs_done + (1 if ran is not None else 0),
                     )
-                if ran is not None:
+                    if ran is not None:
+                        break
+                if ran is None:
+                    idle += 1
+                    if idle_polls is not None and idle >= idle_polls:
+                        break
+                    time.sleep(poll_interval)
+                    continue
+                idle = 0
+                if drain is not None and drain() and ran.state == RUNNING:
+                    break  # drained mid-job: checkpointed and released
+                finished.append(ran)
+                if max_jobs is not None and len(finished) >= max_jobs:
                     break
-            if ran is None:
-                idle += 1
-                if idle_polls is not None and idle >= idle_polls:
-                    break
-                time.sleep(poll_interval)
-                continue
-            idle = 0
-            if drain is not None and drain() and ran.state == RUNNING:
-                # Drained mid-job: checkpointed and released, not finished.
-                break
-            finished.append(ran)
-            if max_jobs is not None and len(finished) >= max_jobs:
-                break
+        finally:
+            heartbeat.stop()
+            self.runner.heartbeat = None
+            self.runner.should_stop = previous_hook
         return finished
 
     def cancel(self, job_id: str) -> JobRecord:
@@ -376,15 +335,8 @@ class JobService:
         return self.runner.run(record, lease=lease)
 
     def _run_all(
-        self, job_ids: List[str], states: Sequence[str]
+        self, jobs: List[JobRecord], states: Sequence[str]
     ) -> List[JobRecord]:
-        if not job_ids:
-            return []
-        if self.max_concurrent == 1 or len(job_ids) == 1:
-            finished = [self._claim_and_run(i, states) for i in job_ids]
-        else:
-            with ThreadPoolExecutor(max_workers=self.max_concurrent) as pool:
-                finished = list(
-                    pool.map(lambda i: self._claim_and_run(i, states), job_ids)
-                )
+        """Claim and run ``jobs`` one after another, in the given order."""
+        finished = (self._claim_and_run(job.job_id, states) for job in jobs)
         return [record for record in finished if record is not None]

@@ -36,6 +36,10 @@ and a ``None``/no-op check per record, quantified by
     with telemetry.session(directory="out") as tel:
         ...  # spans, events and metrics flow to out/events.jsonl
     # or imperatively: telemetry.enable(...) / telemetry.disable()
+
+A session keeps the last :data:`DEFAULT_RING_CAPACITY` records in memory
+(the Chrome-trace export reads them) and installs a fresh
+:class:`MetricsRegistry`, which :func:`disable` removes again.
 """
 
 from __future__ import annotations
@@ -129,11 +133,7 @@ __all__ = [
 DEFAULT_RING_CAPACITY = 65536
 
 
-def enable(
-    directory: Optional[Union[str, Path]] = None,
-    ring_capacity: int = DEFAULT_RING_CAPACITY,
-    registry: Optional[MetricsRegistry] = None,
-) -> Telemetry:
+def enable(directory: Optional[Union[str, Path]] = None) -> Telemetry:
     """Turn telemetry on process-globally.
 
     Attaches an in-memory ring sink always (feeding trace export) and a
@@ -143,14 +143,14 @@ def enable(
     """
     if enabled():
         raise RuntimeError("telemetry is already enabled; call disable() first")
-    ring = RingBufferSink(ring_capacity)
+    ring = RingBufferSink(DEFAULT_RING_CAPACITY)
     sinks = [ring]
     if directory is not None:
         sinks.append(JsonlSink(Path(directory) / "events.jsonl"))
     telemetry = Telemetry(sinks)
     telemetry.ring = ring
     install(telemetry)
-    set_registry(registry if registry is not None else MetricsRegistry())
+    set_registry(MetricsRegistry())
     return telemetry
 
 
@@ -168,13 +168,9 @@ def disable() -> Optional[Telemetry]:
 
 
 @contextmanager
-def session(
-    directory: Optional[Union[str, Path]] = None,
-    ring_capacity: int = DEFAULT_RING_CAPACITY,
-    registry: Optional[MetricsRegistry] = None,
-) -> Iterator[Telemetry]:
+def session(directory: Optional[Union[str, Path]] = None) -> Iterator[Telemetry]:
     """``enable()``/``disable()`` as a scope."""
-    telemetry = enable(directory, ring_capacity=ring_capacity, registry=registry)
+    telemetry = enable(directory)
     try:
         yield telemetry
     finally:

@@ -57,6 +57,9 @@ __all__ = [
 #: Aggregator de-dup ring capacity (keys of recently merged records).
 DEDUPE_CAPACITY = 65536
 
+#: Files in a store's ``events/`` directory that the aggregator tails.
+LOG_PATTERN = "*.jsonl"
+
 
 @dataclass(frozen=True)
 class TaggedRecord:
@@ -218,15 +221,8 @@ class LogAggregator:
     so the surviving copy carries the more specific ``job`` label.
     """
 
-    def __init__(
-        self,
-        directory: Union[str, Path],
-        pattern: str = "*.jsonl",
-        dedupe: bool = True,
-    ):
+    def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
-        self.pattern = pattern
-        self.dedupe = dedupe
         self._cursors: Dict[Path, LogCursor] = {}
         self._seen: "OrderedDict[Tuple, None]" = OrderedDict()
 
@@ -237,7 +233,7 @@ class LogAggregator:
 
     def _discover(self) -> None:
         try:
-            found = sorted(self.directory.glob(self.pattern))
+            found = sorted(self.directory.glob(LOG_PATTERN))
         except OSError:
             return
         for path in found:
@@ -255,10 +251,7 @@ class LogAggregator:
             key=lambda p: (p.stem.startswith("worker-"), str(p)),
         )
         for path in ordered:
-            records = self._cursors[path].poll()
-            if self.dedupe:
-                records = [r for r in records if self._fresh(r)]
-            batch.extend(records)
+            batch.extend(r for r in self._cursors[path].poll() if self._fresh(r))
         batch.sort(key=lambda tagged: tagged.wall)
         return batch
 

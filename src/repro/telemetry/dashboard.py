@@ -29,6 +29,7 @@ from typing import Callable, Dict, List, Optional, Union
 
 from repro.service.health import FleetView
 from repro.telemetry.aggregate import LogAggregator, Rollup
+from repro.telemetry.export import write_json_snapshot, write_prometheus
 
 __all__ = [
     "FleetDashboard",
@@ -42,6 +43,9 @@ SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
 #: Trailing window (seconds) for rate/quantile panels.
 DEFAULT_WINDOW = 60.0
+
+#: GA best-fitness values kept per job for the sparkline.
+GA_HISTORY = 64
 
 
 def sparkline(values: List[float], width: int = 16) -> str:
@@ -83,16 +87,12 @@ class FleetDashboard:
     def __init__(
         self,
         store,  # RunStore (health_dir/lease_dir/list_jobs/root)
-        window: float = DEFAULT_WINDOW,
         clock: Callable[[], float] = time.time,
-        ga_history: int = 64,
     ):
         self.store = store
-        self.clock = clock
         self.view = FleetView(store, clock=clock)
         self.aggregator = LogAggregator(Path(store.root) / "events")
-        self.rollup = Rollup(window=window, max_samples=4096)
-        self.ga_history = ga_history
+        self.rollup = Rollup(window=DEFAULT_WINDOW, max_samples=4096)
 
     def refresh(self) -> int:
         """Ingest newly appended event-log records; returns how many."""
@@ -128,7 +128,7 @@ class FleetDashboard:
         return {
             "generation": int(generation) if generation is not None else None,
             "best": best,
-            "history": history[-self.ga_history:],
+            "history": history[-GA_HISTORY:],
         }
 
     def _api_panel(self) -> Dict[str, object]:
@@ -325,24 +325,34 @@ def run_top(
     as_json: bool = False,
     color: Optional[bool] = None,
     out=None,
-    stop: Optional[Callable[[], bool]] = None,
     clock: Callable[[], float] = time.time,
+    prometheus_path: Optional[Union[str, Path]] = None,
+    snapshot_path: Optional[Union[str, Path]] = None,
 ) -> int:
     """The ``repro top`` loop: snapshot, render, repeat in place.
 
     ``once`` renders a single frame and returns (``--json`` emits the
     snapshot dict instead); otherwise the frame redraws every
-    ``interval`` seconds until ``frames`` frames, ``stop()``, or
-    Ctrl-C.  Returns a process exit code.
+    ``interval`` seconds until ``frames`` frames or Ctrl-C.
+    ``prometheus_path`` and ``snapshot_path`` (``--prometheus`` and
+    ``--snapshot``) rewrite those exports from every frame's snapshot;
+    exporting implies plain, uncoloured frames.  Returns a process exit
+    code.
     """
     out = out if out is not None else sys.stdout
-    if color is None:
+    if prometheus_path is not None or snapshot_path is not None:
+        color = False
+    elif color is None:
         color = bool(getattr(out, "isatty", lambda: False)())
     dashboard = FleetDashboard(store, clock=clock)
     rendered = 0
     try:
         while True:
             snap = dashboard.snapshot()
+            if prometheus_path:
+                write_prometheus(prometheus_path, snap)
+            if snapshot_path:
+                write_json_snapshot(snapshot_path, snap)
             if as_json:
                 out.write(json.dumps(snap, sort_keys=True, default=str) + "\n")
             else:
@@ -356,8 +366,6 @@ def run_top(
             out.flush()
             rendered += 1
             if once or (frames is not None and rendered >= frames):
-                return 0
-            if stop is not None and stop():
                 return 0
             time.sleep(interval)
     except KeyboardInterrupt:

@@ -50,10 +50,9 @@ ROOT = 0
 class Telemetry:
     """One telemetry session: a clock, a span stack, and sinks."""
 
-    def __init__(self, sinks: Sequence[object] = (), clock=time.monotonic):
+    def __init__(self, sinks: Sequence[object] = ()):
         self._sinks = list(sinks)
-        self._clock = clock
-        self._epoch = clock()
+        self._epoch = time.monotonic()
         self.wall_start = time.time()
         self._ids = itertools.count(1)
         self._current: contextvars.ContextVar[int] = contextvars.ContextVar(
@@ -74,7 +73,7 @@ class Telemetry:
     # ------------------------------------------------------------------
     def now(self) -> float:
         """Seconds since this session's epoch (monotonic)."""
-        return self._clock() - self._epoch
+        return time.monotonic() - self._epoch
 
     def emit(self, record: Dict[str, object]) -> None:
         for sink in self._sinks:
@@ -130,12 +129,12 @@ class Span:
         tel = self._telemetry
         self.id = next(tel._ids)
         self._token = tel._current.set(self.id)
-        self._start = tel._clock()
+        self._start = time.monotonic()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         tel = self._telemetry
-        end = tel._clock()
+        end = time.monotonic()
         tel._current.reset(self._token)
         if exc_type is not None:
             self.fields.setdefault("error", exc_type.__name__)

@@ -23,7 +23,7 @@ import json
 import math
 import re
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Tuple, Union
 
 from repro.store.artifacts import atomic_write
 from repro.telemetry.metrics import MetricsSnapshot
@@ -113,24 +113,22 @@ class _Writer:
         return "\n".join(self.lines) + ("\n" if self.lines else "")
 
 
-def prometheus_from_metrics(
-    snapshot: MetricsSnapshot, prefix: str = "repro_"
-) -> str:
+def prometheus_from_metrics(snapshot: MetricsSnapshot) -> str:
     """Render a registry snapshot in the text exposition format."""
     writer = _Writer()
     for series in sorted(snapshot.counters):
         raw, labels = _split_series(series)
-        name = _metric_name(prefix + raw) + "_total"
+        name = _metric_name("repro_" + raw) + "_total"
         writer.header(name, "counter", f"repro counter {raw}")
         writer.sample(name, labels, snapshot.counters[series])
     for series in sorted(snapshot.gauges):
         raw, labels = _split_series(series)
-        name = _metric_name(prefix + raw)
+        name = _metric_name("repro_" + raw)
         writer.header(name, "gauge", f"repro gauge {raw}")
         writer.sample(name, labels, snapshot.gauges[series])
     for series in sorted(snapshot.histograms):
         raw, labels = _split_series(series)
-        name = _metric_name(prefix + raw)
+        name = _metric_name("repro_" + raw)
         hist = snapshot.histograms[series]
         writer.header(name, "histogram", f"repro histogram {raw}")
         for bound, cumulative in hist.buckets:
@@ -147,9 +145,7 @@ def prometheus_from_metrics(
     return writer.text()
 
 
-def prometheus_from_fleet(
-    snapshot: Mapping[str, object], prefix: str = "repro_fleet_"
-) -> str:
+def prometheus_from_fleet(snapshot: Mapping[str, object]) -> str:
     """Render a fleet-dashboard snapshot dict as Prometheus text.
 
     One gauge family per observable: job progress/state, worker
@@ -166,7 +162,7 @@ def prometheus_from_fleet(
             value = float(value)
         except (TypeError, ValueError):
             return
-        full = _metric_name(prefix + name)
+        full = _metric_name("repro_fleet_" + name)
         writer.header(full, "gauge", help_text)
         writer.sample(full, labels, value)
 
@@ -272,22 +268,16 @@ def _write_atomic(path: Union[str, Path], text: str) -> Path:
 
 
 def write_prometheus(
-    path: Union[str, Path],
-    fleet_snapshot: Optional[Mapping[str, object]] = None,
-    metrics: Optional[MetricsSnapshot] = None,
+    path: Union[str, Path], fleet_snapshot: Mapping[str, object]
 ) -> Path:
-    """Write one or both exports to ``path`` atomically (scrape target).
+    """Write the fleet export to ``path`` atomically (scrape target).
 
-    The node-exporter "textfile collector" pattern: a sidecar (or the
-    dashboard loop itself) rewrites this file, and any Prometheus with
-    a textfile/file-sd scraper picks it up without a live HTTP port.
+    The node-exporter "textfile collector" pattern: ``repro top
+    --prometheus`` rewrites this file every frame, and any Prometheus
+    with a textfile/file-sd scraper picks it up without a live HTTP
+    port.
     """
-    parts = []
-    if fleet_snapshot is not None:
-        parts.append(prometheus_from_fleet(fleet_snapshot))
-    if metrics is not None:
-        parts.append(prometheus_from_metrics(metrics))
-    return _write_atomic(path, "".join(parts))
+    return _write_atomic(path, prometheus_from_fleet(fleet_snapshot))
 
 
 def write_json_snapshot(

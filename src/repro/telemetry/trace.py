@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -76,10 +75,6 @@ class EventLog:
         kids = [s for s in self.spans if s.get("parent", ROOT) == span_id]
         return sorted(kids, key=lambda s: float(s.get("ts", 0.0)))
 
-    def named(self, name: str) -> List[Dict[str, object]]:
-        """All span/event records with this name."""
-        return [r for r in self.records if r.get("name") == name]
-
 
 def read_event_log(path: Union[str, Path]) -> EventLog:
     """Parse a JSONL event log; unreadable lines are skipped."""
@@ -108,7 +103,6 @@ def follow_events(
     path: Union[str, Path],
     poll_seconds: float = 0.25,
     idle_timeout: Optional[float] = None,
-    stop: Optional[Callable[[], bool]] = None,
 ) -> Iterator[Dict[str, object]]:
     """Tail a JSONL event log, yielding each record as it lands.
 
@@ -118,9 +112,9 @@ def follow_events(
     ones; the log may not exist yet (a job about to start), a torn tail
     line is held back until its newline arrives, and a log truncated or
     replaced mid-follow is reread from the start.  Session ``meta``
-    records are consumed as wall-clock epochs, not yielded.  Iteration
-    ends when ``stop()`` returns true or, with ``idle_timeout``, after
-    that many seconds without a new record.
+    records are consumed as wall-clock epochs, not yielded.  With
+    ``idle_timeout``, iteration ends after that many seconds without a
+    new record; without it, the caller stops by closing the generator.
     """
     cursor = LogCursor(path, labels={})
     idle = 0.0
@@ -131,8 +125,6 @@ def follow_events(
             for tagged in records:
                 yield tagged.record  # type: ignore[misc]
             continue
-        if stop is not None and stop():
-            return
         if idle_timeout is not None and idle >= idle_timeout:
             return
         time.sleep(poll_seconds)
@@ -159,9 +151,12 @@ def format_record(record: Dict[str, object]) -> Optional[str]:
 def write_chrome_trace(
     records: Iterable[Dict[str, object]],
     path: Union[str, Path],
-    pid: int = 1,
 ) -> Path:
-    """Write records as a Chrome/Perfetto trace; returns the path."""
+    """Write records as a Chrome/Perfetto trace; returns the path.
+
+    Every record lands on one track (``pid`` and ``tid`` 1): a trace is
+    one process's session.
+    """
     trace_events: List[Dict[str, object]] = []
     for record in records:
         kind = record.get("kind")
@@ -173,7 +168,7 @@ def write_chrome_trace(
                     "ph": "X",
                     "ts": float(record.get("ts", 0.0)) * 1e6,
                     "dur": float(record.get("dur", 0.0)) * 1e6,
-                    "pid": pid,
+                    "pid": 1,
                     "tid": 1,
                     "args": record.get("fields", {}),
                 }
@@ -186,7 +181,7 @@ def write_chrome_trace(
                     "ph": "i",
                     "s": "t",
                     "ts": float(record.get("ts", 0.0)) * 1e6,
-                    "pid": pid,
+                    "pid": 1,
                     "tid": 1,
                     "args": record.get("fields", {}),
                 }

@@ -128,6 +128,34 @@ class TestJobRoutes:
         assert err.value.status == 400
         assert "positive target size" in err.value.payload["error"]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_train", 1.5),
+            ("seed", "7"),
+            ("size", True),
+            ("generations", "x"),
+            ("patience", 2.5),
+            ("size", float("nan")),
+            ("size", float("inf")),
+        ],
+    )
+    def test_malformed_value_is_400(self, client, field, value):
+        body = {**_request().to_dict(), field: value}
+        with pytest.raises(ApiError) as err:
+            client._request("POST", "/v1/jobs", body=body)
+        assert err.value.status == 400
+        assert field in err.value.payload["error"]
+        assert client.jobs() == []
+
+    def test_unknown_key_is_400_naming_it(self, client):
+        body = {**_request().to_dict(), "n_tree": 9}
+        with pytest.raises(ApiError) as err:
+            client._request("POST", "/v1/jobs", body=body)
+        assert err.value.status == 400
+        assert "n_tree" in err.value.payload["error"]
+        assert client.jobs() == []
+
 
 class TestDedup:
     def test_identical_submissions_share_one_job(self, client):
@@ -157,6 +185,15 @@ class TestDedup:
             if request_fingerprint(record.request) == fingerprint
         ]
         assert len(matching) == 1
+
+    def test_int_and_float_sizes_dedup_to_one_job(self, client):
+        body = {**_request(seed=6).to_dict(), "size": 10}
+        first = client._request("POST", "/v1/jobs", body=body)
+        assert client.last_status == 201
+        second = client._request("POST", "/v1/jobs", body={**body, "size": 10.0})
+        assert client.last_status == 200
+        assert second["job_id"] == first["job_id"]
+        assert second["deduplicated"] is True
 
     def test_cancelled_jobs_do_not_dedup(self, client):
         first = client.submit(_request(seed=5))
@@ -400,12 +437,16 @@ class TestRequestFingerprint:
         ):
             assert request_fingerprint(changed) != base
 
-    def test_numeric_repr_is_conservative(self):
-        # size=10 and size=10.0 compare equal as dataclasses but
-        # fingerprint apart — dedup may miss an equivalent request,
-        # but can never share a job between genuinely different ones.
-        assert request_fingerprint(_request(size=10)) != request_fingerprint(
-            _request(size=10.0)
+    def test_int_and_float_twins_share_one_fingerprint(self):
+        # A request normalizes its numbers when it is built, so the JSON
+        # spellings 10 and 10.0 name one request and one dedup key.
+        as_int = _request(size=10, learning_rate=1, n_train=16)
+        as_float = _request(size=10.0, learning_rate=1.0, n_train=16.0)
+        assert request_fingerprint(as_int) == request_fingerprint(as_float)
+        assert type(as_int.size) is float and type(as_float.n_train) is int
+        # The digest of the float spelling, which stored records carry.
+        assert request_fingerprint(TuneRequest(program="TS", size=10)) == (
+            "b1875515e867230224a4070352e7fe9c3339ec54106bdbc981f0abe6a71b0201"
         )
 
 

@@ -128,6 +128,20 @@ class TestTopCli:
         parse_exposition(prom.read_text())  # must satisfy the grammar
         assert json.loads(snap_path.read_text())["summary"]["jobs_done"] == 1
 
+    def test_top_frames_json_and_exports(self, finished_store, tmp_path, capsys):
+        prom = tmp_path / "fleet.prom"
+        snap_path = tmp_path / "fleet.json"
+        assert main([
+            "top", "--store", str(finished_store), "--frames", "2", "--json",
+            "--interval", "0.01",
+            "--prometheus", str(prom), "--snapshot", str(snap_path),
+        ]) == 0
+        frames = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(frames) == 2
+        assert all(frame["summary"]["jobs_done"] == 1 for frame in frames)
+        parse_exposition(prom.read_text())
+        assert json.loads(snap_path.read_text())["summary"]["jobs_done"] == 1
+
 
 class TestPrometheusExport:
     def test_fleet_export_parses_and_covers_panels(self, finished_store):
@@ -194,13 +208,7 @@ class TestPrometheusExport:
 
     def test_write_prometheus_and_json_atomic(self, finished_store, tmp_path):
         snap = FleetDashboard(RunStore(finished_store)).snapshot()
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        prom = write_prometheus(
-            tmp_path / "out" / "fleet.prom",
-            fleet_snapshot=snap,
-            metrics=registry.snapshot(),
-        )
+        prom = write_prometheus(tmp_path / "out" / "fleet.prom", fleet_snapshot=snap)
         parse_exposition(prom.read_text())
         # No leftover temp files from the atomic replace.
         assert [p.name for p in prom.parent.iterdir()] == ["fleet.prom"]

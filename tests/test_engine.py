@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 
 import numpy as np
@@ -128,6 +129,17 @@ def test_cache_never_aliases_programs(space, terasort, kmeans):
 def test_cache_key_depends_on_substrate_signature(space):
     request = _requests(space, n=1)[0]
     assert request_key(request, "sig-a") != request_key(request, "sig-b")
+
+
+#: SHA-256 of the default substrate signature, the identity every engine
+#: cache key carries; a change here orphans every on-disk cache entry.
+SIGNATURE_SHA256 = "bb584b85bdb708e4523c9fee8c59ca87af3987b4f721dfbeab68695e745cdfa8"
+
+
+def test_default_signature_is_pinned():
+    signature = InProcessBackend().signature()
+    assert ProcessPoolBackend(jobs=1).signature() == signature
+    assert hashlib.sha256(signature.encode("utf-8")).hexdigest() == SIGNATURE_SHA256
 
 
 def test_disk_cache_survives_backend_instances(space, tmp_path):

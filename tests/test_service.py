@@ -51,6 +51,11 @@ def _request(**overrides) -> TuneRequest:
     return TuneRequest(**{"program": "TS", "size": 10.0, **FAST, **overrides})
 
 
+def _collect(seed: int) -> TuneRequest:
+    """A collect job small enough to run in a few milliseconds."""
+    return TuneRequest(program="TS", kind="collect", n_train=5, seed=seed)
+
+
 def _reference_report(request: TuneRequest):
     tuner = DacTuner(
         get_workload(request.program),
@@ -88,6 +93,27 @@ class TestTuneRequest:
         # collect jobs need no size
         TuneRequest(program="TS", kind="collect")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_train", 1.5),
+            ("seed", "7"),
+            ("size", True),
+            ("generations", "x"),
+            ("patience", 2.5),
+            ("size", float("nan")),
+            ("size", float("inf")),
+            ("learning_rate", float("-inf")),
+            ("budget", True),
+            ("n_trees", None),
+            ("program", 7),
+            ("warm_from", 3),
+        ],
+    )
+    def test_malformed_values_refused(self, field, value):
+        with pytest.raises((TypeError, ValueError), match=field):
+            TuneRequest.from_dict({**_request().to_dict(), field: value})
+
 
 class TestJobRecord:
     def test_round_trip(self):
@@ -115,13 +141,38 @@ class TestJobRecord:
 # ----------------------------------------------------------------------
 class TestScheduling:
     def test_priority_then_fifo(self, tmp_path):
+        """pending(), claimable(), run_pending() and resume_all() share
+        one order: highest priority first, FIFO within a priority."""
         service = JobService(tmp_path / "store")
-        low = service.submit(_request(), priority=0)
-        high = service.submit(_request(seed=3), priority=5)
-        mid = service.submit(_request(seed=4), priority=1)
-        assert [j.job_id for j in service.pending()] == [
-            high.job_id, mid.job_id, low.job_id,
-        ]
+        ran = []
+        run = service.runner.run
+
+        def recording_run(record, lease=None):
+            ran.append(record.job_id)
+            return run(record, lease=lease)
+
+        service.runner.run = recording_run
+
+        def submit_four():
+            low = service.submit(_collect(seed=1), priority=0)
+            high = service.submit(_collect(seed=2), priority=5)
+            mid = service.submit(_collect(seed=3), priority=1)
+            later_low = service.submit(_collect(seed=4), priority=0)
+            return [high.job_id, mid.job_id, low.job_id, later_low.job_id]
+
+        order = submit_four()
+        assert [j.job_id for j in service.pending()] == order
+        assert [j.job_id for j in service.claimable()] == order
+        finished = service.run_pending()
+        assert ran == order
+        assert [r.job_id for r in finished] == order
+        assert all(r.state == DONE for r in finished)
+
+        ran.clear()
+        order = submit_four()
+        finished = service.resume_all()
+        assert ran == order
+        assert [r.job_id for r in finished] == order
 
     def test_admission_control(self, tmp_path):
         service = JobService(tmp_path / "store", max_queued=2)
@@ -129,11 +180,6 @@ class TestScheduling:
         service.submit(_request(seed=3))
         with pytest.raises(AdmissionError, match="queue full"):
             service.submit(_request(seed=4))
-
-    def test_default_budget_applied(self, tmp_path):
-        service = JobService(tmp_path / "store", default_budget=77)
-        assert service.submit(_request()).request.budget == 77
-        assert service.submit(_request(budget=5, seed=3)).request.budget == 5
 
     def test_get_unknown_job(self, tmp_path):
         with pytest.raises(KeyError):

@@ -194,7 +194,7 @@ class TestFencing:
         assert lease_b.token > lease_a.token
 
         runner = JobRunner(store, use_cache=False)
-        runner._leases[record.job_id] = lease_a
+        runner._lease = lease_a
         before = store.load_job(record.job_id)
         with pytest.raises(LeaseLost):
             runner._save(record, engine=None, session="1")
@@ -212,7 +212,7 @@ class TestFencing:
         committed["fencing_token"] = lease_a.token + 5
         store.save_job(record.job_id, committed)
         runner = JobRunner(store, use_cache=False)
-        runner._leases[record.job_id] = lease_a
+        runner._lease = lease_a
         with pytest.raises(LeaseLost, match="outranks"):
             runner._save(record, engine=None, session="1")
 
@@ -225,7 +225,7 @@ class TestFencing:
         cancelled["state"] = "cancelled"
         store.save_job(record.job_id, cancelled)
         runner = JobRunner(store, use_cache=False)
-        runner._leases[record.job_id] = lease
+        runner._lease = lease
         with pytest.raises(LeaseLost, match="cancelled"):
             runner._save(record, engine=None, session="1")
 
