@@ -25,12 +25,20 @@ is the same on both sides.
 
 Exits 1 when a run fails or a fingerprint differs.  The benchmark's
 own files are only executed, never imported or modified.
+
+Exits 2 before any run when either checkout holds a ``__pycache__``
+under ``src/`` or ``perfbench/``: a side that loads modules from stale
+bytecode while the other compiles them from source skews ``setup_s``.
+Compare clean copies (``git archive`` or ``git clone``).  Every run
+sets ``PYTHONDONTWRITEBYTECODE=1``, so the copies stay clean from one
+seed to the next.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -72,10 +80,23 @@ def run_side(checkout: Path, workload: str, seed: int, seconds, out: Path):
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
         ]
         print(f"  {out.name}: running", flush=True)
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
         with out.open("w") as sink:
-            subprocess.run(cmd, cwd=checkout, stdout=sink, stderr=subprocess.STDOUT)
+            subprocess.run(
+                cmd, cwd=checkout, stdout=sink, stderr=subprocess.STDOUT, env=env
+            )
         result = load_result(out)
     return result
+
+
+def bytecode_dirs(checkout: Path):
+    """Every ``__pycache__`` directory under the checkout's ``src/`` and
+    ``perfbench/``."""
+    return sorted(
+        path
+        for top in ("src", "perfbench")
+        for path in (checkout / top).rglob("__pycache__")
+    )
 
 
 def op_fingerprints(path: Path):
@@ -130,6 +151,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, checkout in checkouts.items():
+        stale = bytecode_dirs(checkout)
+        if stale:
+            print(f"{side} checkout carries bytecode ({len(stale)} __pycache__ "
+                  f"directories, first {stale[0]}); compare clean copies",
+                  file=sys.stderr)
+            return 2
     spec = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
     metrics = spec["end_to_end"]
     args.out.mkdir(parents=True, exist_ok=True)

@@ -190,8 +190,8 @@ def BoolParameter(
 class Configuration(Mapping[str, Any]):
     """An immutable assignment of values to every parameter of a space.
 
-    Behaves like a read-only mapping; :meth:`replacing` produces modified
-    copies (the GA uses this for mutation/crossover results).
+    Behaves like a read-only mapping; :meth:`replacing_values` produces
+    modified copies.
     """
 
     __slots__ = ("_space", "_values")
@@ -229,16 +229,6 @@ class Configuration(Mapping[str, Any]):
     def __hash__(self) -> int:
         return hash(tuple(sorted((k, repr(v)) for k, v in self._values.items())))
 
-    def replacing(self, **overrides: Any) -> "Configuration":
-        """Return a copy with some parameters changed.
-
-        Keys use underscores in place of dots (``spark_executor_memory``)
-        when passed as keyword arguments; exact names may be passed via a
-        dict using :meth:`replacing_values`.
-        """
-        mapped = {key.replace("__", "."): val for key, val in overrides.items()}
-        return self.replacing_values(mapped)
-
     def replacing_values(self, overrides: Mapping[str, Any]) -> "Configuration":
         """Return a copy with the exactly-named parameters changed."""
         resolved: Dict[str, Any] = dict(self._values)
@@ -246,10 +236,6 @@ class Configuration(Mapping[str, Any]):
             name = self._space.resolve_name(key)
             resolved[name] = val
         return Configuration(self._space, resolved)
-
-    def to_vector(self) -> np.ndarray:
-        """Normalized numeric encoding (one float in [0,1] per parameter)."""
-        return self._space.encode(self)
 
     def as_dict(self) -> Dict[str, Any]:
         return dict(self._values)
@@ -290,9 +276,6 @@ class ConfigurationSpace:
         if dotted in self.names_set:
             return dotted
         raise KeyError(f"unknown parameter {key!r} in space {self.name!r}")
-
-    def index_of(self, name: str) -> int:
-        return self.names.index(self.resolve_name(name))
 
     # -- construction ---------------------------------------------------
     def default(self) -> Configuration:

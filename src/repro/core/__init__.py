@@ -27,7 +27,6 @@ from repro.core.search import (
     SearchResult,
     make_strategy,
 )
-from repro.core.session import DacSession
 from repro.core.tuner import DacTuner, TuningReport
 from repro.core.baselines import default_configuration
 from repro.core.expert import ExpertTuner
@@ -35,7 +34,6 @@ from repro.core.rfhoc import RfhocTuner
 
 __all__ = [
     "Collector",
-    "DacSession",
     "DacTuner",
     "ExpertTuner",
     "GaResult",

@@ -181,7 +181,7 @@ class TrainingSet:
 
     Held as float64 columns (seconds, datasize, datasize_bytes, raw
     parameter values) built from the collector's row blocks, the job
-    runner's checkpoints, a CSV file's rows or the store's blob codec —
+    runner's checkpoints, a CSV file's rows or a stored blob —
     where the columns may be read-only ``np.memmap`` views, so a large
     set is never copied into private memory.  ``vectors`` is
     materialized lazily only when row objects are actually asked for
@@ -352,13 +352,6 @@ class TrainingSet:
         cols["features"] = self.features()
         cols["log_times"] = self.log_times()
         return cols
-
-    def merged_with(self, other: "TrainingSet") -> "TrainingSet":
-        if other.space is not self.space and other.space.names != self.space.names:
-            raise ValueError("cannot merge training sets over different spaces")
-        return TrainingSet.from_rows(
-            self.space, np.concatenate([self.rows(), other.rows()])
-        )
 
 
 class Collector:

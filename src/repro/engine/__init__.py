@@ -3,7 +3,6 @@
 The collecting phase dominates DAC's tuning cost (Table 3: hours of
 cluster time against minutes of modeling and search), and every layer of
 the seed reproduction — :class:`~repro.core.collecting.Collector`,
-:class:`~repro.core.session.DacSession`,
 :class:`~repro.core.tuner.DacTuner`, the experiment harness, the CLI —
 used to call :meth:`SparkSimulator.run` inline, one pair at a time, with
 no reuse across callers.  This package turns that path into a pluggable

@@ -3,9 +3,10 @@
 The paper's implementation (Section 3.4) stores the training set ``S``
 "in a CSV file" and writes tuned configurations back to Spark's
 configuration file, ``spark-dac.conf``, for ``spark-submit`` to pick
-up.  This package reproduces both formats so tuning artifacts survive
-across sessions and tuned configurations are directly usable on a real
-cluster.
+up.  This package reproduces both formats, so collected sets can be
+exported and tuned configurations are directly usable on a real
+cluster.  :mod:`repro.io.codecs` holds the blob form in which the run
+store keeps training sets and models.
 """
 
 from repro.io.csvsets import (

@@ -371,7 +371,7 @@ class HierarchicalModel:
         lowers — per-component node tables, bin edges and stacking
         weights become array sections, scalars become JSON meta.  A
         custom ``component_factory`` (arbitrary estimators) raises
-        ``ValueError``; the store falls back to pickling those.
+        ``ValueError``, and the run store refuses to store such a model.
         """
         if not self._components or self._weights is None:
             raise ValueError("model is not fitted")

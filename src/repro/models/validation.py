@@ -39,10 +39,6 @@ class CvResult:
         return float(np.mean(self.fold_errors))
 
     @property
-    def std_error(self) -> float:
-        return float(np.std(self.fold_errors))
-
-    @property
     def n_folds(self) -> int:
         return len(self.fold_errors)
 

@@ -499,15 +499,17 @@ class ApiServer:
     def _submit_sync(
         self, tune_request: TuneRequest, priority: int
     ) -> Tuple[JobRecord, bool]:
-        """Dedup-then-submit, serialized by the caller's lock."""
+        """Dedup, then admit against the same listing of the store;
+        serialized by the caller's lock."""
         self.service.store.refresh()
         fingerprint = request_fingerprint(tune_request)
-        for record in self.service.jobs():
+        jobs = self.service.jobs()
+        for record in jobs:
             if record.state not in DEDUP_STATES:
                 continue
             if request_fingerprint(record.request) == fingerprint:
                 return record, True
-        return self.service.submit(tune_request, priority=priority), False
+        return self.service.admit(tune_request, priority, jobs), False
 
     def _fleet_snapshot_sync(self) -> Dict[str, object]:
         if self._dashboard is None:

@@ -327,20 +327,6 @@ class LeaseManager:
         self._write_replace(renewed)
         return renewed.expires
 
-    def check(self, lease: Lease) -> None:
-        """Raise :class:`LeaseLost` unless ``lease`` is still the holder."""
-        current = self.peek(lease.job_id)
-        if (
-            current is None
-            or current.worker != lease.worker
-            or current.token != lease.token
-            or self.clock() >= current.expires
-        ):
-            raise LeaseLost(
-                f"lease on {lease.job_id} no longer held by {lease.worker} "
-                f"(token {lease.token})"
-            )
-
     def release(self, lease: Lease) -> None:
         """Drop the lease if still ours (a lost lease is left alone)."""
         current = self.peek(lease.job_id)

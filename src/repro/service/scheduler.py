@@ -125,7 +125,17 @@ class JobService:
     # -- queue ----------------------------------------------------------
     def submit(self, request: TuneRequest, priority: int = 0) -> JobRecord:
         """Admit a request as a queued job (durable before returning)."""
-        backlog = [job for job in self.jobs() if job.active]
+        return self.admit(request, priority, self.jobs())
+
+    def admit(
+        self, request: TuneRequest, priority: int, jobs: Sequence[JobRecord]
+    ) -> JobRecord:
+        """:meth:`submit` against ``jobs``, a listing the caller holds.
+
+        The HTTP front door lists the store once per submission, for its
+        dedup scan, and admits against that same listing under its lock.
+        """
+        backlog = [job for job in jobs if job.active]
         if len(backlog) >= self.max_queued:
             raise AdmissionError(
                 f"queue full ({len(backlog)} active jobs >= {self.max_queued})"

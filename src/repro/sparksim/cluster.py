@@ -93,16 +93,8 @@ class ClusterSpec:
         return self.memory_per_node_bytes - self.os_reserved_bytes
 
     @property
-    def total_usable_memory_bytes(self) -> int:
-        return self.worker_nodes * self.usable_memory_per_node_bytes
-
-    @property
     def aggregate_disk_bandwidth(self) -> float:
         return self.worker_nodes * self.disk_bandwidth_bytes_per_s
-
-    @property
-    def aggregate_network_bandwidth(self) -> float:
-        return self.worker_nodes * self.network_bandwidth_bytes_per_s
 
 
 #: The paper's testbed (Section 4), used by all experiments by default.

@@ -172,10 +172,6 @@ class SparkConf:
         return self["spark.memory.fraction"]
 
     @property
-    def shuffle_spill(self) -> bool:
-        return self["spark.shuffle.spill"]
-
-    @property
     def shuffle_spill_compress(self) -> bool:
         return self["spark.shuffle.spill.compress"]
 

@@ -17,8 +17,9 @@ detected and treated as absent.
   as zero-copy views or memory-map straight from the object file;
 * :mod:`repro.store.runstore` — :class:`RunStore`, the
   content-addressed object store + append-only index + job records,
-  with codec-dispatched typed reads (``mode="mmap"`` for zero-copy)
-  and :meth:`RunStore.gc`.
+  with one format per artifact kind (blobs for training sets and
+  models, read by copy or with ``mode="mmap"`` for zero-copy; pickles
+  for GA states and reports) and :meth:`RunStore.gc`.
 
 :mod:`repro.service` builds the scheduler and checkpointing job runner
 on top of this package.

@@ -5,7 +5,9 @@ ever runs; the store makes each expensive intermediate — training sets,
 fitted :class:`~repro.models.hierarchical.HierarchicalModel`\\ s, GA
 populations, :class:`~repro.core.tuner.TuningReport`\\ s — a durable,
 content-addressed object that survives crashes and is shared across
-sessions and jobs.
+sessions and jobs.  An entry's kind fixes its format: training sets and
+models are columnar blobs (:mod:`repro.io.codecs`), GA states and
+reports are pickles, and :data:`KIND_SCHEMAS` versions each kind.
 
 On disk::
 
@@ -37,7 +39,9 @@ import pickle
 import threading
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, TypeVar, Union,
+)
 
 from repro.store.artifacts import (
     atomic_write,
@@ -45,6 +49,7 @@ from repro.store.artifacts import (
     exact,
     payload_digest,
 )
+from repro.store.blobfmt import BlobError, decode_sections, map_sections
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.core.collecting import TrainingSet
@@ -52,12 +57,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.core.tuner import TuningReport
     from repro.models.hierarchical import HierarchicalModel
 
+T = TypeVar("T")
+
 #: Store-level layout version (bumped only on incompatible layout change).
 #: 2: object files are bare payloads (1 prefixed a JSON header line).
 STORE_SCHEMA = 2
 
-#: Payload schema per artifact kind; bumping one invalidates only that
-#: kind's stored entries (they read back as absent and are rewritten).
+#: Payload schema per artifact kind, the one version of its format;
+#: bumping one invalidates only that kind's stored entries (they read
+#: back as absent and are rewritten).
 KIND_SCHEMAS = {
     "training_set": 1,
     # 2: flat node tables with self-looping leaves and a stored depth.
@@ -177,9 +185,7 @@ class RunStore:
             return sorted(self._load_index())
 
     # -- artifact put/get -----------------------------------------------
-    def put_bytes(
-        self, key: str, payload: bytes, kind: str = "bytes", codec: str = "raw"
-    ) -> str:
+    def put_bytes(self, key: str, payload: bytes, kind: str = "bytes") -> str:
         """Store ``payload`` under ``key``; returns its content digest.
 
         The blob lands first (atomic rename), the index line second —
@@ -196,7 +202,6 @@ class RunStore:
             "key": key,
             "kind": kind,
             "schema": schema,
-            "codec": codec,
             "digest": digest,
             "ts": time.time(),
         }
@@ -238,13 +243,11 @@ class RunStore:
         entry = self._current_entry(key, kind)
         return None if entry is None else self._read_verified(entry)
 
-    # -- typed codecs ---------------------------------------------------
+    # -- typed artifacts ------------------------------------------------
     def put_object(self, key: str, obj: object, kind: str) -> str:
+        """Store a pickled object: the one format of GA states and reports."""
         return self.put_bytes(
-            key,
-            pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL),
-            kind=kind,
-            codec="pickle",
+            key, pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL), kind=kind
         )
 
     def get_object(self, key: str, kind: str) -> Optional[object]:
@@ -256,51 +259,46 @@ class RunStore:
         except Exception:  # corrupt-but-digest-valid should be impossible;
             return None    # treat defensively as absent all the same
 
-    # -- codec-dispatched typed artifacts -------------------------------
-    def _decode_with_codec(
-        self, key: str, kind: str, mode: str, **ctx
-    ) -> Optional[object]:
-        """Read a typed artifact through the codec its entry names.
+    def _read_blob(
+        self, key: str, kind: str, mode: str, rebuild: Callable[..., T]
+    ) -> Optional[T]:
+        """``rebuild(header, sections)`` of ``key``'s blob, or ``None``.
 
-        ``mode="copy"`` reads + fully digest-verifies the payload, then
-        decodes; ``mode="mmap"`` (for codecs that support ``open``)
-        hands the codec the object file's path, so the object comes
-        back as read-only memmap views sharing the page cache across
-        processes — the codec checks the blob framing (magic, version,
-        every section inside the file), which catches truncation.  Any
-        defect — unknown codec (newer or retired), digest mismatch,
-        bad framing, undecodable payload — reads as ``None``, the
-        store's uniform "absent" answer.
+        ``mode="copy"`` reads the payload, checks it against the entry's
+        digest, then decodes; ``mode="mmap"`` maps the object file, so
+        the object comes back as read-only memmap views sharing the
+        page cache across processes, and checks the blob framing
+        (magic, version, every section inside the file), which catches
+        truncation.  Any defect — digest mismatch, bad framing, a
+        payload that is not a blob (a pickle, CSV text), sections that
+        do not rebuild — reads as ``None``, the store's uniform
+        "absent" answer.
         """
-        from repro.io import codecs
-        from repro.store.blobfmt import BlobError
-
         entry = self._current_entry(key, kind)
         if entry is None:
             return None
-        codec = codecs.lookup(kind, str(entry.get("codec")))
-        if codec is None:
-            return None
-        if mode == "mmap" and codec.open is not None:
+        if mode == "mmap":
             try:
-                return codec.open(self._object_path(str(entry["digest"])), **ctx)
-            except (BlobError, codecs.CodecError, OSError, ValueError, KeyError):
+                header, sections = map_sections(
+                    self._object_path(str(entry["digest"]))
+                )
+                return rebuild(header, sections)
+            except (BlobError, OSError, ValueError, KeyError):
                 return None
         payload = self._read_verified(entry)
         if payload is None:
             return None
         try:
-            return codec.decode(payload, **ctx)
+            return rebuild(*decode_sections(payload, verify=False))
         except Exception:  # undecodable-but-digest-valid: treat as absent
             return None
 
     def put_training_set(self, key: str, training_set: "TrainingSet") -> str:
-        """Store a training set in the columnar blob format."""
+        """Store a training set as a columnar blob."""
         from repro.io import codecs
 
-        codec = codecs.default_for("training_set")
-        payload = codec.encode(training_set)
-        return self.put_bytes(key, payload, kind="training_set", codec=codec.name)
+        payload = codecs.encode_training_set(training_set)
+        return self.put_bytes(key, payload, kind="training_set")
 
     def get_training_set(
         self, key: str, space=None, mode: str = "copy"
@@ -308,28 +306,25 @@ class RunStore:
         """The stored training set, or ``None``.
 
         ``mode="mmap"`` returns a column-backed set whose arrays are
-        read-only views over the object file.  A retired ``csv``
-        entry reads as ``None``, like any unknown codec.
-        """
-        return self._decode_with_codec(
-            key, "training_set", mode, space=space
-        )  # type: ignore[return-value]
-
-    def put_model(self, key: str, model: "HierarchicalModel") -> str:
-        """Store a model, lowering it to blob sections when possible.
-
-        Models that don't lower (custom ``component_factory``
-        estimators) fall back to the pickle codec — both read back
-        through :meth:`get_model` transparently.
+        read-only views over the object file.  An entry that holds no
+        blob over ``space``'s parameters reads as ``None``.
         """
         from repro.io import codecs
 
-        codec = codecs.default_for("model")
-        try:
-            payload = codec.encode(model)
-        except codecs.CodecError:
-            return self.put_object(key, model, kind="model")
-        return self.put_bytes(key, payload, kind="model", codec=codec.name)
+        def rebuild(header, sections):
+            return codecs.training_set_from_sections(header, sections, space)
+
+        return self._read_blob(key, "training_set", mode, rebuild)
+
+    def put_model(self, key: str, model: "HierarchicalModel") -> str:
+        """Store a model as a columnar blob.
+
+        Raises ``ValueError``, and writes nothing, for a model that does
+        not lower to blob sections (a custom ``component_factory``).
+        """
+        from repro.io import codecs
+
+        return self.put_bytes(key, codecs.encode_model(model), kind="model")
 
     def get_model(
         self, key: str, mode: str = "copy"
@@ -341,7 +336,9 @@ class RunStore:
         processes share one page-cache copy.  Predictions are
         bit-for-bit identical on every path.
         """
-        return self._decode_with_codec(key, "model", mode)  # type: ignore[return-value]
+        from repro.io import codecs
+
+        return self._read_blob(key, "model", mode, codecs.model_from_sections)
 
     def put_ga_state(self, key: str, state: "GaState") -> str:
         return self.put_object(key, state, kind="ga_state")

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.cli.main import main as cli_main
 from repro.service import (
     JobFinished,
+    JobRecord,
     JobService,
     TuneRequest,
     request_fingerprint,
@@ -32,6 +33,7 @@ from repro.service.api import (
     HttpLimits,
     QuotaManager,
 )
+from repro.store import RunStore
 from repro.telemetry.export import parse_exposition
 
 #: Tiny-but-complete pipeline parameters (collect + fit + search all run).
@@ -194,6 +196,45 @@ class TestDedup:
         assert client.last_status == 200
         assert second["job_id"] == first["job_id"]
         assert second["deduplicated"] is True
+
+    def test_submission_lists_the_store_once(self, server, client, monkeypatch):
+        """One POST parses each stored record once: the dedup scan and
+        the admission cap share one listing."""
+        for seed in range(20):
+            server.service.submit(_request(seed=100 + seed))
+        calls = {"list_jobs": 0, "from_dict": 0}
+        list_jobs = RunStore.list_jobs
+        from_dict = JobRecord.from_dict.__func__
+
+        def counting_list_jobs(store):
+            calls["list_jobs"] += 1
+            return list_jobs(store)
+
+        def counting_from_dict(cls, data):
+            calls["from_dict"] += 1
+            return from_dict(cls, data)
+
+        monkeypatch.setattr(RunStore, "list_jobs", counting_list_jobs)
+        monkeypatch.setattr(JobRecord, "from_dict", classmethod(counting_from_dict))
+        doc = client.submit(_request(seed=99))
+        assert client.last_status == 201 and not doc["deduplicated"]
+        assert calls == {"list_jobs": 1, "from_dict": 20}
+
+    def test_full_queue_is_503_yet_duplicates_still_dedup(self, tmp_path):
+        api = ApiServer(tmp_path / "store", port=0, max_queued=2).start_in_thread()
+        try:
+            client = ApiClient(api.url)
+            first = client.submit(_request(seed=1))
+            client.submit(_request(seed=2))
+            with pytest.raises(ApiError) as err:
+                client.submit(_request(seed=3))
+            assert err.value.status == 503 and err.value.retry_after == 5
+            assert "queue full" in err.value.payload["error"]
+            again = client.submit(_request(seed=1))
+            assert again["job_id"] == first["job_id"] and again["deduplicated"]
+            assert len(api.service.jobs()) == 2
+        finally:
+            api.stop_in_thread()
 
     def test_cancelled_jobs_do_not_dedup(self, client):
         first = client.submit(_request(seed=5))

@@ -122,10 +122,6 @@ class TestTrainingSet:
         with pytest.raises(ValueError):
             TrainingSet.from_vectors(space, [])
 
-    def test_merge(self, small_training_set):
-        merged = small_training_set.merged_with(small_training_set)
-        assert len(merged) == 2 * len(small_training_set)
-
 
 class TestBatchPlan:
     """plan() + run_batch() is collect(), batch by batch."""

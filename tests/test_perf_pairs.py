@@ -96,3 +96,27 @@ def test_seed_ranges(perf_pairs):
     for bad in ("9-3", "a-b"):
         with pytest.raises(argparse.ArgumentTypeError):
             perf_pairs.parse_seeds(bad)
+
+
+def test_checkout_with_bytecode_is_refused(perf_pairs, tmp_path, capsys):
+    sides = {name: tmp_path / name for name in ("parent", "change")}
+    for path in sides.values():
+        path.mkdir()
+        checkout(path)
+    stale = sides["change"] / "perfbench" / "__pycache__"
+    stale.mkdir(parents=True)
+    out = tmp_path / "out"
+    args = ["--parent", str(sides["parent"]), "--change", str(sides["change"]),
+            "--workload", "tune-cold", "--seeds", "1-2", "--out", str(out)]
+    assert perf_pairs.main(args) == 2
+    assert f"first {stale});" in capsys.readouterr().err
+    assert not out.exists()  # refused before any run
+
+
+def test_runs_write_no_bytecode(perf_pairs, tmp_path, monkeypatch):
+    envs = []
+    monkeypatch.setattr(
+        perf_pairs.subprocess, "run", lambda cmd, **kwargs: envs.append(kwargs["env"])
+    )
+    perf_pairs.run_side(tmp_path, "tune-cold", 1, 40, tmp_path / "run.txt")
+    assert [env["PYTHONDONTWRITEBYTECODE"] for env in envs] == ["1"]

@@ -22,7 +22,7 @@ from repro.service import (
     JobService,
     TuneRequest,
 )
-from repro.io import codecs
+from repro.io.codecs import encode_training_set
 from repro.store import RunStore, payload_digest, report_fingerprint
 from repro.workloads import get_workload
 
@@ -232,12 +232,11 @@ class TestExecution:
         written = [e["digest"] for e in map(json.loads, index) if e["key"] == key]
         collector = Collector(get_workload("TS"), seed=1)
         vectors = collector.collect(30, stream="train").vectors
-        codec = codecs.default_for("training_set")
         expected, done = [], 0
         for batch in collector.plan(30, stream="train"):
             done += len(batch.requests)
             prefix = TrainingSet.from_vectors(collector.space, vectors[:done])
-            expected.append(payload_digest(codec.encode(prefix)))
+            expected.append(payload_digest(encode_training_set(prefix)))
         assert len(expected) > 1 and written == expected
         assert written == COLLECT_JOB_CHECKPOINT_DIGESTS
 
@@ -444,11 +443,11 @@ class TestDrain:
     def test_old_path_checkpoint_resumes_to_same_fingerprint(
         self, tmp_path, monkeypatch
     ):
-        """A mixed-codec resume: a worker that checkpoints its model
-        through the pickle codec drains mid-fit, and a worker on the
-        default path — which reads the pickle and writes columnar-blob
-        checkpoints — finishes the job to the byte-identical
-        fingerprint."""
+        """A worker that pickled its model checkpoint (the store's old
+        fallback for models that did not lower to blob sections) drains
+        mid-fit.  The pickle reads as absent, so the next worker refits
+        from the first order and finishes the job to the uninterrupted
+        run's fingerprint."""
         from repro.store import RunStore
 
         service = JobService(tmp_path / "store", use_cache=False)
@@ -459,8 +458,6 @@ class TestDrain:
             fit = data.get("progress", {}).get("fit", {})
             return fit.get("orders_done", 0) >= 1
 
-        # The first session checkpoints through the pickle codec, the
-        # path models that do not lower to blob sections take.
         with monkeypatch.context() as patched:
             patched.setattr(
                 RunStore,
@@ -474,8 +471,9 @@ class TestDrain:
         assert paused.progress["fit"]["orders_done"] >= 1
 
         key = record.artifact_key("model")
-        assert service.store.entry(key)["codec"] == "pickle"
-        assert service.store.get_model(key)._components[0]._trees  # pickled
+        assert service.store.entry(key)["kind"] == "model"
+        for mode in ("copy", "mmap"):
+            assert service.store.get_model(key, mode=mode) is None
 
         other = JobService(tmp_path / "store", use_cache=False, worker_id="w2")
         done = other.work(poll_interval=0.01, idle_polls=3)

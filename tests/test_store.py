@@ -1,4 +1,4 @@
-"""The run store: object files, index, typed codecs, job records, digests."""
+"""The run store: object files, index, typed artifacts, job records, digests."""
 
 from __future__ import annotations
 
@@ -182,7 +182,7 @@ class TestRunStore:
 
 
 # ----------------------------------------------------------------------
-# Typed codecs
+# Typed artifacts
 # ----------------------------------------------------------------------
 class TestTypedArtifacts:
     def test_training_set_round_trip(self, tmp_path, terasort):
@@ -232,8 +232,68 @@ class TestTypedArtifacts:
 
     def test_get_object_rejects_unpicklable_garbage(self, tmp_path):
         store = RunStore(tmp_path / "store")
-        store.put_bytes("m", b"not a pickle", kind="model", codec="pickle")
+        store.put_bytes("m", b"not a pickle", kind="model")
         assert store.get_model("m") is None
+
+
+#: Every index line a TS tune job writes (60 examples, 30 trees, 5
+#: generations, seed 7): artifact name, kind and payload SHA-256, in
+#: index order.  The report's digest is left out because its payload
+#: carries wall-clock timings; its fingerprint is pinned instead.
+TUNE_JOB_INDEX = [
+    ("training", "training_set", "3fad0fdb0bf68428a20ee558731a597acf2e6fd310e1a65bd5e7c75bf75eba03"),
+    ("training", "training_set", "9ca3c4920ca0f979b1fae6c32a4d01642d73e9609548cd74d765b86556897935"),
+    ("training", "training_set", "fc29d49cde7de005801caff21048f73b5c2fa25bf2f69cc9d43d311456ada994"),
+    ("training", "training_set", "7d4fa69da2878da7e6715fbd5091d8e97ccc18ed74405bc04d8878b94828e7ce"),
+    ("training", "training_set", "0ca80ee5425d1bb0450fb13a124ba6562f55fd47b5c0a3792265e68cecd66a2f"),
+    ("training", "training_set", "98f1e0a0c384eb49e3ce54e6839cbb1607706b12bb4154e1051fc0b9c88a2321"),
+    ("training", "training_set", "25f9cdc9ef6160926861a41628714723ae8969a00d2f258082c7a8081da9e513"),
+    ("training", "training_set", "4d98420113a64dc2209371b625f4ce29edf2a54b22cec4a14854d93ce5fd7138"),
+    ("training", "training_set", "bd2f709963fef3bae38be72b1cf8418a5832a6c964df81ffe4d0ef13ac2e7b94"),
+    ("training", "training_set", "5b9650e0d60c83b171f79664447f03d98772d44b581d7c663d30d3dbe0c40228"),
+    ("model", "model", "2da42cc9edd53726e796ab41e9bf774c805631b7fd0a4cd59b913692d371c498"),
+    ("model", "model", "468f7d558f29879544cd1f11b8d1a452cae229039fcf3605b376fe84960f9bf6"),
+    ("model", "model", "c705df0de8471d7ecffa07d01134c0369fd67328145bf1f702a4ebdd756a8d15"),
+    ("model", "model", "c705df0de8471d7ecffa07d01134c0369fd67328145bf1f702a4ebdd756a8d15"),
+    ("ga", "ga_state", "06919524491426585789d9074936dad6867e8a0523ad6f4b5c4cd7dbc68081a9"),
+    ("ga", "ga_state", "fe624a11aa0ae048f978fea88efde8abf5881113661a23b17dff8ebd25b1f76e"),
+    ("ga", "ga_state", "223e1a062ef446a1b6fc186ee955c31fe000c4aa8eff448dc9d344e64e295bc4"),
+    ("ga", "ga_state", "44f2d9bbed1ef6026bb7a7e6c9cf7d75e8c3b6bd6a81240fbd62bb8c21fc0c97"),
+    ("ga", "ga_state", "2247cee6fdce06d2c819683b86caedf6c1a3b39efff0219e07b2d921d492e3e5"),
+    ("ga", "ga_state", "abce18035dce06049247a02fd49e8b3337919e36aec382e75c92a73b0d99d1fc"),
+    ("report", "report", None),
+]
+
+
+class TestStoredPayloads:
+    def test_tune_job_payload_digests_golden(self, tmp_path):
+        """The bytes a tune job stores, pinned before the writers changed."""
+        from repro.service import JobService
+
+        service = JobService(tmp_path / "store", use_cache=False)
+        record = service.submit(
+            TuneRequest(
+                program="TS", size=10.0, n_train=60, n_trees=30,
+                generations=5, seed=7,
+            )
+        )
+        done = service.run_pending()[0]
+        assert done.result["fingerprint"] == (
+            "428ac93638334274180e8601bb5f01db4b0dba7a35dd0f5e84fc3a58f382c9a5"
+        )
+        index = (service.store.root / "index.jsonl").read_text().splitlines()
+        written = [
+            (
+                entry["key"],
+                entry["kind"],
+                None if entry["kind"] == "report" else entry["digest"],
+            )
+            for entry in map(json.loads, index)
+        ]
+        assert written == [
+            (record.artifact_key(name), kind, digest)
+            for name, kind, digest in TUNE_JOB_INDEX
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,14 @@
-"""The zero-copy data path: blob containers, codecs, mmap reads, gc.
+"""The zero-copy data path: blob containers, store reads, mmap, gc.
 
-Property-based round trips for :mod:`repro.store.blobfmt`, the codec
-registry's dispatch (unknown codecs read absent), bit-exactness of the
-mmap read path against the copying path, the mmap-safe matrix cache
+Property-based round trips for :mod:`repro.store.blobfmt`, the store's
+blob reads (an entry that holds no blob reads absent), bit-exactness of
+the mmap read path against the copying path, the mmap-safe matrix cache
 key, and ``RunStore.gc``.
 """
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import numpy as np
@@ -24,7 +25,8 @@ from repro.core.collecting import (
     value_from_raw,
 )
 from repro.core.tuner import DacTuner
-from repro.io import codecs, dumps_training_set
+from repro.io import dumps_training_set
+from repro.models.hierarchical import HierarchicalModel
 from repro.models.tree import _CACHE_CONTENT_BYTES, _matrix_cache_key
 from repro.store import KIND_SCHEMAS, RunStore, blobfmt
 from repro.store.blobfmt import (
@@ -200,7 +202,7 @@ class TestRawColumns:
 
 
 # ----------------------------------------------------------------------
-# Store reads: codec dispatch, mmap bit-exactness, corruption handling
+# Store reads: blob-only entries, mmap bit-exactness, corruption handling
 # ----------------------------------------------------------------------
 class TestStoreCodecPaths:
     @pytest.fixture()
@@ -208,31 +210,64 @@ class TestStoreCodecPaths:
         return Collector(terasort, seed=11).collect(24, stream="train")
 
     def test_retired_csv_training_set_reads_absent(self, tmp_path, training, space):
-        """The ``csv`` codec is retired: such an entry is a miss, so the
-        caller recollects and rewrites it in the blob format."""
+        """CSV text is not a stored training set's format: such an entry
+        is a miss, so the caller recollects and rewrites it as a blob."""
         store = RunStore(tmp_path / "store")
         payload = dumps_training_set(training).encode("utf-8")
-        store.put_bytes("ts", payload, kind="training_set", codec="csv")
+        store.put_bytes("ts", payload, kind="training_set")
         for mode in ("copy", "mmap"):
             assert store.get_training_set("ts", space=space, mode=mode) is None
 
-    def test_legacy_pickle_model_still_loads(self, tmp_path, terasort):
+    def test_pickled_model_reads_absent(self, tmp_path, terasort):
+        """A model entry holds a blob or nothing: a pickled model is a
+        miss, so the caller refits and rewrites it as a blob."""
         store = RunStore(tmp_path / "store")
         tuner = DacTuner(terasort, n_train=30, n_trees=8, seed=0)
         tuner.collect()
         model = tuner.fit()
         store.put_object("m", model, kind="model")
-        assert store.entry("m")["codec"] == "pickle"
-        X = tuner.training_set.features()
         for mode in ("copy", "mmap"):
-            loaded = store.get_model("m", mode=mode)
-            np.testing.assert_array_equal(loaded.predict(X), model.predict(X))
+            assert store.get_model("m", mode=mode) is None
+
+    def test_model_that_does_not_lower_is_refused(self, tmp_path):
+        """A custom ``component_factory`` model has no blob form, so the
+        store refuses it and writes neither an object nor an index line."""
+
+        class Affine:
+            def fit(self, X, y):
+                return self
+
+            def predict(self, X):
+                return np.asarray(X)[:, 0] * 2.0
+
+        model = HierarchicalModel(component_factory=lambda order: Affine())
+        rng = np.random.default_rng(22)
+        model.fit(rng.random((60, 3)), rng.random(60))
+        store = RunStore(tmp_path / "store")
+        with pytest.raises(ValueError, match="lower"):
+            store.put_model("m", model)
+        assert store.entry("m") is None
+        assert not (store.root / "index.jsonl").exists()
+        assert not list((store.root / "objects").iterdir())
 
     def test_unknown_codec_reads_absent(self, tmp_path, training):
         store = RunStore(tmp_path / "store")
-        store.put_bytes("ts", b"future bytes", kind="training_set", codec="blob9")
+        store.put_bytes("ts", b"future bytes", kind="training_set")
         assert store.get_training_set("ts") is None
         assert store.get_training_set("ts", mode="mmap") is None
+
+    def test_index_lines_naming_a_codec_still_read(self, tmp_path, training):
+        """Index lines written while entries named their codec: the
+        field is ignored, so every blob entry of such a store reads."""
+        root = tmp_path / "store"
+        RunStore(root).put_training_set("ts", training)
+        index = root / "index.jsonl"
+        entry = json.loads(index.read_text())
+        index.write_text(json.dumps({**entry, "codec": "blob1"}) + "\n")
+        store = RunStore(root)
+        for mode in ("copy", "mmap"):
+            loaded = store.get_training_set("ts", mode=mode)
+            np.testing.assert_array_equal(loaded.features(), training.features())
 
     def test_mmap_training_set_is_file_backed_and_exact(
         self, tmp_path, training, space
@@ -273,7 +308,7 @@ class TestStoreCodecPaths:
         tuner.collect()
         model = tuner.fit()
         store.put_model("m", model)
-        assert store.entry("m")["codec"] == codecs.BLOB_CODEC
+        assert "codec" not in store.entry("m")  # the kind fixes the format
         X = tuner.training_set.features()
         expected = model.predict(X)
         # Restored models carry no per-tree state to walk, so the walk of
@@ -313,7 +348,7 @@ class TestStoreCodecPaths:
         payload = blobfmt.encode_sections(sections, meta=meta, kind="model")
         with pytest.MonkeyPatch.context() as patch:
             patch.setitem(KIND_SCHEMAS, "model", 1)
-            store.put_bytes("m", payload, kind="model", codec=codecs.BLOB_CODEC)
+            store.put_bytes("m", payload, kind="model")
         for mode in ("copy", "mmap"):
             assert store.get_model("m", mode=mode) is None
         store.put_model("m", model)
