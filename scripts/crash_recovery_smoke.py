@@ -21,7 +21,6 @@ CI can upload it as an artifact (``--store`` to choose where).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import signal
 import subprocess
@@ -31,6 +30,9 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = str(REPO / "src")
+sys.path.insert(0, SRC)
+
+from repro.store import RunStore, StoreError  # noqa: E402
 
 #: FAST-scale job parameters (same spirit as benchmarks/bench_telemetry).
 JOB_ARGS = [
@@ -60,10 +62,10 @@ def _repro(*argv: str, **kwargs) -> subprocess.CompletedProcess:
 
 
 def _load_job(store: Path, job_id: str) -> dict:
-    path = store / "jobs" / f"{job_id}.json"
+    """The job's latest record, read through the store's one reader."""
     try:
-        return json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
+        return RunStore(store, create=False).load_job(job_id) or {}
+    except StoreError:
         return {}
 
 

@@ -38,6 +38,8 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = str(REPO / "src")
 sys.path.insert(0, SRC)
 
+from repro.store import RunStore, StoreError  # noqa: E402
+
 #: Sizes the jobs cycle through (TS, Table-1 units).
 SIZES = [10.0, 20.0, 40.0]
 
@@ -58,9 +60,10 @@ def _repro(*argv: str) -> subprocess.CompletedProcess:
 
 
 def _load_job(store: Path, job_id: str) -> dict:
+    """The job's latest record, read through the store's one reader."""
     try:
-        return json.loads((store / "jobs" / f"{job_id}.json").read_text())
-    except (OSError, json.JSONDecodeError):
+        return RunStore(store, create=False).load_job(job_id) or {}
+    except StoreError:
         return {}
 
 

@@ -18,6 +18,7 @@ caller but the next identical request goes back to the substrate.
 from __future__ import annotations
 
 import hashlib
+import os
 import pickle
 import time
 from pathlib import Path
@@ -33,11 +34,13 @@ from repro.store import blobfmt
 from repro.store.artifacts import atomic_write
 from repro.telemetry.metrics import get_registry
 
-#: ``kind`` tag of on-disk cache entries.  Each entry is a checksummed
-#: :mod:`repro.store.blobfmt` container, so a torn or corrupt entry is
-#: detected by digest rather than by pickle happening to blow up.
-#: Anything else reads as a miss and is evicted.
-_CACHE_BLOB_KIND = "cache_entry"
+#: ``kind`` tag of on-disk cache files.  Each file is a checksummed
+#: :mod:`repro.store.blobfmt` container holding the fresh runs of one
+#: ``submit`` batch as a pickled ``{key: RunResult}``, so a torn or
+#: corrupt file is detected by digest rather than by pickle happening
+#: to blow up.  Anything else — the retired one-run ``cache_entry``
+#: file included — reads as a miss and is evicted.
+_CACHE_BLOB_KIND = "cache_batch"
 
 
 def request_key(request: ExecRequest, substrate_signature: str) -> str:
@@ -67,10 +70,12 @@ class CachedBackend(ExecutionBackend):
     inner:
         The backend that answers cache misses.
     directory:
-        Optional on-disk store (one blob container per key).  Sharing a
-        directory across processes/sessions is safe: writes go through
-        a same-directory temp file + atomic rename, and unreadable
-        entries are treated as misses.
+        Optional on-disk store: one blob container per ``submit``
+        batch, hard-linked under the key of every run in it.  Sharing a
+        directory across processes/sessions is safe: a blob lands by
+        same-directory temp file + atomic rename, every other name is a
+        ``link``, and an unreadable entry, or one whose blob lacks its
+        key, is treated as a miss.
     """
 
     name = "cached"
@@ -130,11 +135,14 @@ class CachedBackend(ExecutionBackend):
 
         if misses:
             inner_outcomes = self.inner.submit([req for _, _, req in misses])
+            fresh: Dict[str, RunResult] = {}
             for (i, key, _), outcome in zip(misses, inner_outcomes):
                 if isinstance(outcome, ExecResult):
-                    self._store(key, outcome.run)
+                    fresh[key] = outcome.run
                 outcomes[i] = outcome
                 self._recorder.record_miss()
+            self._memory.update(fresh)
+            self._store_batch(fresh)
 
         for outcome in outcomes:
             assert outcome is not None
@@ -155,32 +163,37 @@ class CachedBackend(ExecutionBackend):
         return len(self._memory)
 
     # -- storage layers -------------------------------------------------
+    def _path(self, key: str) -> Path:
+        return self.directory / f"{key}.pkl"
+
     def _lookup(self, key: str) -> Optional[RunResult]:
+        """``key``'s run from memory, else from the blob behind its name.
+
+        A blob read from disk memoizes every run in it, so the rest of
+        its batch never touches the disk again.
+        """
         run = self._memory.get(key)
         if run is not None:
             return run
         if self.directory is None:
             return None
-        path = self.directory / f"{key}.pkl"
+        path = self._path(key)
         try:
             blob = path.read_bytes()
         except OSError:  # absent (or unreadable): miss
             return None
-        if not blob.startswith(blobfmt.MAGIC):
-            self._evict(path)  # stale format or foreign file: rewrite it
-            return None
         try:
             header, sections = blobfmt.decode_sections(blob, verify=True)
             if header.get("kind") != _CACHE_BLOB_KIND:
-                raise blobfmt.BlobError("not a cache entry")
-            run = pickle.loads(sections["pickle"].tobytes())
-        except Exception:  # truncated/corrupt entry: miss + overwrite
+                raise blobfmt.BlobError("not a cache batch")
+            runs = pickle.loads(sections["pickle"].tobytes())
+            if not all(isinstance(r, RunResult) for r in runs.values()):
+                raise TypeError("not a batch of runs")
+            run = runs[key]
+        except Exception:  # stale format, torn, corrupt or foreign: rewrite
             self._evict(path)
             return None
-        if not isinstance(run, RunResult):
-            self._evict(path)
-            return None
-        self._memory[key] = run
+        self._memory.update(runs)
         return run
 
     @staticmethod
@@ -191,16 +204,28 @@ class CachedBackend(ExecutionBackend):
         except OSError:
             pass
 
-    def _store(self, key: str, run: RunResult) -> None:
-        self._memory[key] = run
-        if self.directory is None:
+    def _store_batch(self, runs: Dict[str, RunResult]) -> None:
+        """Write ``runs`` to disk as one blob, named by each of its keys.
+
+        The blob lands under the first key by temp file + rename, then
+        is hard-linked under every other key; a name that already
+        exists is left alone.  The file goes when its last name is
+        evicted or replaced, so nothing needs sweeping.
+        """
+        if self.directory is None or not runs:
             return
-        pickled = pickle.dumps(run, protocol=pickle.HIGHEST_PROTOCOL)
+        pickled = pickle.dumps(runs, protocol=pickle.HIGHEST_PROTOCOL)
         blob = blobfmt.encode_sections(
             {"pickle": np.frombuffer(pickled, dtype=np.uint8)},
             kind=_CACHE_BLOB_KIND,
         )
+        first, *others = runs
         try:
-            atomic_write(self.directory / f"{key}.pkl", blob)
+            atomic_write(self._path(first), blob)
+            for key in others:
+                try:
+                    os.link(self._path(first), self._path(key))
+                except FileExistsError:
+                    pass
         except OSError:  # read-only/full disk: memory layer still works
             pass

@@ -17,9 +17,11 @@ On disk, under ``<store>/leases/``::
 **Acquisition** writes a temp file and ``link``\\ s it to the lease
 path: exactly one contender wins; the rest see ``FileExistsError``.
 **Renewal** re-reads the lease, verifies it still names this worker
-*and this token* and has not expired, then atomically replaces it with
-a pushed-out expiry — a lease that expired before its holder got
-around to renewing is treated as lost, never revived.  **Takeover**
+*and this token* and has not expired — a lease that expired before its
+holder got around to renewing is treated as lost, never revived — and,
+once a tenth of the TTL has passed since the last write, atomically
+replaces it with a pushed-out expiry.  After any verified renewal the
+lease therefore holds for at least 0.9 TTL more.  **Takeover**
 of an expired (or dead-process) lease unlinks it and re-enters the
 acquisition race.
 
@@ -113,7 +115,8 @@ class Lease:
         self.released = False
 
     def renew(self) -> None:
-        """Push the expiry out by one TTL (raises :class:`LeaseLost`)."""
+        """Verify the lease and push its expiry out when due (raises
+        :class:`LeaseLost`); see :meth:`LeaseManager.renew`."""
         self.expires = self._manager.renew(self)
 
     def release(self) -> None:
@@ -285,18 +288,27 @@ class LeaseManager:
         return Lease(self, info, stolen=stolen)
 
     def renew(self, lease: Lease) -> float:
-        """Extend ``lease`` by one TTL; returns the new expiry.
+        """Verify ``lease``, extend it by one TTL when due; returns the
+        expiry on disk.
 
         Raises :class:`LeaseLost` when the on-disk lease no longer
         names this (worker, token) or has already expired — a late
         renewal never resurrects a lease a stealer may be removing.
+        The file is rewritten only once a tenth of the TTL has passed
+        since its last write (the runner renews at every checkpoint,
+        and creating a file costs far more than reading one): while
+        the expiry on disk is more than 0.9 TTL away it is returned
+        as is.  A holder therefore survives any stall shorter than
+        0.9 TTL, and a crashed holder's lease still expires at most
+        one TTL after its last write.
         """
         current = self.peek(lease.job_id)
+        now = self.clock()
         if (
             current is None
             or current.worker != lease.worker
             or current.token != lease.token
-            or self.clock() >= current.expires
+            or now >= current.expires
         ):
             tele.event(
                 "lease.lost",
@@ -314,7 +326,8 @@ class LeaseManager:
                     else "no lease on disk"
                 )
             )
-        now = self.clock()
+        if current.expires - now > 0.9 * self.ttl:
+            return current.expires
         renewed = LeaseInfo(
             job_id=lease.job_id,
             worker=lease.worker,

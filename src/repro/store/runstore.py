@@ -16,7 +16,9 @@ On disk::
       index.jsonl          append-only key -> digest index (latest wins)
       objects/ab/<sha256>  content-addressed objects: each file is exactly
                            the payload whose SHA-256 names it
-      jobs/<job_id>.json   job records (atomic rewrite per update)
+      jobs/<job_id>.json   job records: one JSON line per update of a
+                           running job (latest last), rewritten whole
+                           as one line at submit and in a final state
       events/<id>.jsonl    per-job telemetry event logs (append across
                            sessions, readable by ``repro trace``)
       cache/               the engine's on-disk result cache
@@ -26,9 +28,11 @@ On disk::
 Crash safety is layered: objects are written via tmp-file + atomic
 rename (:mod:`repro.store.artifacts`) and checked on read against the
 digest in their index entry; the index is append-only JSONL whose torn
-tail lines are skipped on read; job records are whole-file atomic
-replaces.  A reader therefore always sees either a complete prior
-version of anything or nothing — never a torn object.
+tail lines are skipped on read; a job record's updates are appended
+lines whose torn tail is skipped the same way, and its first and
+final versions are whole-file atomic replaces.  A reader therefore
+always sees either a complete prior version of anything or nothing —
+never a torn object.
 """
 
 from __future__ import annotations
@@ -74,6 +78,10 @@ KIND_SCHEMAS = {
     "report": 1,
     "bytes": 1,
 }
+
+#: Job states whose record is rewritten whole, as one line (the state
+#: names of :mod:`repro.service.jobs`); any other update is appended.
+TERMINAL_STATES = ("done", "failed", "cancelled")
 
 
 class StoreError(Exception):
@@ -353,18 +361,64 @@ class RunStore:
         return self.get_object(key, kind="report")  # type: ignore[return-value]
 
     # -- job records ----------------------------------------------------
+    def _job_path(self, job_id: str) -> Path:
+        return self.root / "jobs" / f"{job_id}.json"
+
     def save_job(self, job_id: str, record: Dict[str, object]) -> None:
-        """Persist a job record (atomic whole-file replace)."""
-        payload = json.dumps(record, sort_keys=True, default=str).encode("utf-8")
-        atomic_write(self.root / "jobs" / f"{job_id}.json", payload, fsync=self.fsync)
+        """Persist a job record.
+
+        An update of a job that is not finished appends one line to its
+        existing file: the runner saves at every checkpoint, and
+        appending to a file costs a small fraction of creating one.
+        The first save, a final state (:data:`TERMINAL_STATES`) and a
+        file that has gone missing replace the whole file atomically,
+        so a finished job's record is one line.  ``json.dumps`` never
+        emits a raw newline, and the leading one keeps a torn tail
+        left by a killed writer on a line of its own.
+        """
+        path = self._job_path(job_id)
+        line = json.dumps(record, sort_keys=True, default=str).encode("utf-8")
+        if record.get("state") not in TERMINAL_STATES and self._append(
+            path, b"\n" + line
+        ):
+            return
+        atomic_write(path, line, fsync=self.fsync)
+
+    def _append(self, path: Path, data: bytes) -> bool:
+        """Append all of ``data`` to the file at ``path`` (or raise
+        ``OSError``); ``False``, writing nothing, when there is none."""
+        try:
+            fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+        except FileNotFoundError:
+            return False
+        try:
+            view = memoryview(data)
+            while view:  # a short write leaves the rest to append
+                view = view[os.write(fd, view):]
+            if self.fsync:
+                os.fsync(fd)
+        finally:
+            os.close(fd)
+        return True
 
     def load_job(self, job_id: str) -> Optional[Dict[str, object]]:
-        path = self.root / "jobs" / f"{job_id}.json"
+        """The job's latest complete record, or ``None``.
+
+        That is the last line that parses as a JSON object; a torn tail
+        line is skipped, as in the index.
+        """
         try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+            data = self._job_path(job_id).read_bytes()
+        except OSError:
             return None
-        return record if isinstance(record, dict) else None
+        for line in reversed(data.split(b"\n")):
+            try:
+                record = json.loads(line)
+            except ValueError:  # torn line (undecodable bytes included)
+                continue
+            if isinstance(record, dict):
+                return record
+        return None
 
     def list_jobs(self) -> List[Dict[str, object]]:
         """Every readable job record, oldest first."""

@@ -264,11 +264,48 @@ def test_disk_cache_writers_never_share_a_temp_file(space, tmp_path, monkeypatch
         return real_replace(self, target)
 
     monkeypatch.setattr(Path, "replace", spy)
-    backend._store("key", run)
-    backend._store("key", run)
+    backend._store_batch({"key": run})
+    backend._store_batch({"key": run})
     assert [target for _, target in renames] == ["key.pkl", "key.pkl"]
     assert renames[0][0] != renames[1][0]
     assert [p.name for p in tmp_path.iterdir()] == ["key.pkl"]
+
+
+def test_one_batch_is_one_file_named_by_every_key(space, tmp_path):
+    requests = _requests(space, n=5)
+    warm = CachedBackend(InProcessBackend(), directory=tmp_path)
+    expected = [outcome.run for outcome in warm.submit(requests)]
+    entries = sorted(tmp_path.glob("*.pkl"))
+    assert len(entries) == len(requests)
+    assert {entry.stat().st_ino for entry in entries} == {entries[0].stat().st_ino}
+    assert entries[0].stat().st_nlink == len(requests)
+
+    cold = CachedBackend(InProcessBackend(), directory=tmp_path)
+    outcomes = cold.submit(requests)
+    assert all(outcome.cache_hit for outcome in outcomes)
+    assert [outcome.run for outcome in outcomes] == expected
+    assert cold.inner.stats.runs == 0
+
+
+def test_entry_whose_blob_lacks_its_key_is_a_miss(space, tmp_path):
+    """A name linked to another batch's blob (a writer replaced the
+    first name between its rename and its links) misses, never
+    answers with another key's run."""
+    first, second = _requests(space, n=2)
+    warm = CachedBackend(InProcessBackend(), directory=tmp_path)
+    warm.submit([first])
+    expected = warm.submit([second])[0].run
+    entry_a, entry_b = (
+        tmp_path / f"{request_key(request, warm.signature())}.pkl"
+        for request in (first, second)
+    )
+    entry_b.unlink()
+    entry_b.hardlink_to(entry_a)
+
+    cold = CachedBackend(InProcessBackend(), directory=tmp_path)
+    outcome = cold.submit([second])[0]
+    assert not outcome.cache_hit and outcome.run == expected
+    assert entry_a.stat().st_nlink == 1  # the stray name was replaced
 
 
 def test_stale_format_entry_invalidated_and_rewritten(space, tmp_path):

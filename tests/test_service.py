@@ -19,6 +19,7 @@ from repro.service import (
     BudgetedBackend,
     BudgetExceeded,
     JobRecord,
+    JobRunner,
     JobService,
     TuneRequest,
 )
@@ -318,6 +319,38 @@ class TestExecution:
         assert done_b.state == DONE
         assert done_b.runs_by_session == {"1": 0}
         assert service.get(a.job_id).runs_by_session == {"1": FAST["n_train"]}
+
+    def test_ga_generation_checkpoint_creates_only_its_object(
+        self, tmp_path, monkeypatch
+    ):
+        """The lease is not rewritten and the record is appended to,
+        so a GA checkpoint's one new file is its ``ga_state`` object."""
+        service = JobService(tmp_path / "store")
+        root = service.store.root
+        record = service.submit(_request())
+        checkpoint = JobRunner._checkpoint
+        created = []
+
+        def files():
+            return {
+                (path, path.stat().st_ino)
+                for path in root.rglob("*")
+                if path.is_file()
+            }
+
+        def counting(self, record, engine, session, persist):
+            before = files()
+            checkpoint(self, record, engine, session, persist)
+            if record.phase == "search":
+                ga = service.store.entry(record.artifact_key("ga"))["digest"]
+                new = sorted(str(p.relative_to(root)) for p, _ in files() - before)
+                created.append((new, ga))
+
+        monkeypatch.setattr(JobRunner, "_checkpoint", counting)
+        assert service.run_pending()[0].state == DONE
+        assert len(created) >= FAST["generations"]
+        for new, ga in created:
+            assert new == [f"objects/{ga[:2]}/{ga}"]
 
 
 # ----------------------------------------------------------------------

@@ -91,6 +91,64 @@ class TestLeaseProtocol:
         lease.release()
         assert manager.peek("job-1") is None
 
+    @staticmethod
+    def _file_state(tmp_path):
+        path = tmp_path / "leases" / "job-1.lease"
+        return path.stat().st_ino, path.read_bytes()
+
+    def test_renewal_within_a_tenth_of_the_ttl_leaves_the_file(self, tmp_path):
+        """Renewals inside a tenth of the TTL verify the lease but do
+        not rewrite it, so they do not extend it either."""
+        clock = FakeClock()
+        manager = _manager(tmp_path, "alpha", clock)
+        lease = manager.acquire("job-1")
+        written = self._file_state(tmp_path)
+        for _ in range(3):
+            clock.advance(0.3)  # 0.9 s in all; a tenth of the 10 s TTL is 1 s
+            lease.renew()
+            assert self._file_state(tmp_path) == written
+            assert lease.expires == 1_000.0 + manager.ttl
+        clock.now = 1_000.0 + manager.ttl  # one TTL after the only write
+        with pytest.raises(LeaseLost):
+            lease.renew()
+
+    def test_unwritten_renewal_still_sees_a_steal(self, tmp_path):
+        clock = FakeClock()
+        alpha = _manager(tmp_path, "alpha", clock)
+        beta = LeaseManager(
+            tmp_path / "leases", worker_id="beta", ttl=10.0, clock=clock,
+            dead_worker_check=lambda info: True,  # alpha looks dead to beta
+        )
+        lease = alpha.acquire("job-1")
+        clock.advance(0.5)
+        lease.renew()
+        assert beta.acquire("job-1") is not None
+        clock.advance(0.1)
+        with pytest.raises(LeaseLost, match="held by beta"):
+            lease.renew()
+
+    def test_renewal_after_a_tenth_of_the_ttl_rewrites(self, tmp_path):
+        clock = FakeClock()
+        manager = _manager(tmp_path, "alpha", clock)
+        lease = manager.acquire("job-1")
+        inode, _ = self._file_state(tmp_path)
+        clock.advance(1.5)
+        lease.renew()
+        assert self._file_state(tmp_path)[0] != inode
+        assert lease.expires == manager.peek("job-1").expires == clock.now + 10.0
+
+    def test_renewal_085_ttl_after_the_last_write_succeeds(self, tmp_path):
+        """A holder survives any stall shorter than 0.9 TTL, counted
+        from the renewal that last wrote the file."""
+        clock = FakeClock()
+        manager = _manager(tmp_path, "alpha", clock)
+        lease = manager.acquire("job-1")
+        clock.advance(0.5)
+        lease.renew()  # not written: the expiry stays at 1010
+        clock.advance(8.0)  # 8.5 s, 0.85 TTL, after the write
+        lease.renew()
+        assert lease.expires == clock.now + manager.ttl
+
     def test_valid_lease_blocks_everyone(self, tmp_path):
         clock = FakeClock()
         alpha = _manager(tmp_path, "alpha", clock)

@@ -16,7 +16,9 @@ from repro.core.collecting import Collector, TrainingSet
 from repro.core.ga import GeneticAlgorithm
 from repro.core.tuner import DacTuner
 from repro.common.rng import derive_rng
-from repro.service.jobs import TuneRequest, request_fingerprint
+from repro.service.jobs import (
+    CANCELLED, DONE, FAILED, TuneRequest, request_fingerprint,
+)
 from repro.sparksim.scenario import ScenarioRunner, builtin_trace, scenario_fingerprint
 from repro.store import (
     KIND_SCHEMAS,
@@ -26,6 +28,7 @@ from repro.store import (
     payload_digest,
     report_fingerprint,
 )
+from repro.store.runstore import TERMINAL_STATES
 from repro.workloads import get_workload
 
 
@@ -313,6 +316,70 @@ class TestJobRecords:
         store.save_job("ok", {"job_id": "ok", "created": 1.0})
         (tmp_path / "store" / "jobs" / "bad.json").write_text("{torn")
         assert [r["job_id"] for r in store.list_jobs()] == ["ok"]
+
+    @staticmethod
+    def _versions(state="running"):
+        return [
+            {"job_id": "j", "state": "queued", "n": 0},
+            {"job_id": "j", "state": "running", "n": 1},
+            {"job_id": "j", "state": state, "n": 2},
+        ]
+
+    def test_appended_record_reads_back_as_its_last_line(self, tmp_path):
+        store = RunStore(tmp_path / "store")
+        for record in self._versions():
+            store.save_job("j", record)
+        lines = (tmp_path / "store" / "jobs" / "j.json").read_bytes().split(b"\n")
+        assert [json.loads(line) for line in lines] == self._versions()
+        assert store.load_job("j") == self._versions()[-1]
+
+    def test_record_truncated_mid_line_reads_as_the_previous_one(self, tmp_path):
+        store = RunStore(tmp_path / "store")
+        for record in self._versions():
+            store.save_job("j", record)
+        path = tmp_path / "store" / "jobs" / "j.json"
+        data = path.read_bytes()
+        path.write_bytes(data[:-5])  # a writer killed mid-append
+        assert store.load_job("j") == self._versions()[1]
+        path.write_bytes(data[: data.rindex(b"\n") + 1])  # only its newline
+        assert store.load_job("j") == self._versions()[1]
+        # The next append starts a line of its own past the torn tail.
+        path.write_bytes(data[:-5])
+        store.save_job("j", {"job_id": "j", "state": "running", "n": 3})
+        assert store.load_job("j")["n"] == 3
+
+    def test_one_line_record_from_before_appends_reads_unchanged(self, tmp_path):
+        store = RunStore(tmp_path / "store")
+        record = {"job_id": "old", "state": "running", "created": 1.0}
+        (tmp_path / "store" / "jobs" / "old.json").write_text(
+            json.dumps(record, sort_keys=True)  # a whole-file replace, no newline
+        )
+        assert store.load_job("old") == record
+        store.save_job("old", {**record, "phase": "fit"})
+        assert store.load_job("old") == {**record, "phase": "fit"}
+
+    @pytest.mark.parametrize("final", TERMINAL_STATES)
+    def test_finished_record_is_rewritten_as_one_line(self, tmp_path, final):
+        store = RunStore(tmp_path / "store")
+        path = tmp_path / "store" / "jobs" / "j.json"
+        for record in self._versions(state=final):
+            inode = path.stat().st_ino if path.exists() else None
+            store.save_job("j", record)
+        assert path.stat().st_ino != inode  # replaced, not appended to
+        assert path.read_bytes() == json.dumps(
+            self._versions(state=final)[-1], sort_keys=True
+        ).encode("utf-8")
+        assert store.load_job("j")["state"] == final
+
+    def test_terminal_states_are_the_services_final_states(self):
+        assert set(TERMINAL_STATES) == {DONE, FAILED, CANCELLED}
+
+    def test_missing_record_file_is_rewritten_whole(self, tmp_path):
+        store = RunStore(tmp_path / "store")
+        store.save_job("j", self._versions()[0])
+        (tmp_path / "store" / "jobs" / "j.json").unlink()
+        store.save_job("j", self._versions()[1])
+        assert store.load_job("j") == self._versions()[1]
 
 
 # ----------------------------------------------------------------------

@@ -77,8 +77,9 @@ def test_sigkill_mid_write_never_torn(tmp_path, delay):
 
 
 def test_sigkill_leaves_valid_job_record(tmp_path):
-    """Kill a child rewriting its job record in a loop; parent record
-    must always parse (atomic whole-file replace)."""
+    """Kill a child saving its job record in a loop; parent record
+    must always parse (each save appends a line, a torn tail is
+    skipped)."""
     root = tmp_path / "store"
     RunStore(root)
     script = """
