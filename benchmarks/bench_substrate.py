@@ -113,15 +113,14 @@ def test_collect_200_processpool_jobs4(benchmark, once, _pool4):
 
 
 def test_engine_queue_wait_and_cache_latency(benchmark, once):
-    """Engine observability: queue-wait and cache-lookup latency metrics.
+    """Engine observability: queue-wait and cache-hit records.
 
     Submits a 64-request batch through a bare in-process engine (whose
     sequential queue wait is the time spent on the requests ahead), then
     the same batch twice through a cached engine — first pass misses,
-    second hits — under a live metrics registry, and prints the latency
-    distributions (``engine.queue_wait_seconds``,
-    ``engine.cache.lookup_seconds``, ``engine.wall_seconds``) the
-    telemetry subsystem collected.
+    second hits — under a telemetry session, counts each pass's
+    ``engine.request`` events in the ring, and prints the queue-wait and
+    wall-time quantiles they carry.
     """
     job = get_workload("TS").job(30.0)
     rng = derive_rng("bench-engine-tele")
@@ -131,20 +130,27 @@ def test_engine_queue_wait_and_cache_latency(benchmark, once):
     ]
 
     def run_batches():
-        with telemetry.session():
+        with telemetry.session() as tel:
             with InProcessBackend() as engine:
                 engine.submit(requests)
             with CachedBackend(InProcessBackend()) as cached:
                 cached.submit(requests)
                 cached.submit(requests)
-            return telemetry.get_registry().snapshot()
+            return [record["fields"] for record in tel.records
+                    if record.get("name") == "engine.request"]
 
-    snapshot = benchmark.pedantic(run_batches, **once)
-    assert snapshot.counters["engine.cache.hits"] == 64
-    assert snapshot.counters["engine.cache.misses"] == 64
-    assert snapshot.histograms["engine.queue_wait_seconds"].count == 64
-    assert snapshot.histograms["engine.cache.lookup_seconds{result=hit}"].count == 64
-    report(snapshot.render())
+    fields = benchmark.pedantic(run_batches, **once)
+    queued = [f["queue_wait"] for f in fields if "queue_wait" in f]
+    hits = [f for f in fields if f["cache_hit"]]
+    misses = [f["wall_seconds"] for f in fields
+              if not f["cache_hit"] and "queue_wait" not in f]
+    assert len(fields) == 3 * 64
+    assert (len(queued), len(misses), len(hits)) == (64, 64, 64)
+    report(
+        f"engine.request: queue wait p50 {np.median(queued) * 1e3:.2f}ms "
+        f"p99 {np.quantile(queued, 0.99) * 1e3:.2f}ms; cache misses "
+        f"wall p50 {np.median(misses) * 1e3:.2f}ms; {len(hits)} cache hits"
+    )
 
 
 def test_ga_generation_throughput(benchmark):

@@ -19,7 +19,6 @@ from repro import telemetry
 from repro.core.tuner import DacTuner
 from repro.engine import InProcessBackend
 from repro.telemetry import events as tele
-from repro.telemetry.metrics import get_registry
 from repro.workloads import get_workload
 
 #: The "standard tune run" both overhead benchmarks execute.
@@ -59,21 +58,13 @@ def test_span_disabled(benchmark):
     benchmark(enter_exit)
 
 
-def test_counter_disabled(benchmark):
-    """Metrics through the null registry (shared no-op instrument)."""
-    registry = get_registry()
-    assert not registry.enabled
-    counter = registry.counter("bench.noop")
-    benchmark(counter.inc)
-
-
 def test_tune_run_telemetry_off(benchmark, once):
     """Baseline: the standard tune run with telemetry off."""
     assert benchmark.pedantic(_tune_once, **once) > 0
 
 
 def test_tune_run_telemetry_on(benchmark, once):
-    """The same run with the full pipeline on (ring + live registry)."""
+    """The same run with the full pipeline on (ring buffer)."""
     def tune_with_telemetry():
         with telemetry.session():
             return _tune_once()

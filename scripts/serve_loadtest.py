@@ -12,8 +12,9 @@ asserts the service-level contract end to end:
   (server-side dedup), so the store holds ``clients / duplicates`` jobs;
 * every client that asked for the same work gets the **same answer**:
   within a group, all returned report fingerprints are equal;
-* the final ``/metrics`` scrape passes the strict exposition parser
-  and carries the ``api.request`` series.
+* the final ``/metrics`` scrape passes the strict exposition parser,
+  and its ``repro_fleet_api_requests`` (the server's ``api.request``
+  records) counts at least every submission sent.
 
 Exit 0 on success, 1 with a reason on any violation.  Artifacts (the
 metrics scrape, a summary JSON, and pointers to the API event log) are
@@ -240,11 +241,13 @@ def main() -> int:
         # -- the scrape must parse under the strict grammar ------------
         exposition = client.metrics()
         families = parse_exposition(exposition)
-        for family in ("repro_api_requests_total", "repro_api_request_seconds"):
-            if family not in families:
-                print(f"FAIL: /metrics lacks the {family} family",
-                      file=sys.stderr)
-                return 1
+        samples = families.get("repro_fleet_api_requests", {}).get("samples")
+        served = samples[0][2] if samples else 0
+        if served < args.clients:
+            print(f"FAIL: /metrics counts {served:g} API requests, fewer "
+                  f"than the {args.clients} submissions sent",
+                  file=sys.stderr)
+            return 1
         (out / "metrics.txt").write_text(exposition)
         (out / "summary.json").write_text(json.dumps({
             "clients": args.clients,

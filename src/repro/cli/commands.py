@@ -4,8 +4,8 @@ All human-facing output flows through the structured logger of
 :mod:`repro.telemetry.log` (message-only formatting on stdout), so the
 ``--verbose``/``--quiet`` flags control every line and library code
 never prints directly.  The ``--telemetry DIR``/``--trace`` flags wrap
-a command in a telemetry session writing the JSONL event log, a metrics
-snapshot, and optionally a Chrome trace under ``DIR``.
+a command in a telemetry session writing the JSONL event log, and
+optionally a Chrome trace, under ``DIR``.
 """
 
 from __future__ import annotations
@@ -64,9 +64,8 @@ def telemetry_session(args: argparse.Namespace) -> Iterator[Optional[telemetry.T
     """Run a command under ``--telemetry``/``--trace``, if requested.
 
     On exit the session's artifacts land in the output directory:
-    ``events.jsonl`` (the JSONL event log), ``metrics.json`` (the final
-    registry snapshot), and ``trace.json`` (Chrome/Perfetto) when
-    ``--trace`` was given.
+    ``events.jsonl`` (the JSONL event log), and ``trace.json``
+    (Chrome/Perfetto) when ``--trace`` was given.
     """
     directory = getattr(args, "telemetry", None)
     want_trace = getattr(args, "trace", False)
@@ -78,12 +77,8 @@ def telemetry_session(args: argparse.Namespace) -> Iterator[Optional[telemetry.T
     try:
         yield session
     finally:
-        snapshot = telemetry.get_registry().snapshot()
         telemetry.disable()
-        (out / "metrics.json").write_text(
-            json.dumps(snapshot.as_dict(), indent=2, sort_keys=True)
-        )
-        written = [f"{out}/events.jsonl", f"{out}/metrics.json"]
+        written = [f"{out}/events.jsonl"]
         if want_trace:
             telemetry.write_chrome_trace(session.records, out / "trace.json")
             written.append(f"{out}/trace.json")
@@ -698,15 +693,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: the HTTP/JSON front door over one run store.
 
     The server only *admits* — workers drain what it queues — so it
-    runs no engine at all.  Its telemetry (one ``api.request`` record
-    per handled request) streams to ``events/api-<id>.jsonl`` in the
-    store, where ``repro top`` and the Prometheus export pick it up
-    exactly like worker and job logs.
+    runs no engine at all.  The server writes its own telemetry (one
+    ``api.request`` record per handled request) to
+    ``events/<server-id>.jsonl`` in the store, where ``repro top`` and
+    the Prometheus export pick it up exactly like worker and job logs.
     """
     from repro.service import JobService
     from repro.service.api import ApiServer, HttpLimits, QuotaManager
-    from repro.telemetry.events import Telemetry, install
-    from repro.telemetry.sinks import JsonlSink
 
     service = JobService(
         Path(args.store),
@@ -729,10 +722,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         limits=limits,
         server_id=getattr(args, "server_id", None),
     )
-    log_path = service.store.root / "events" / f"{server.server_id}.jsonl"
-    sink = JsonlSink(log_path, append=True, live=True)
-    session = Telemetry([sink])
-    previous = install(session)
     log.info(
         "serving %s on http://%s:%s (quota %s/s burst %s, queue cap %d)",
         args.store, server.host, server.port,
@@ -740,11 +729,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         getattr(args, "quota_burst", 200.0) if quota else "-",
         service.max_queued,
     )
-    try:
-        return server.run()
-    finally:
-        install(previous)
-        session.close()
+    return server.run()
 
 
 def cmd_worker(args: argparse.Namespace) -> int:

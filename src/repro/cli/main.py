@@ -34,7 +34,7 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
         "--telemetry",
         metavar="DIR",
         default=None,
-        help="record a JSONL event log and metrics snapshot under DIR",
+        help="record a JSONL event log under DIR",
     )
     parser.add_argument(
         "--trace",

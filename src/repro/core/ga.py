@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.common.space import Configuration, ConfigurationSpace
 from repro.telemetry import events as tele
-from repro.telemetry.metrics import get_registry
 
 #: Paper-stated per-gene mutation rate (Figure 6: "Mutate (rate:0.01)").
 DEFAULT_MUTATION_RATE = 0.01
@@ -64,8 +63,8 @@ class MemoizedFitness:
     the memo changes how often the model runs, never what the GA sees.
 
     Cache keys are the raw float64 bytes of each row: exact equality
-    only, no tolerance. ``hits``/``misses`` mirror the
-    ``ga.fitness_cache.{hits,misses}`` telemetry counters.
+    only, no tolerance. ``hits``/``misses`` count rows served from the
+    memo and rows scored by the model.
     """
 
     def __init__(
@@ -92,8 +91,7 @@ class MemoizedFitness:
                 miss_rows.append(i)
             else:
                 out[i] = value
-        hits = len(pop) - len(miss_rows)
-        self.hits += hits
+        self.hits += len(pop) - len(miss_rows)
         self.misses += len(miss_rows)
         if miss_rows:
             rows = np.array(miss_rows)
@@ -106,14 +104,6 @@ class MemoizedFitness:
                     # Drop the oldest entry (insertion-ordered dict).
                     self._cache.pop(next(iter(self._cache)))
                 self._cache[keys[i]] = float(value)
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "ga.fitness_cache.hits", "fitness rows served from the memo"
-            ).inc(hits)
-            registry.counter(
-                "ga.fitness_cache.misses", "fitness rows evaluated by the model"
-            ).inc(len(miss_rows))
         return out
 
 

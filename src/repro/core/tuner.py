@@ -33,7 +33,6 @@ from repro.models.hierarchical import HierarchicalModel
 from repro.sparksim.cluster import PAPER_CLUSTER, ClusterSpec
 from repro.sparksim.confspace import SPARK_CONF_SPACE
 from repro.telemetry import events as tele
-from repro.telemetry.metrics import MetricsSnapshot, get_registry
 from repro.workloads.base import Workload
 
 #: Section 5.1/5.2's chosen model parameters: ntrain=2000, tc=5,
@@ -59,9 +58,6 @@ class TuningReport:
     #: Substrate accounting of the collecting phase (None when the
     #: training set was supplied externally and nothing was executed).
     engine_stats: Optional[EngineStats] = None
-    #: Snapshot of the global metrics registry at report time (None
-    #: when telemetry was off for the run).
-    metrics: Optional[MetricsSnapshot] = None
 
 
 class DacTuner:
@@ -293,7 +289,6 @@ class DacTuner:
             )
         search_seconds = time.perf_counter() - start
 
-        registry = get_registry()
         return TuningReport(
             program=self.workload.abbr,
             datasize=datasize,
@@ -305,7 +300,6 @@ class DacTuner:
             modeling_wall_seconds=self._modeling_seconds,
             searching_wall_seconds=search_seconds,
             engine_stats=self.engine.stats if self.engine.stats.runs else None,
-            metrics=registry.snapshot() if registry.enabled else None,
         )
 
     # ------------------------------------------------------------------

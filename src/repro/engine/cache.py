@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -32,7 +31,6 @@ from repro.engine.stats import EngineStats
 from repro.sparksim.simulator import RunResult
 from repro.store import blobfmt
 from repro.store.artifacts import atomic_write
-from repro.telemetry.metrics import get_registry
 
 #: ``kind`` tag of on-disk cache files.  Each file is a checksummed
 #: :mod:`repro.store.blobfmt` container holding the fresh runs of one
@@ -109,19 +107,11 @@ class CachedBackend(ExecutionBackend):
         return self.inner.map_tasks(fn, items)
 
     def submit(self, requests: Sequence[ExecRequest]) -> List[ExecOutcome]:
-        registry = get_registry()
         outcomes: List[Optional[ExecOutcome]] = [None] * len(requests)
         misses: List[Tuple[int, str, ExecRequest]] = []
         for i, request in enumerate(requests):
             key = request_key(request, self._signature)
-            if registry.enabled:
-                lookup_start = time.perf_counter()
-                run = self._lookup(key)
-                registry.timer("engine.cache.lookup_seconds").labels(
-                    result="hit" if run is not None else "miss"
-                ).observe(time.perf_counter() - lookup_start)
-            else:
-                run = self._lookup(key)
+            run = self._lookup(key)
             if run is not None:
                 outcomes[i] = ExecResult(
                     run=run,

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.telemetry import events as tele
-from repro.telemetry.metrics import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.request import ExecOutcome
@@ -80,15 +79,14 @@ class StatsRecorder:
     """Mutable accumulator backing a backend's :attr:`stats` snapshot.
 
     Also the engine's telemetry tap: every recorded outcome is mirrored
-    as an ``engine.request`` event plus request metrics (count, retries,
-    wall time, queue wait) when telemetry is on.  A decorating backend
-    (the cache) sets :attr:`telemetry` to ``False`` on its inner
+    as an ``engine.request`` event when telemetry is on.  A decorating
+    backend (the cache) sets :attr:`telemetry` to ``False`` on its inner
     backend's recorder so each request is reported exactly once.
     """
 
     def __init__(self) -> None:
         self._stats = EngineStats()
-        #: When False the recorder updates stats only (no events/metrics).
+        #: When False the recorder updates stats only (no events).
         self.telemetry = True
 
     def record(
@@ -98,7 +96,7 @@ class StatsRecorder:
 
         s = self._stats
         success = isinstance(outcome, ExecResult)
-        if self.telemetry:
+        if self.telemetry and tele.enabled():
             self._record_telemetry(outcome, success, queue_wait)
         self._stats = EngineStats(
             runs=s.runs + 1,
@@ -117,43 +115,22 @@ class StatsRecorder:
     def _record_telemetry(
         self, outcome: "ExecOutcome", success: bool, queue_wait: Optional[float]
     ) -> None:
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("engine.requests").labels(
-                backend=outcome.backend
-            ).inc()
-            if not success:
-                registry.counter("engine.failures").inc()
-            if outcome.attempts > 1:
-                registry.counter("engine.retries").inc(outcome.attempts - 1)
-            cache_hit = success and outcome.cache_hit
-            if cache_hit:
-                registry.counter("engine.cache.hits").inc()
-            else:
-                registry.timer("engine.wall_seconds").observe(outcome.wall_seconds)
-            if queue_wait is not None:
-                registry.timer("engine.queue_wait_seconds").observe(queue_wait)
-        if tele.enabled():
-            fields = {
-                "backend": outcome.backend,
-                "program": outcome.program if not success else outcome.run.program,
-                "ok": success,
-                "attempts": outcome.attempts,
-                "wall_seconds": outcome.wall_seconds,
-                "cache_hit": success and outcome.cache_hit,
-            }
-            if queue_wait is not None:
-                fields["queue_wait"] = queue_wait
-            if success:
-                fields["seconds"] = outcome.run.seconds
-            tele.event("engine.request", **fields)
+        fields = {
+            "backend": outcome.backend,
+            "program": outcome.program if not success else outcome.run.program,
+            "ok": success,
+            "attempts": outcome.attempts,
+            "wall_seconds": outcome.wall_seconds,
+            "cache_hit": success and outcome.cache_hit,
+        }
+        if queue_wait is not None:
+            fields["queue_wait"] = queue_wait
+        if success:
+            fields["seconds"] = outcome.run.seconds
+        tele.event("engine.request", **fields)
 
     def record_miss(self) -> None:
         """Count one cache miss (paired with the inner outcome's record)."""
-        if self.telemetry:
-            registry = get_registry()
-            if registry.enabled:
-                registry.counter("engine.cache.misses").inc()
         s = self._stats
         self._stats = EngineStats(
             runs=s.runs,

@@ -28,7 +28,6 @@ from repro.engine import (
 from repro.sparksim.confspace import SPARK_CONF_SPACE
 from repro.sparksim.dag import JobSpec
 from repro.sparksim.simulator import RunResult
-from repro.telemetry.metrics import get_registry
 from repro.workloads import get_workload
 from repro.workloads.registry import workload_names
 
@@ -111,8 +110,7 @@ def execute_batch(
 ) -> List[RunResult]:
     """Measure a batch of (job, configuration) pairs on the shared engine."""
     requests = [ExecRequest(job=job, config=config) for job, config in pairs]
-    with get_registry().timer("experiment.batch_seconds").time():
-        return require_success(shared_engine().submit(requests))
+    return require_success(shared_engine().submit(requests))
 
 
 def execute(job: JobSpec, config: Configuration) -> RunResult:

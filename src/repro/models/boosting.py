@@ -20,7 +20,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.models.flat import FlatForest, accumulate, observe_predict, timed
+from repro.models.flat import FlatForest, accumulate
 from repro.models.histkernel import flat_codes, observe_fit
 from repro.models.metrics import mean_relative_error
 from repro.models.tree import BinnedDataset, RegressionTree
@@ -197,13 +197,9 @@ class GradientBoostedTrees:
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self._binner is None:
             raise RuntimeError("model is not fitted")
-        out, seconds = timed(
-            lambda: self.predict_codes(
-                self._binner.bin_matrix(np.asarray(X, dtype=float))
-            )
+        return self.predict_codes(
+            self._binner.bin_matrix(np.asarray(X, dtype=float))
         )
-        observe_predict("flat", "gbt", len(out), seconds)
-        return out
 
     def predict_codes(self, codes: np.ndarray) -> np.ndarray:
         """Predict from codes already binned against this model's binner.

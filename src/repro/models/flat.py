@@ -36,40 +36,16 @@ on this path with identical report fingerprints
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Sequence
 
 import numpy as np
-
-from repro.telemetry.metrics import get_registry
 
 __all__ = [
     "FlatForest",
     "FlatTree",
     "MergedBinner",
     "accumulate",
-    "observe_predict",
 ]
-
-
-def observe_predict(path: str, model: str, rows: int, seconds: float) -> None:
-    """Record one batch prediction in the metrics registry.
-
-    Emits the ``model.predict.seconds`` latency histogram and the
-    ``model.predict.rows`` throughput counter, labeled by model kind
-    and prediction path (``flat``/``walk``); a no-op registry makes
-    this one attribute load per call.
-    """
-    registry = get_registry()
-    if not registry.enabled:
-        return
-    labels = {"model": model, "path": path}
-    registry.timer(
-        "model.predict.seconds", "batch prediction latency"
-    ).labels(**labels).observe(seconds)
-    registry.counter(
-        "model.predict.rows", "rows predicted"
-    ).labels(**labels).inc(rows)
 
 
 def accumulate(base: float, scale: float, leaf_values: np.ndarray) -> np.ndarray:
@@ -370,9 +346,3 @@ class MergedBinner:
         table = self.tables[component]
         return table[np.arange(self.n_features)[None, :], merged]
 
-
-def timed(fn):
-    """Tiny ``(result, seconds)`` helper for instrumented predict paths."""
-    start = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - start

@@ -12,7 +12,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.models.flat import FlatForest, accumulate, observe_predict, timed
+from repro.models.flat import FlatForest, accumulate
 from repro.models.histkernel import observe_fit
 from repro.models.tree import BinnedDataset, RegressionTree
 
@@ -89,10 +89,6 @@ class RandomForest:
             raise RuntimeError("model is not fitted")
         if self._flat is None:
             self._flat = FlatForest.from_trees(self._trees)
-        def run():
-            codes = self._binner.bin_matrix(np.asarray(X, dtype=float))
-            total = accumulate(0.0, 1.0, self._flat.leaf_values(codes))
-            return total / len(self._trees)
-        out, seconds = timed(run)
-        observe_predict("flat", "rf", len(out), seconds)
-        return out
+        codes = self._binner.bin_matrix(np.asarray(X, dtype=float))
+        total = accumulate(0.0, 1.0, self._flat.leaf_values(codes))
+        return total / len(self._trees)

@@ -23,7 +23,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.models.boosting import GradientBoostedTrees
-from repro.models.flat import MergedBinner, observe_predict, timed
+from repro.models.flat import MergedBinner
 from repro.models.histkernel import observe_fit
 from repro.models.metrics import mean_relative_error
 from repro.telemetry import events as tele
@@ -88,13 +88,6 @@ class HierarchicalModel:
     max_order:
         Recursion bound; the paper reports first-order sufficed for its
         programs (Section 5.3), higher orders are the fallback.
-    component_factory:
-        Optional builder ``(order) -> estimator`` replacing the boosted
-        trees; Section 3.2 notes "the sub-model can be built by
-        different modeling techniques such as ANN and SVM" — pass e.g.
-        ``lambda order: NeuralNetworkRegressor(random_state=order)`` to
-        stack MLP components instead.  Distinct randomness per order is
-        the caller's responsibility when overriding.
     """
 
     def __init__(
@@ -108,7 +101,6 @@ class HierarchicalModel:
         validation_fraction: float = 0.2,
         patience: int = 200,
         random_state: int = 0,
-        component_factory=None,
     ):
         if max_order < 1:
             raise ValueError("max_order must be >= 1")
@@ -123,9 +115,8 @@ class HierarchicalModel:
         self.validation_fraction = validation_fraction
         self.patience = patience
         self.random_state = random_state
-        self.component_factory = component_factory
 
-        self._components: List[object] = []
+        self._components: List[GradientBoostedTrees] = []
         self._weights: Optional[np.ndarray] = None
         self._merged: Optional[MergedBinner] = None
         self.order_: int = 0
@@ -256,12 +247,8 @@ class HierarchicalModel:
         observe_fit(
             "hm",
             time.perf_counter() - fit_start,
-            sum(getattr(c, "n_trees_fitted", 0) for c in self._components),
-            sum(
-                len(t._nodes)
-                for c in self._components
-                for t in getattr(c, "_trees", [])
-            ),
+            sum(c.n_trees_fitted for c in self._components),
+            sum(len(t._nodes) for c in self._components for t in c._trees),
         )
         return self
 
@@ -282,9 +269,6 @@ class HierarchicalModel:
         """
         if engine is None or not getattr(engine, "supports_parallel_tasks", False):
             return None
-        if self.component_factory is not None:
-            # Arbitrary factories may build unpicklable estimators.
-            return None
         orders = list(range(first_order, self.max_order + 1))
         if len(orders) < 2:
             return None
@@ -296,11 +280,9 @@ class HierarchicalModel:
         return list(engine.map_tasks(_fit_component, payloads))
 
     # ------------------------------------------------------------------
-    def _build_component(self, order: int):
+    def _build_component(self, order: int) -> GradientBoostedTrees:
         """One sub-model with order-specific randomness (Algorithm 1's
         TM1/TM2 "call the same function but ... we introduce randomness")."""
-        if self.component_factory is not None:
-            return self.component_factory(order)
         return GradientBoostedTrees(
             n_trees=self.n_trees,
             learning_rate=self.learning_rate,
@@ -332,27 +314,14 @@ class HierarchicalModel:
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Blended prediction, binning the input **once**.
 
-        When every component is a :class:`GradientBoostedTrees` (the
-        default), the input matrix is binned a single time against the
-        merged edge set and each component's codes are recovered with a
-        table gather (:class:`repro.models.flat.MergedBinner`) — exactly
-        the codes per-component binning would produce — then pushed
-        through the component's stacked flat table.  Non-GBT components
-        (custom factories) fall back to per-component ``predict``.
+        The input matrix is binned a single time against the merged edge
+        set and each component's codes are recovered with a table gather
+        (:class:`repro.models.flat.MergedBinner`) — exactly the codes
+        per-component binning would produce — then pushed through the
+        component's stacked flat table.
         """
         if not self._components or self._weights is None:
             raise RuntimeError("model is not fitted")
-        if all(isinstance(c, GradientBoostedTrees) for c in self._components):
-            out, seconds = timed(lambda: self._predict_flat(X))
-            observe_predict("flat", "hm", len(out), seconds)
-            return out
-        out, seconds = timed(
-            lambda: self._blend([c.predict(X) for c in self._components])
-        )
-        observe_predict("walk", "hm", len(out), seconds)
-        return out
-
-    def _predict_flat(self, X: np.ndarray) -> np.ndarray:
         if self._merged is None:
             self._merged = MergedBinner([c._binner for c in self._components])
         merged = self._merged.merged_codes(np.asarray(X, dtype=float))
@@ -367,18 +336,12 @@ class HierarchicalModel:
         """Lower the fitted model into ``(sections, meta)`` for the blob
         format.
 
-        Only the default all-:class:`GradientBoostedTrees` composition
-        lowers — per-component node tables, bin edges and stacking
-        weights become array sections, scalars become JSON meta.  A
-        custom ``component_factory`` (arbitrary estimators) raises
-        ``ValueError``, and the run store refuses to store such a model.
+        Per-component node tables, bin edges and stacking weights become
+        array sections, scalars become JSON meta.  An unfitted model
+        raises ``ValueError``, and the run store refuses to store it.
         """
         if not self._components or self._weights is None:
             raise ValueError("model is not fitted")
-        if self.component_factory is not None or not all(
-            isinstance(c, GradientBoostedTrees) for c in self._components
-        ):
-            raise ValueError("only default GBT components lower to sections")
         sections = {
             "weights": np.asarray(self._weights, dtype=float),
             "holdout": np.asarray([self.holdout_error_], dtype=float),

@@ -66,7 +66,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.telemetry import events as tele
-from repro.telemetry.metrics import get_registry
 
 __all__ = ["FrontierEvaluator", "flat_codes", "observe_fit"]
 
@@ -258,28 +257,11 @@ class FrontierEvaluator:
 
 
 # ----------------------------------------------------------------------
-# Fit telemetry (mirrors flat.observe_predict)
+# Fit telemetry
 # ----------------------------------------------------------------------
 def observe_fit(model: str, seconds: float, trees: int, nodes: int) -> None:
-    """Record one model fit in the metrics registry and event stream.
-
-    Emits ``model.fit.seconds`` (timer) plus ``model.fit.trees`` /
-    ``model.fit.nodes`` (counters) labeled by model kind, mirroring the
-    ``model.predict.*`` family, and — when event telemetry is on — a
-    ``model.fit`` event so ``repro top`` can surface a fit row in the
-    engine panel.
-    """
-    registry = get_registry()
-    if registry.enabled:
-        registry.timer("model.fit.seconds", "model fit latency").labels(
-            model=model
-        ).observe(seconds)
-        registry.counter("model.fit.trees", "trees fitted").labels(
-            model=model
-        ).inc(trees)
-        registry.counter("model.fit.nodes", "tree nodes fitted").labels(
-            model=model
-        ).inc(nodes)
+    """Record one model fit as a ``model.fit`` event (telemetry on),
+    which ``repro top`` surfaces as a fit row in the engine panel."""
     if tele.enabled():
         tele.event(
             "model.fit",

@@ -19,8 +19,8 @@ Routes::
     GET    /v1/fleet            dashboard snapshot JSON (?format=html
                                 renders the self-refreshing web view)
     GET    /v1/health           liveness probe
-    GET    /metrics             Prometheus text exposition (API metrics
-                                + fleet gauges)
+    GET    /metrics             Prometheus text exposition of the
+                                fleet gauges
 
 A submission body is a :class:`~repro.service.jobs.TuneRequest`'s
 fields plus an optional ``priority``; any other key, or a malformed
@@ -41,10 +41,12 @@ request-shaping layers then run in order:
 Dedup + submit run under one server-wide lock, which is what makes
 "exactly one stored job" hold under concurrent identical submissions.
 
-Every handler (and every parse failure) emits an ``api.request`` event
-and updates the ``api.request.seconds`` timer / ``api.requests``
-counter in the server's metrics registry, so ``repro top`` and the
-Prometheus export grow an API panel for free.
+Every handler (and every parse failure) appends an ``api.request``
+record to the server's own event log, ``events/<server-id>.jsonl`` in
+the store.  ``repro top``, ``/v1/fleet`` and ``/metrics`` read their API
+panel from those records, so they count the server's traffic whether or
+not process-global telemetry is enabled, and a request never lands in
+the event log of a job running in the same process.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ import uuid
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro import telemetry
 from repro.service.api.http import (
     HttpError,
     HttpLimits,
@@ -79,11 +80,9 @@ from repro.service.jobs import (
 )
 from repro.service.scheduler import AdmissionError, JobFinished, JobService
 from repro.store import RunStore
-from repro.telemetry.export import (
-    prometheus_from_fleet,
-    prometheus_from_metrics,
-)
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.events import Telemetry
+from repro.telemetry.export import prometheus_from_fleet
+from repro.telemetry.sinks import JsonlSink
 
 __all__ = ["ApiServer", "TENANT_HEADER"]
 
@@ -118,10 +117,10 @@ class ApiServer:
         self.port = port  # rewritten with the bound port after start()
         self.quota = quota
         self.limits = limits if limits is not None else HttpLimits()
-        #: The server's own live registry: `/metrics` must work whether
-        #: or not process-global telemetry is enabled.
-        self.registry = MetricsRegistry()
         self.server_id = server_id or f"api-{uuid.uuid4().hex[:8]}"
+        #: The server's own event log, opened by :meth:`start`; never
+        #: installed process-globally.
+        self.events: Optional[Telemetry] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
@@ -151,7 +150,9 @@ class ApiServer:
             limit=max(self.limits.max_request_line, 65536),
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        telemetry.event(
+        log = self.service.store.root / "events" / f"{self.server_id}.jsonl"
+        self.events = Telemetry([JsonlSink(log, append=True, live=True)])
+        self.events.event(
             "api.started", server=self.server_id, host=self.host,
             port=self.port, store=str(self.service.store.root),
         )
@@ -167,6 +168,8 @@ class ApiServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        if self.events is not None:
+            self.events.close()
 
     @property
     def url(self) -> str:
@@ -192,6 +195,7 @@ class ApiServer:
             except BaseException as exc:  # noqa: BLE001 - surfaced to caller
                 failure.append(exc)
                 started.set()
+                loop.run_until_complete(self.aclose())
                 loop.close()
                 return
             started.set()
@@ -225,8 +229,11 @@ class ApiServer:
         """Blocking foreground serve (the ``repro serve`` main loop)."""
 
         async def _main() -> None:
-            await self.start()
-            await self.serve_forever()
+            try:
+                await self.start()
+                await self.serve_forever()
+            finally:
+                await self.aclose()
 
         try:
             asyncio.run(_main())
@@ -344,15 +351,8 @@ class ApiServer:
         tenant: Optional[str],
         deduplicated: bool = False,
     ) -> None:
-        """File one request under both telemetry halves."""
-        labels = dict(route=route, method=method, status=status)
-        self.registry.counter(
-            "api.requests", "API requests by route/method/status"
-        ).labels(**labels).inc()
-        self.registry.timer(
-            "api.request.seconds", "API request latency"
-        ).labels(route=route, method=method).observe(seconds)
-        telemetry.event(
+        """Append one request to the server's event log."""
+        self.events.event(
             "api.request",
             server=self.server_id,
             route=route,
@@ -519,9 +519,7 @@ class ApiServer:
         return self._dashboard.snapshot()
 
     def _metrics_sync(self) -> str:
-        return prometheus_from_metrics(
-            self.registry.snapshot()
-        ) + prometheus_from_fleet(self._fleet_snapshot_sync())
+        return prometheus_from_fleet(self._fleet_snapshot_sync())
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -388,8 +388,8 @@ class LeaseManager:
         tmp = path.with_name(
             f".{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
         )
-        tmp.write_text(self._encode(info), encoding="utf-8")
         try:
+            tmp.write_text(self._encode(info), encoding="utf-8")
             os.link(tmp, path)
         except FileExistsError:
             return False

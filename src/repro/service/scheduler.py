@@ -55,6 +55,7 @@ from repro.service.jobs import (
 from repro.service.lease import Lease, LeaseHeld, LeaseManager
 from repro.service.runner import JobRunner
 from repro.store import RunStore
+from repro.telemetry import events as tele
 
 
 class AdmissionError(RuntimeError):
@@ -182,10 +183,19 @@ class JobService:
         between listing the queue and acquiring the lease, another
         process may have claimed, finished, or cancelled the job — the
         in-memory listing must never be trusted for the run decision.
-        A claim fails softly (``None``) when the lease is held or the
-        fresh record's state is not in ``states``.
+        A claim fails softly (``None``) when the lease is held, when
+        acquiring it raises ``OSError`` (a transient ENOSPC or EIO; the
+        job waits for a later poll and a ``lease.error`` event says
+        why), or when the fresh record's state is not in ``states``.
         """
-        lease = self.leases.acquire(job_id)
+        try:
+            lease = self.leases.acquire(job_id)
+        except OSError as exc:
+            tele.event(
+                "lease.error", job_id=job_id, worker=self.worker_id,
+                errno=exc.errno, error=str(exc),
+            )
+            return None
         if lease is None:
             return None
         record = parse_job(self.store.load_job(job_id))

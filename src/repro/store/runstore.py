@@ -213,9 +213,15 @@ class RunStore:
             "digest": digest,
             "ts": time.time(),
         }
-        line = json.dumps(entry, sort_keys=True) + "\n"
+        line = json.dumps(entry, sort_keys=True).encode("utf-8") + b"\n"
         with self._lock:
-            with self._index_path().open("a", encoding="utf-8") as handle:
+            with self._index_path().open("a+b") as handle:
+                # A writer killed mid-append leaves a tail with no
+                # newline: start a line of our own, or both are lost.
+                if handle.seek(0, os.SEEK_END):
+                    handle.seek(-1, os.SEEK_END)
+                    if handle.read(1) != b"\n":
+                        line = b"\n" + line
                 handle.write(line)
                 handle.flush()
                 if self.fsync:
@@ -328,7 +334,7 @@ class RunStore:
         """Store a model as a columnar blob.
 
         Raises ``ValueError``, and writes nothing, for a model that does
-        not lower to blob sections (a custom ``component_factory``).
+        not lower to blob sections (an unfitted one).
         """
         from repro.io import codecs
 

@@ -6,9 +6,6 @@ phase costs (Table 3).  This package makes those observations a
 first-class, always-available layer instead of something bespoke
 experiment scripts re-derive:
 
-* :mod:`repro.telemetry.metrics` — a metrics registry (counters,
-  gauges, histograms, timers; labeled series; immutable snapshots) with
-  a process-global default and a no-op mode;
 * :mod:`repro.telemetry.events` — the ``span()``/``event()`` API
   recording structured, monotonically-timestamped records to pluggable
   sinks;
@@ -23,7 +20,7 @@ experiment scripts re-derive:
 * :mod:`repro.telemetry.dashboard` — the ``repro top`` live fleet
   view (jobs/workers/engine panels, ANSI in-place refresh, ``--json``);
 * :mod:`repro.telemetry.export` — Prometheus text-exposition and JSON
-  snapshot writers over the same rollups;
+  snapshot writers over the fleet rollups;
 * :mod:`repro.telemetry.log` — structured logging behind the CLI's
   ``--verbose``/``--quiet``.
 
@@ -34,12 +31,13 @@ and a ``None``/no-op check per record, quantified by
     from repro import telemetry
 
     with telemetry.session(directory="out") as tel:
-        ...  # spans, events and metrics flow to out/events.jsonl
+        ...  # spans and events flow to out/events.jsonl
     # or imperatively: telemetry.enable(...) / telemetry.disable()
 
 A session keeps the last :data:`DEFAULT_RING_CAPACITY` records in memory
-(the Chrome-trace export reads them) and installs a fresh
-:class:`MetricsRegistry`, which :func:`disable` removes again.
+(the Chrome-trace export reads them).  The event stream is the only
+telemetry channel: every count, rate or latency a reader wants
+(``repro trace``, ``repro top``, ``/metrics``) is derived from it.
 """
 
 from __future__ import annotations
@@ -67,18 +65,10 @@ from repro.telemetry.export import (
     ExpositionError,
     parse_exposition,
     prometheus_from_fleet,
-    prometheus_from_metrics,
     write_json_snapshot,
     write_prometheus,
 )
 from repro.telemetry.log import configure_logging, get_logger
-from repro.telemetry.metrics import (
-    MetricsRegistry,
-    MetricsSnapshot,
-    NullRegistry,
-    get_registry,
-    set_registry,
-)
 from repro.telemetry.sinks import JsonlSink, RingBufferSink
 from repro.telemetry.trace import (
     EventLog,
@@ -96,9 +86,6 @@ __all__ = [
     "JsonlSink",
     "LogAggregator",
     "LogCursor",
-    "MetricsRegistry",
-    "MetricsSnapshot",
-    "NullRegistry",
     "RingBufferSink",
     "Rollup",
     "TaggedRecord",
@@ -111,18 +98,15 @@ __all__ = [
     "follow_events",
     "format_record",
     "get_logger",
-    "get_registry",
     "get_telemetry",
     "install",
     "parse_exposition",
     "prometheus_from_fleet",
-    "prometheus_from_metrics",
     "read_event_log",
     "read_tagged",
     "render_timeline",
     "render_trace_report",
     "session",
-    "set_registry",
     "span",
     "write_chrome_trace",
     "write_json_snapshot",
@@ -138,8 +122,8 @@ def enable(directory: Optional[Union[str, Path]] = None) -> Telemetry:
 
     Attaches an in-memory ring sink always (feeding trace export) and a
     JSONL event-log writer at ``<directory>/events.jsonl`` when a
-    directory is given, and installs a live metrics registry.  Returns
-    the active :class:`Telemetry`; call :func:`disable` to tear down.
+    directory is given.  Returns the active :class:`Telemetry`; call
+    :func:`disable` to tear down.
     """
     if enabled():
         raise RuntimeError("telemetry is already enabled; call disable() first")
@@ -150,7 +134,6 @@ def enable(directory: Optional[Union[str, Path]] = None) -> Telemetry:
     telemetry = Telemetry(sinks)
     telemetry.ring = ring
     install(telemetry)
-    set_registry(MetricsRegistry())
     return telemetry
 
 
@@ -163,7 +146,6 @@ def disable() -> Optional[Telemetry]:
     telemetry = install(None)
     if telemetry is not None:
         telemetry.close()
-    set_registry(None)
     return telemetry
 
 

@@ -1,14 +1,12 @@
 """Metric exporters: Prometheus text exposition and JSON snapshots.
 
 External scrapers should see exactly what ``repro top`` sees, so the
-exporters render the same sources — a :class:`MetricsSnapshot` and/or
-a fleet-dashboard snapshot dict — into two wire formats:
+exporters render the same source — a fleet-dashboard snapshot dict —
+into two wire formats:
 
-* :func:`prometheus_from_metrics` / :func:`prometheus_from_fleet` —
-  the Prometheus `text exposition format
-  <https://prometheus.io/docs/instrumenting/exposition_formats/>`_
-  (``# HELP``/``# TYPE`` headers, ``name{label="v"} value`` samples,
-  histogram ``_bucket``/``_sum``/``_count`` triples);
+* :func:`prometheus_from_fleet` — the Prometheus `text exposition
+  format <https://prometheus.io/docs/instrumenting/exposition_formats/>`_
+  (``# HELP``/``# TYPE`` headers, ``name{label="v"} value`` samples);
 * :func:`write_json_snapshot` — the dashboard snapshot dict, written
   atomically so a scraping sidecar never reads a torn file.
 
@@ -23,22 +21,19 @@ import json
 import math
 import re
 from pathlib import Path
-from typing import Dict, List, Mapping, Tuple, Union
+from typing import Dict, List, Mapping, Union
 
 from repro.store.artifacts import atomic_write
-from repro.telemetry.metrics import MetricsSnapshot
 
 __all__ = [
     "ExpositionError",
     "parse_exposition",
     "prometheus_from_fleet",
-    "prometheus_from_metrics",
     "write_json_snapshot",
     "write_prometheus",
 ]
 
 _NAME_RE = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_LABEL_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*$")
 
 
 def _metric_name(raw: str) -> str:
@@ -73,20 +68,6 @@ def _fmt_value(value: float) -> str:
     return repr(float(value))
 
 
-def _split_series(series: str) -> Tuple[str, Dict[str, str]]:
-    """Parse the registry's ``name{k=v,...}`` rendering back apart."""
-    if "{" not in series:
-        return series, {}
-    name, _, rest = series.partition("{")
-    labels: Dict[str, str] = {}
-    for pair in rest.rstrip("}").split(","):
-        if not pair:
-            continue
-        key, _, value = pair.partition("=")
-        labels[key] = value
-    return name, labels
-
-
 class _Writer:
     """Accumulate exposition lines, one HELP/TYPE header per family."""
 
@@ -111,38 +92,6 @@ class _Writer:
 
     def text(self) -> str:
         return "\n".join(self.lines) + ("\n" if self.lines else "")
-
-
-def prometheus_from_metrics(snapshot: MetricsSnapshot) -> str:
-    """Render a registry snapshot in the text exposition format."""
-    writer = _Writer()
-    for series in sorted(snapshot.counters):
-        raw, labels = _split_series(series)
-        name = _metric_name("repro_" + raw) + "_total"
-        writer.header(name, "counter", f"repro counter {raw}")
-        writer.sample(name, labels, snapshot.counters[series])
-    for series in sorted(snapshot.gauges):
-        raw, labels = _split_series(series)
-        name = _metric_name("repro_" + raw)
-        writer.header(name, "gauge", f"repro gauge {raw}")
-        writer.sample(name, labels, snapshot.gauges[series])
-    for series in sorted(snapshot.histograms):
-        raw, labels = _split_series(series)
-        name = _metric_name("repro_" + raw)
-        hist = snapshot.histograms[series]
-        writer.header(name, "histogram", f"repro histogram {raw}")
-        for bound, cumulative in hist.buckets:
-            writer.sample(
-                name + "_bucket",
-                {**labels, "le": _fmt_value(bound)},
-                cumulative,
-            )
-        writer.sample(
-            name + "_bucket", {**labels, "le": "+Inf"}, hist.count
-        )
-        writer.sample(name + "_sum", labels, hist.sum)
-        writer.sample(name + "_count", labels, hist.count)
-    return writer.text()
 
 
 def prometheus_from_fleet(snapshot: Mapping[str, object]) -> str:

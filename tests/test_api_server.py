@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.cli.main import main as cli_main
 from repro.service import (
     JobFinished,
@@ -35,6 +36,7 @@ from repro.service.api import (
 )
 from repro.store import RunStore
 from repro.telemetry.export import parse_exposition
+from repro.telemetry.trace import read_event_log
 
 #: Tiny-but-complete pipeline parameters (collect + fit + search all run).
 FAST = dict(
@@ -403,17 +405,32 @@ class TestFleetAndMetrics:
         assert doc["job_id"] in page
         assert "<script" not in page  # static by construction
 
-    def test_metrics_parse_and_api_series(self, client):
+    def test_metrics_parse_and_api_series(self, server, client):
+        """With no global telemetry, the server's own event log feeds
+        the fleet API families: every request served before the scrape
+        is counted, and the log holds one record per request."""
+        assert not telemetry.enabled()
         client.submit(_request(seed=23))
         client.jobs()
+        client.health()
         families = parse_exposition(client.metrics())
-        assert "repro_api_requests_total" in families
-        assert "repro_api_request_seconds" in families
-        samples = families["repro_api_requests_total"]["samples"]
-        routes = {labels.get("route") for _, labels, _ in samples}
-        assert "/v1/jobs" in routes
-        total = sum(value for _, _, value in samples)
-        assert total >= 2
+        assert "repro_api_requests_total" not in families
+        [(_, _, served)] = families["repro_fleet_api_requests"]["samples"]
+        assert served == 3
+        log = read_event_log(
+            server.service.store.root / "events" / f"{server.server_id}.jsonl"
+        )
+        assert [r["name"] for r in log.events] == ["api.started"] + [
+            "api.request"] * 4
+        assert log.events[-1]["fields"]["route"] == "/metrics"
+
+    def test_requests_stay_out_of_the_process_global_log(self, client):
+        """A pipeline installed process-globally — a job's, while it runs
+        in the server's process — records none of the server's traffic."""
+        with telemetry.session() as tel:
+            client.health()
+        assert not [r for r in tel.records
+                    if str(r.get("name", "")).startswith("api.")]
 
 
 # ----------------------------------------------------------------------

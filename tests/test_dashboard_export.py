@@ -19,11 +19,9 @@ from repro.telemetry.export import (
     ExpositionError,
     parse_exposition,
     prometheus_from_fleet,
-    prometheus_from_metrics,
     write_json_snapshot,
     write_prometheus,
 )
-from repro.telemetry.metrics import MetricsRegistry
 
 FAST = dict(n_train=40, n_trees=15, generations=3, patience=None, seed=2)
 
@@ -160,26 +158,6 @@ class TestPrometheusExport:
         progress = families["repro_fleet_job_progress"]["samples"][0]
         assert progress[1]["program"] == "TS"
         assert progress[2] == 1.0
-
-    def test_metrics_export_counter_gauge_histogram(self):
-        registry = MetricsRegistry()
-        registry.counter("runs").labels(backend="cached").inc(5)
-        registry.gauge("queue.depth").set(3)
-        registry.histogram("wait", buckets=(0.1, 1.0)).observe(0.5)
-        text = prometheus_from_metrics(registry.snapshot())
-        families = parse_exposition(text)
-        assert families["repro_runs_total"]["type"] == "counter"
-        (sample,) = families["repro_runs_total"]["samples"]
-        assert sample[1] == {"backend": "cached"} and sample[2] == 5.0
-        assert families["repro_queue_depth"]["type"] == "gauge"
-        hist = families["repro_wait"]
-        assert hist["type"] == "histogram"
-        names = {s[0] for s in hist["samples"]}
-        assert {"repro_wait_bucket", "repro_wait_sum", "repro_wait_count"} <= names
-        le_values = [
-            s[1]["le"] for s in hist["samples"] if s[0] == "repro_wait_bucket"
-        ]
-        assert "+Inf" in le_values
 
     def test_label_values_escaped(self):
         text = prometheus_from_fleet(

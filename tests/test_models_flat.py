@@ -21,7 +21,6 @@ from repro.models.flat import FlatForest, FlatTree, MergedBinner, accumulate
 from repro.models.forest import RandomForest
 from repro.models.hierarchical import HierarchicalModel
 from repro.models.tree import BinnedDataset, RegressionTree, bin_with_edges
-from repro.telemetry.metrics import MetricsRegistry, set_registry
 
 
 def _walk_gbt(model: GradientBoostedTrees, X: np.ndarray) -> np.ndarray:
@@ -344,21 +343,6 @@ class TestMergedBinner:
         clone = pickle.loads(pickle.dumps(model))
         assert clone.predict(Q).tobytes() == expected.tobytes()
 
-    def test_non_gbt_components_fall_back(self):
-        class Affine:
-            def fit(self, X, y):
-                return self
-
-            def predict(self, X):
-                return np.asarray(X)[:, 0] * 2.0
-
-        model = HierarchicalModel(component_factory=lambda order: Affine())
-        rng = np.random.default_rng(22)
-        model.fit(rng.random((60, 3)), rng.random(60))
-        Q = rng.random((10, 3))
-        assert model.predict(Q).tobytes() == \
-            model._blend([c.predict(Q) for c in model._components]).tobytes()
-
 
 # ----------------------------------------------------------------------
 # Parallel component fitting
@@ -437,20 +421,6 @@ class TestMemoizedFitness:
         memo(rng.random((50, 3)))
         assert len(memo._cache) <= 8
 
-    def test_counters_reach_registry(self):
-        registry = MetricsRegistry()
-        previous = set_registry(registry)
-        try:
-            memo = MemoizedFitness(lambda pop: np.zeros(len(pop)))
-            pop = np.random.default_rng(27).random((6, 2))
-            memo(pop)
-            memo(pop)
-            snap = registry.snapshot()
-            assert snap.counters["ga.fitness_cache.hits"] == 6
-            assert snap.counters["ga.fitness_cache.misses"] == 6
-        finally:
-            set_registry(previous)
-
     def test_ga_result_identical_with_and_without_memo(self):
         from repro.common.rng import derive_rng
         from repro.core.ga import GeneticAlgorithm
@@ -472,24 +442,3 @@ class TestMemoizedFitness:
         assert memoized.history == bare.history
         assert memoized.best_fitness == bare.best_fitness
         assert memo.hits > 0  # elites were served from the cache
-
-
-# ----------------------------------------------------------------------
-# Predict telemetry
-# ----------------------------------------------------------------------
-class TestPredictMetrics:
-    def test_model_predict_metrics_recorded(self):
-        registry = MetricsRegistry()
-        previous = set_registry(registry)
-        try:
-            rng = np.random.default_rng(28)
-            model = HierarchicalModel(
-                n_trees=8, target_accuracy=0.99, max_order=1, random_state=9
-            ).fit(rng.random((80, 3)), rng.random(80))
-            model.predict(rng.random((30, 3)))
-            snap = registry.snapshot()
-            assert snap.counters['model.predict.rows{model=hm,path=flat}'] >= 30
-            key = 'model.predict.seconds{model=hm,path=flat}'
-            assert snap.histograms[key].count >= 1
-        finally:
-            set_registry(previous)

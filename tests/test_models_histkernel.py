@@ -6,7 +6,7 @@ consumption — because report fingerprints, dedup, and crash-resume all
 assume fitted models are bit-stable.  These tests pin that contract on
 adversarial inputs by patching the reference growth loop over the
 kernel (:func:`reference_fit`), plus the shared binner cache and the
-``model.fit.*`` telemetry.
+``model.fit`` events.
 """
 
 from unittest import mock
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.models import histkernel
 from repro.models.boosting import GradientBoostedTrees
 from repro.models.forest import RandomForest
@@ -27,7 +28,6 @@ from repro.models.tree import (
     _shared_binners,
     clear_shared_binners,
 )
-from repro.telemetry.metrics import MetricsRegistry, set_registry
 
 
 @pytest.fixture(autouse=True)
@@ -284,51 +284,51 @@ class TestEnsemblesBitwiseAcrossPaths:
 # ----------------------------------------------------------------------
 # Fit telemetry
 # ----------------------------------------------------------------------
+def _fit_events(run):
+    """``run()``'s result and the fields of the ``model.fit`` events it
+    recorded inside a telemetry session."""
+    with telemetry.session() as tel:
+        result = run()
+    fits = [r["fields"] for r in tel.records if r.get("name") == "model.fit"]
+    return result, fits
+
+
 class TestFitTelemetry:
     def test_observe_fit_records_labeled_metrics(self):
-        registry = MetricsRegistry()
-        previous = set_registry(registry)
-        try:
-            observe_fit("gbt", 0.25, trees=30, nodes=330)
-            snap = registry.snapshot()
-            assert snap.counters["model.fit.trees{model=gbt}"] == 30
-            assert snap.counters["model.fit.nodes{model=gbt}"] == 330
-            hist = snap.histograms["model.fit.seconds{model=gbt}"]
-            assert hist.count == 1
-        finally:
-            set_registry(previous)
+        _, fits = _fit_events(
+            lambda: observe_fit("gbt", 0.25, trees=30, nodes=330)
+        )
+        assert fits == [{"model": "gbt", "seconds": 0.25, "trees": 30,
+                         "nodes": 330}]
 
     def test_gbt_fit_emits_metrics(self):
-        registry = MetricsRegistry()
-        previous = set_registry(registry)
-        try:
-            rng = np.random.default_rng(30)
-            model = GradientBoostedTrees(n_trees=6, random_state=0).fit(
+        rng = np.random.default_rng(30)
+        model, fits = _fit_events(
+            lambda: GradientBoostedTrees(n_trees=6, random_state=0).fit(
                 rng.random((50, 4)), rng.normal(size=50)
             )
-            snap = registry.snapshot()
-            key = "model.fit.trees{model=gbt}"
-            assert snap.counters[key] == model.n_trees_fitted
-            nodes = sum(len(t._nodes) for t in model._trees)
-            assert snap.counters["model.fit.nodes{model=gbt}"] == nodes
-        finally:
-            set_registry(previous)
+        )
+        [fit] = fits
+        assert fit["model"] == "gbt"
+        assert fit["trees"] == model.n_trees_fitted
+        assert fit["nodes"] == sum(len(t._nodes) for t in model._trees)
 
     def test_hm_fit_emits_metrics_with_hm_label(self):
-        registry = MetricsRegistry()
-        previous = set_registry(registry)
-        try:
-            rng = np.random.default_rng(31)
-            HierarchicalModel(
+        rng = np.random.default_rng(31)
+        model, fits = _fit_events(
+            lambda: HierarchicalModel(
                 n_trees=6, target_accuracy=0.5, max_order=1, random_state=0
             ).fit(rng.random((60, 4)), rng.normal(size=60))
-            snap = registry.snapshot()
-            keys = [k for k in snap.histograms if k.startswith("model.fit.seconds")]
-            assert any("model=hm" in k for k in keys), keys
-        finally:
-            set_registry(previous)
+        )
+        # One record per component, then the HM's own summing them.
+        assert [f["model"] for f in fits] == ["gbt"] * model.order_ + ["hm"]
+        hm = fits[-1]
+        assert hm["trees"] == sum(f["trees"] for f in fits[:-1])
+        assert hm["nodes"] == sum(f["nodes"] for f in fits[:-1])
 
     def test_fit_runs_cleanly_without_a_registry(self):
+        """With telemetry off, fitting records nothing and still runs."""
+        assert not telemetry.enabled()
         rng = np.random.default_rng(32)
         GradientBoostedTrees(n_trees=3, random_state=0).fit(
             rng.random((40, 3)), rng.normal(size=40)

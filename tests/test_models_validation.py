@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.models.ann import NeuralNetworkRegressor
 from repro.models.boosting import GradientBoostedTrees
 from repro.models.hierarchical import HierarchicalModel
 from repro.models.response_surface import ResponseSurface
@@ -98,23 +97,6 @@ class TestCrossValidate:
 
 
 class TestPluggableHmComponents:
-    def test_ann_components(self, regression_data):
-        """Section 3.2: sub-models 'can be built by different modeling
-        techniques such as ANN'."""
-        X, y = regression_data
-        model = HierarchicalModel(
-            target_accuracy=0.999,  # force two orders
-            max_order=2,
-            component_factory=lambda order: NeuralNetworkRegressor(
-                hidden=(16,), epochs=30, random_state=order
-            ),
-        ).fit(X, y)
-        assert model.order_ == 2
-        assert all(
-            isinstance(c, NeuralNetworkRegressor) for c in model._components
-        )
-        assert model.predict(X[:5]).shape == (5,)
-
     def test_default_components_are_boosted_trees(self, regression_data):
         X, y = regression_data
         model = HierarchicalModel(n_trees=30, target_accuracy=0.5).fit(X, y)

@@ -21,6 +21,7 @@ small configuration of it end to end (excluded from tier-1).
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import signal
@@ -32,6 +33,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import telemetry
 from repro.core.tuner import DacTuner
 from repro.service import (
     DONE,
@@ -387,6 +389,38 @@ class TestWorkerLoop:
         assert all(j.worker == "w1" for j in finished)
         assert all(j.fencing_token >= 1 for j in finished)
         assert not list(service.store.lease_dir.glob("*.lease"))
+
+    def test_lease_io_error_skips_the_job_for_one_poll(
+        self, tmp_path, monkeypatch
+    ):
+        """ENOSPC while linking the lease file does not end the loop: the
+        poll reports a ``lease.error`` event and a later poll runs the
+        job."""
+        service = JobService(tmp_path / "store", use_cache=False,
+                             worker_id="w1")
+        record = service.submit(
+            TuneRequest(program="TS", kind="collect", n_train=20, seed=1)
+        )
+        real_link, failed = os.link, []
+
+        def link(src, dst, *args, **kwargs):
+            if str(dst).endswith(".lease") and not failed:
+                failed.append(dst)
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_link(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "link", link)
+        with telemetry.session() as tel:
+            finished = service.work(poll_interval=0.01, idle_polls=2)
+        assert failed
+        assert [(j.job_id, j.state) for j in finished] == [
+            (record.job_id, DONE)
+        ]
+        [error] = [r["fields"] for r in tel.records
+                   if r.get("name") == "lease.error"]
+        assert error["job_id"] == record.job_id
+        assert error["errno"] == errno.ENOSPC
+        assert not list(service.store.lease_dir.rglob("*.tmp"))
 
     def test_work_honours_max_jobs(self, tmp_path):
         store = tmp_path / "store"

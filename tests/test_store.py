@@ -143,6 +143,24 @@ class TestRunStore:
         assert reopened.get_bytes("b") == b"2"
         assert reopened.keys() == ["a", "b"]
 
+    def test_put_after_torn_index_tail_survives_reopen(self, tmp_path):
+        """A put that follows a writer killed mid-append is not joined to
+        the torn fragment: it reads back after reopening too."""
+        RunStore(tmp_path / "store").put_bytes("a", b"1")
+        index = tmp_path / "store" / "index.jsonl"
+        index.write_bytes(index.read_bytes()[:-10])
+        writer = RunStore(tmp_path / "store")
+        writer.put_bytes("b", b"2")
+        assert writer.get_bytes("b") == b"2"
+        reopened = RunStore(tmp_path / "store")
+        assert reopened.get_bytes("b") == b"2"
+        assert reopened.keys() == ["b"]
+        # The fragment keeps a line of its own, and a put on an intact
+        # index adds exactly one line: no blank ones.
+        reopened.put_bytes("c", b"3")
+        lines = index.read_bytes().split(b"\n")
+        assert len(lines) == 4 and all(lines[:3]) and lines[3] == b""
+
     def test_not_a_store(self, tmp_path):
         with pytest.raises(StoreError):
             RunStore(tmp_path / "absent", create=False)

@@ -230,22 +230,11 @@ class TestStoreCodecPaths:
             assert store.get_model("m", mode=mode) is None
 
     def test_model_that_does_not_lower_is_refused(self, tmp_path):
-        """A custom ``component_factory`` model has no blob form, so the
-        store refuses it and writes neither an object nor an index line."""
-
-        class Affine:
-            def fit(self, X, y):
-                return self
-
-            def predict(self, X):
-                return np.asarray(X)[:, 0] * 2.0
-
-        model = HierarchicalModel(component_factory=lambda order: Affine())
-        rng = np.random.default_rng(22)
-        model.fit(rng.random((60, 3)), rng.random(60))
+        """An unfitted model has no blob form, so the store refuses it
+        and writes neither an object nor an index line."""
         store = RunStore(tmp_path / "store")
-        with pytest.raises(ValueError, match="lower"):
-            store.put_model("m", model)
+        with pytest.raises(ValueError, match="not fitted"):
+            store.put_model("m", HierarchicalModel())
         assert store.entry("m") is None
         assert not (store.root / "index.jsonl").exists()
         assert not list((store.root / "objects").iterdir())

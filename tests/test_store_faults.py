@@ -10,8 +10,9 @@ Hypothesis picks a primitive and the call N on which it fails:
 * ``os.link`` — lease creation and the engine cache's per-key names.
 
 Over the checkpoints of a FAST tune job, each fault either fails the
-job (or raises out of the service) or, inside the engine cache, is
-swallowed; the stored record is the last one ``save_job`` completed,
+job (or raises out of the service), or, inside the engine cache, is
+swallowed, or, while the lease is acquired, leaves the job queued for
+a later claim; the stored record is the last one ``save_job`` completed,
 never ``None``; and resuming ends with the uninterrupted run's
 fingerprint.  Over one cache batch, every key then either hits with
 the right run or misses.  ``load_job`` is also checked right after
@@ -37,7 +38,7 @@ from hypothesis import strategies as st
 from repro.common.rng import derive_rng
 from repro.engine import CachedBackend, ExecRequest, InProcessBackend
 from repro.engine.cache import request_key
-from repro.service import DONE, FAILED, JobService, TuneRequest
+from repro.service import DONE, FAILED, QUEUED, JobService, TuneRequest
 from repro.workloads import get_workload
 
 #: tests/test_service_multihost.py's FAST parameters.
@@ -60,8 +61,8 @@ class Fault:
         self.nth = nth
         self.calls = 0
         self.real = getattr(os, name)
-        #: Source files on the stack when the fault fired, else None.
-        self.where: Optional[List[str]] = None
+        #: The stack when the fault fired, else None.
+        self.where: Optional[List[traceback.FrameSummary]] = None
 
     def __call__(self, *args):
         self.calls += 1
@@ -69,13 +70,20 @@ class Fault:
             fd, data = args
             return self.real(fd, bytes(data[: len(data) // 2]))
         if self.calls == self.nth + (self.name == "write"):
-            self.where = [frame.filename for frame in traceback.extract_stack()]
+            self.where = traceback.extract_stack()
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
         return self.real(*args)
 
+    def _in(self, path: str, function: Optional[str] = None) -> bool:
+        return any(frame.filename.endswith(path)
+                   and (function is None or frame.name == function)
+                   for frame in self.where or ())
+
     def in_cache(self) -> bool:
-        return any(name.endswith(os.path.join("engine", "cache.py"))
-                   for name in self.where or ())
+        return self._in(os.path.join("engine", "cache.py"))
+
+    def in_lease_acquire(self) -> bool:
+        return self._in(os.path.join("service", "lease.py"), "acquire")
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +129,9 @@ def test_fault_on_a_checkpoint_write_path(reference_fingerprint, fault):
             assert raised is None and ran[0].state == DONE
         elif shim.in_cache():
             assert raised is None and ran[0].state == DONE  # swallowed
+        elif shim.in_lease_acquire():
+            assert raised is None and ran == []  # skipped: still queued
+            assert stored["state"] == QUEUED
         elif raised is not None:
             assert raised.errno == errno.ENOSPC
         else:

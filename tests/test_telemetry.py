@@ -1,17 +1,12 @@
-"""Tests for the telemetry subsystem: metrics, events, sinks, trace."""
+"""Tests for the telemetry subsystem: events, sinks, trace."""
 
 import json
+import re
 
 import pytest
 
 from repro import telemetry
 from repro.telemetry import events as tele
-from repro.telemetry.metrics import (
-    MetricsRegistry,
-    NullRegistry,
-    get_registry,
-    set_registry,
-)
 from repro.telemetry.sinks import RingBufferSink
 from repro.telemetry.trace import read_event_log
 
@@ -22,105 +17,6 @@ def _telemetry_off():
     telemetry.disable()
     yield
     telemetry.disable()
-
-
-class TestMetricsRegistry:
-    def test_counter_gauge_histogram_timer(self):
-        registry = MetricsRegistry()
-        registry.counter("runs").inc()
-        registry.counter("runs").inc(2)
-        registry.gauge("depth").set(3)
-        registry.gauge("depth").dec()
-        registry.histogram("sizes").observe(0.5)
-        with registry.timer("t").time():
-            pass
-        snap = registry.snapshot()
-        assert snap.counters["runs"] == 3
-        assert snap.gauges["depth"] == 2
-        assert snap.histograms["sizes"].count == 1
-        assert snap.histograms["t"].count == 1
-
-    def test_counter_rejects_negative(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry().counter("c").inc(-1)
-
-    def test_same_name_returns_same_instrument(self):
-        registry = MetricsRegistry()
-        assert registry.counter("x") is registry.counter("x")
-
-    def test_name_kind_collision_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(TypeError):
-            registry.gauge("x")
-
-    def test_labels_create_series(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("requests")
-        counter.labels(backend="a").inc()
-        counter.labels(backend="a").inc()
-        counter.labels(backend="b").inc()
-        snap = registry.snapshot()
-        assert snap.counters["requests{backend=a}"] == 2
-        assert snap.counters["requests{backend=b}"] == 1
-        # The untouched unlabeled parent series is not exported.
-        assert "requests" not in snap.counters
-
-    def test_histogram_snapshot_statistics(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("h")
-        for v in (0.001, 0.01, 0.1, 1.0):
-            hist.observe(v)
-        snap = registry.snapshot().histograms["h"]
-        assert snap.count == 4
-        assert snap.min == 0.001 and snap.max == 1.0
-        assert snap.mean == pytest.approx(1.111 / 4)
-        assert 0.0 < snap.quantile(0.5) <= 1.0
-
-    def test_snapshot_is_immutable_and_detached(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc()
-        snap = registry.snapshot()
-        registry.counter("c").inc(10)
-        assert snap.counters["c"] == 1  # later activity not reflected
-        with pytest.raises(TypeError):
-            snap.counters["c"] = 99
-
-    def test_snapshot_render_and_as_dict(self):
-        registry = MetricsRegistry()
-        registry.counter("runs").inc(5)
-        registry.timer("wall").observe(0.25)
-        snap = registry.snapshot()
-        text = snap.render()
-        assert "runs" in text and "wall" in text
-        as_dict = snap.as_dict()
-        assert as_dict["counters"]["runs"] == 5
-        assert as_dict["histograms"]["wall"]["count"] == 1
-
-
-class TestNullRegistry:
-    def test_default_registry_is_null(self):
-        registry = get_registry()
-        assert isinstance(registry, NullRegistry)
-        assert not registry.enabled
-
-    def test_all_instruments_are_shared_noop(self):
-        registry = NullRegistry()
-        assert registry.counter("a") is registry.histogram("b")
-        registry.counter("a").labels(x=1).inc(5)
-        registry.gauge("g").set(3)
-        with registry.timer("t").time():
-            pass
-        assert not registry.snapshot()
-
-    def test_set_registry_roundtrip(self):
-        live = MetricsRegistry()
-        previous = set_registry(live)
-        try:
-            assert get_registry() is live
-        finally:
-            set_registry(previous)
-        assert isinstance(get_registry(), NullRegistry)
 
 
 class TestEventsAndSpans:
@@ -181,13 +77,6 @@ class TestSessionLifecycle:
         tel = telemetry.enable()
         assert telemetry.disable() is tel
         assert telemetry.disable() is None
-
-    def test_session_installs_live_registry(self):
-        with telemetry.session():
-            assert get_registry().enabled
-            assert tele.enabled()
-        assert not get_registry().enabled
-        assert not tele.enabled()
 
     def test_ring_buffer_bounds_and_counts(self):
         sink = RingBufferSink(capacity=4)
@@ -257,27 +146,32 @@ class TestCliIntegration:
         )
         assert code == 0
         assert not tele.enabled()  # session torn down after the command
+        runs = int(re.search(r"engine\[.*\]: (\d+) runs",
+                             capsys.readouterr().out).group(1))
 
-        names = set()
+        names = []
         with (out / "events.jsonl").open() as handle:
             for line in handle:
                 record = json.loads(line)
                 if record.get("name"):
-                    names.add(record["name"])
+                    names.append(record["name"])
         assert {
             "stage.completed",
             "ga.generation",
             "hm.order",
+            "model.fit",
             "engine.request",
             "sim.run",
             "tune.search",
-        } <= names
-
-        metrics = json.loads((out / "metrics.json").read_text())
-        assert metrics["counters"]["engine.requests{backend=inprocess}"] > 0
+        } <= set(names)
+        # One engine.request record per run the engine accounted.
+        assert runs >= 60
+        assert names.count("engine.request") == runs
+        assert sorted(p.name for p in out.iterdir()) == [
+            "events.jsonl", "trace.json",
+        ]
         assert json.loads((out / "trace.json").read_text())["traceEvents"]
 
-        capsys.readouterr()  # drop the tune output
         assert main(["trace", str(out / "events.jsonl")]) == 0
         rendered = capsys.readouterr().out
         assert "timeline:" in rendered and "sim.run" in rendered
@@ -312,9 +206,6 @@ class TestCliIntegration:
             instrumented = tune()
         assert plain.configuration.as_dict() == instrumented.configuration.as_dict()
         assert plain.predicted_seconds == instrumented.predicted_seconds
-        assert plain.metrics is None
-        assert instrumented.metrics is not None
-        assert instrumented.metrics.counters["engine.requests{backend=inprocess}"] > 0
 
 
 class TestJsonlSinkModes:
