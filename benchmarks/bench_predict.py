@@ -53,7 +53,7 @@ def model():
 
 def _throughput(fn, X, min_seconds: float = 0.4, max_repeats: int = 400):
     """(rows/second, calls) for ``fn(X)``, timed over >= min_seconds."""
-    fn(X)  # warm up: binning cache, flat-table build
+    fn(X)  # warm up: flat-table build
     repeats = 0
     start = time.perf_counter()
     while True:

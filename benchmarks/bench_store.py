@@ -34,7 +34,6 @@ import pytest
 
 from repro.core.tuner import DacTuner
 from repro.engine import InProcessBackend
-from repro.models.flat import LEAF_THRESHOLD
 from repro.models.hierarchical import HierarchicalModel
 from repro.service import JobService, TuneRequest
 from repro.store import RunStore
@@ -113,7 +112,8 @@ def test_checkpoint_overhead_below_a_few_percent(tmp_path):
 # Zero-copy load path: mmap vs unpickle on a 500-tree checkpoint
 # ----------------------------------------------------------------------
 #: A paper-scale checkpoint: 500 perfect-binary depth-10 trees over the
-#: 42-column feature matrix (~25 MB of node tables + bin edges).
+#: 42-column feature matrix (~28 MB of node tables), splitting at the
+#: edges of 256 bins per feature.
 FOREST_TREES = 500
 FOREST_DEPTH = 10
 FOREST_FEATURES = 42
@@ -134,7 +134,8 @@ def _synthetic_checkpoint() -> HierarchicalModel:
     Built straight from sections: fitting 500 deep trees for real takes
     minutes, but the load path only cares about array sizes and a valid
     traversal structure (heap-layout perfect trees, leaves at depth 10,
-    each leaf looping to itself).
+    each leaf looping to itself, each split's threshold one of the
+    features' bin edges).
     """
     gen = np.random.default_rng(0)
     n_nodes = 2 ** (FOREST_DEPTH + 1) - 1
@@ -148,13 +149,13 @@ def _synthetic_checkpoint() -> HierarchicalModel:
     feature = np.where(
         internal, gen.integers(0, FOREST_FEATURES, total), -1
     ).astype(np.int32)
+    edges = np.linspace(0.0, 1.0, FOREST_BINS - 1)
     threshold = np.where(
-        internal, gen.integers(0, FOREST_BINS - 2, total), LEAF_THRESHOLD
-    ).astype(np.int32)
+        internal, edges[gen.integers(0, FOREST_BINS - 2, total)], np.inf
+    )
     left = np.where(internal, offsets + 2 * idx + 1, offsets + idx)
     right = np.where(internal, offsets + 2 * idx + 2, offsets + idx)
     children = np.column_stack([left, right]).reshape(-1).astype(np.int32)
-    edges = np.tile(np.linspace(0.0, 1.0, FOREST_BINS - 1), FOREST_FEATURES)
     sections = {
         "weights": np.asarray([1.0]),
         "holdout": np.asarray([0.25]),
@@ -163,10 +164,6 @@ def _synthetic_checkpoint() -> HierarchicalModel:
         "c0.children": children,
         "c0.value": gen.normal(size=total) * 0.01,
         "c0.roots": (np.arange(FOREST_TREES) * n_nodes).astype(np.int32),
-        "c0.edges": edges,
-        "c0.edges_off": np.cumsum(
-            [0] + [FOREST_BINS - 1] * FOREST_FEATURES
-        ).astype(np.int64),
         "c0.val_errors": np.full(FOREST_TREES, 0.1),
     }
     component_meta = {
@@ -183,7 +180,6 @@ def _synthetic_checkpoint() -> HierarchicalModel:
         "base": 0.0,
         "stopped_reason": "all trees fitted",
         "n_trees_fitted": FOREST_TREES,
-        "max_bins": FOREST_BINS,
         "depth": FOREST_DEPTH,
     }
     meta = {

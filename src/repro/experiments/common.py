@@ -10,9 +10,9 @@ backend for a :class:`~repro.engine.ProcessPoolBackend`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,11 +25,9 @@ from repro.engine import (
     InProcessBackend,
     require_success,
 )
-from repro.sparksim.confspace import SPARK_CONF_SPACE
 from repro.sparksim.dag import JobSpec
 from repro.sparksim.simulator import RunResult
 from repro.workloads import get_workload
-from repro.workloads.registry import workload_names
 
 
 @dataclass(frozen=True)

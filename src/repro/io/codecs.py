@@ -44,7 +44,7 @@ def training_set_from_sections(header, sections, space=None):
 
 
 def encode_model(model) -> bytes:
-    """A fitted model's node tables, bin edges and weights as blob bytes.
+    """A fitted model's node tables and stacking weights as blob bytes.
 
     Raises ``ValueError`` for a model that does not lower to sections
     (see :meth:`~repro.models.hierarchical.HierarchicalModel.to_sections`).

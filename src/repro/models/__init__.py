@@ -17,7 +17,7 @@ interface ``fit(X, y) -> self`` / ``predict(X) -> ndarray``.
 
 from repro.models.ann import NeuralNetworkRegressor
 from repro.models.boosting import GradientBoostedTrees
-from repro.models.flat import FlatForest, FlatTree, MergedBinner
+from repro.models.flat import FlatForest, FlatTree
 from repro.models.forest import RandomForest
 from repro.models.hierarchical import HierarchicalModel
 from repro.models.metrics import (
@@ -44,7 +44,6 @@ __all__ = [
     "FlatTree",
     "GradientBoostedTrees",
     "HierarchicalModel",
-    "MergedBinner",
     "NeuralNetworkRegressor",
     "RandomForest",
     "RegressionTree",

@@ -121,7 +121,6 @@ class GradientBoostedTrees:
         )
 
         self._binner = BinnedDataset.shared(X_train)
-        val_codes = self._binner.bin_matrix(X[val_idx])
         self._base = float(np.mean(y_train))
         self._trees = []
         self._flat = None
@@ -139,7 +138,7 @@ class GradientBoostedTrees:
         # search gathers rows of one flattened code matrix, and every
         # round routes training and validation rows in one traversal.
         flat = flat_codes(self._binner)
-        all_codes = np.concatenate([self._binner.codes, val_codes])
+        all_rows = np.concatenate([X_train, X[val_idx]])
 
         for _ in range(self.n_trees):
             sample = rng.integers(0, n_train, n_sub)  # bootstrap
@@ -152,7 +151,7 @@ class GradientBoostedTrees:
             )
             self._trees.append(tree)
 
-            step = self.learning_rate * tree.predict_binned(all_codes)
+            step = self.learning_rate * tree.predict(all_rows)
             residual -= step[:n_train]
             val_pred += step[n_train:]
 
@@ -186,7 +185,7 @@ class GradientBoostedTrees:
         empty) but arrives with its stacked table preset — the empty
         tree list must not trigger a rebuild.
         """
-        if self._binner is None:
+        if not self._trees and self._flat is None:
             raise RuntimeError("model is not fitted")
         if self._flat is None or (
             self._trees and self._flat.n_trees != len(self._trees)
@@ -195,14 +194,7 @@ class GradientBoostedTrees:
         return self._flat
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if self._binner is None:
-            raise RuntimeError("model is not fitted")
-        return self.predict_codes(
-            self._binner.bin_matrix(np.asarray(X, dtype=float))
-        )
-
-    def predict_codes(self, codes: np.ndarray) -> np.ndarray:
-        """Predict from codes already binned against this model's binner.
+        """Predict raw feature rows.
 
         One stacked-table traversal gathers every tree's leaf value,
         then :func:`repro.models.flat.accumulate` replays the reference
@@ -210,17 +202,15 @@ class GradientBoostedTrees:
         :meth:`predict_walk`.
         """
         return accumulate(
-            self._base, self.learning_rate, self.flatten().leaf_values(codes)
+            self._base, self.learning_rate, self.flatten().leaf_values(X)
         )
 
     def predict_walk(self, X: np.ndarray) -> np.ndarray:
         """Reference per-tree node-walk prediction (equivalence/bench)."""
         if self._binner is None:
-            raise RuntimeError("model is not fitted")
-        if not self._trees and self._flat is not None and self._flat.n_trees:
             raise RuntimeError(
-                "node-walk path needs per-tree state; this model was "
-                "restored from flat sections"
+                "node-walk path needs per-tree state; this model is "
+                "unfitted or was restored from flat sections"
             )
         codes = self._binner.bin_matrix(np.asarray(X, dtype=float))
         out = np.full(len(codes), self._base)
@@ -232,24 +222,16 @@ class GradientBoostedTrees:
     def to_sections(self, prefix: str = ""):
         """Lower fitted state into ``(sections, meta)`` for the blob format.
 
-        Sections carry every array (stacked node table, concatenated
-        bin edges, validation-error curve); ``meta`` carries the JSON
+        Sections carry every array (stacked node table with its float
+        thresholds, validation-error curve); ``meta`` carries the JSON
         scalars (constructor hyperparameters, base prediction, stop
         reason).  Python's JSON floats round-trip exactly, so a
         :meth:`from_sections` model predicts bit-for-bit like this one.
         """
-        if self._binner is None:
+        if not self._trees and self._flat is None:
             raise ValueError("model is not fitted")
         flat = self.flatten()
-        edges = self._binner.edges
-        lengths = [len(e) for e in edges]
         sections = dict(flat.to_sections(prefix=prefix))
-        sections[prefix + "edges"] = (
-            np.concatenate([np.asarray(e, dtype=float) for e in edges])
-            if edges
-            else np.empty(0, dtype=float)
-        )
-        sections[prefix + "edges_off"] = np.cumsum([0] + lengths).astype(np.int64)
         sections[prefix + "val_errors"] = np.asarray(
             self.validation_errors_, dtype=float
         )
@@ -269,7 +251,6 @@ class GradientBoostedTrees:
             "base": float(self._base),
             "stopped_reason": str(self.stopped_reason_),
             "n_trees_fitted": int(self.n_trees_fitted),
-            "max_bins": int(self._binner.max_bins),
             "depth": int(flat.depth),
         }
         return sections, meta
@@ -278,10 +259,10 @@ class GradientBoostedTrees:
     def from_sections(cls, sections, meta, prefix: str = "") -> "GradientBoostedTrees":
         """Rebuild a frozen (predict-only) model from stored sections.
 
-        The stacked node table and bin edges are adopted as-is — they
-        may be read-only memmap views, in which case reconstruction
-        touches no array data at all.  The per-tree training state is
-        gone: :meth:`predict` and :meth:`flatten` work identically,
+        The stacked node table is adopted as-is — its sections may be
+        read-only memmap views, in which case reconstruction touches no
+        array data at all.  The per-tree training state and the binner
+        are gone: :meth:`predict` and :meth:`flatten` work identically,
         :meth:`predict_walk` does not (and says so).
         """
         model = cls(
@@ -300,13 +281,6 @@ class GradientBoostedTrees:
             min_samples_leaf=int(meta["min_samples_leaf"]),
             random_state=int(meta["random_state"]),
         )
-        offsets = np.asarray(sections[prefix + "edges_off"])
-        concatenated = sections[prefix + "edges"]
-        edges = [
-            concatenated[int(offsets[j]) : int(offsets[j + 1])]
-            for j in range(len(offsets) - 1)
-        ]
-        model._binner = BinnedDataset.from_edges(edges, max_bins=int(meta["max_bins"]))
         model._flat = FlatForest.from_sections(sections, meta["depth"], prefix=prefix)
         model._base = float(meta["base"])
         model.stopped_reason_ = str(meta["stopped_reason"])

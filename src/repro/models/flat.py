@@ -5,32 +5,31 @@ a real run costs minutes (Section 5.5).  The reference prediction path
 walks tree nodes in Python — fine for one tree, hopeless for ``nt`` up
 to 12 000 of them (Figure 8) times a 60-row GA population per
 generation.  This module lowers fitted trees into structure-of-arrays
-node tables so a batch prediction is a handful of vectorized gathers:
+node tables so a batch prediction is a handful of vectorized gathers
+over the raw feature rows — no binning:
 
-* :class:`FlatTree` — one tree as parallel arrays (feature, bin
-  threshold, children, leaf value).  Every leaf loops to itself, so
-  prediction advances every sample one level per iteration for exactly
-  ``depth`` iterations with no per-level bookkeeping: the Python-level
-  loop runs ``depth`` times, never ``nodes × samples`` times.
+* :class:`FlatTree` — one tree as parallel arrays (feature, threshold,
+  children, leaf value).  Every leaf loops to itself, so prediction
+  advances every sample one level per iteration for exactly ``depth``
+  iterations with no per-level bookkeeping: the Python-level loop runs
+  ``depth`` times, never ``nodes × samples`` times.
 * :class:`FlatForest` — a whole ensemble stacked into one node table
   with per-tree root offsets; one traversal moves *all samples × all
   trees* a level at a time, for the forest's deepest tree.
-* :class:`MergedBinner` — the union of several
-  :class:`~repro.models.tree.BinnedDataset` edge sets with exact
-  per-component translation tables, so
-  :class:`~repro.models.hierarchical.HierarchicalModel` bins an input
-  matrix **once** and re-derives every component's codes with one
-  gather instead of re-running ``searchsorted`` per component.
 
-Every function here is **bit-for-bit** equal to the node-walk
-reference (``RegressionTree.predict_binned_walk``): the same leaf is
-reached through the same ``code <= bin_threshold`` comparisons (a row
-that reaches its leaf early stays there), leaf values are gathered
-unchanged, and ensemble accumulation replays the reference's
-left-to-right float additions (:func:`accumulate`).  That
-exactness is what lets checkpointed jobs from the node-walk era resume
-on this path with identical report fingerprints
-(:func:`repro.store.report_fingerprint`), proven by
+A split's threshold is the bin edge it stands for
+(``edges[feature][bin]``), and a row goes right when
+``not (x < threshold)``.  That is the node-walk reference's
+``code > bin`` test (``RegressionTree.predict_binned_walk``) for every
+input: the code ``searchsorted(edges, x, "right")`` counts the edges
+``<= x``, so it exceeds ``bin`` exactly when ``edges[bin] <= x``; NaN
+and +inf fail ``x < threshold`` and go right, as binning puts them in
+the top bin; and no split uses a feature's last bin, so every threshold
+is a real edge.  Leaf values are gathered unchanged and ensemble
+accumulation replays the reference's left-to-right float additions
+(:func:`accumulate`), so every function here is **bit-for-bit** equal
+to the node walk — the exactness report fingerprints
+(:func:`repro.store.report_fingerprint`) rest on, proven by
 ``tests/test_models_flat.py``.
 """
 
@@ -43,7 +42,6 @@ import numpy as np
 __all__ = [
     "FlatForest",
     "FlatTree",
-    "MergedBinner",
     "accumulate",
 ]
 
@@ -65,27 +63,23 @@ def accumulate(base: float, scale: float, leaf_values: np.ndarray) -> np.ndarray
     return np.cumsum(rows, axis=0)[-1].copy()
 
 
-#: Threshold of a lowered leaf: above every bin code, so a leaf's
-#: comparison sends its rows "left" — to the leaf itself.
-LEAF_THRESHOLD = np.iinfo(np.int32).max
-
-
-def _descend(feature, threshold, children, pos, codes, depth):
+def _descend(feature, threshold, children, pos, X, depth):
     """Advance every position ``depth`` levels through a node table.
 
     A leaf's children are the leaf, so rows that reach their leaf early
-    stay there with no active-row mask.  A leaf's feature ``-1`` reads
-    the code one position before its row's first (``take`` wraps ``-1``
-    for row 0), a valid index whose value no longer matters.  Codes are
-    gathered from the raveled matrix by linear index, and every table
-    lookup is a 1-D ``take``.
+    stay there with no active-row mask, whichever way its threshold
+    sends them.  A leaf's feature ``-1`` reads the value one position
+    before its row's first (``take`` wraps ``-1`` for row 0), a valid
+    index whose value no longer matters.  Values are gathered from the
+    raveled matrix by linear index, and every table lookup is a 1-D
+    ``take``.
     """
-    codes = np.asarray(codes)
-    flat = codes.ravel()
-    row_start = np.arange(len(codes)) * codes.shape[1]
+    X = np.asarray(X, dtype=float)
+    flat = X.ravel()
+    row_start = np.arange(len(X)) * X.shape[1]
     for _ in range(depth):
-        code = flat.take(row_start + feature.take(pos))
-        pos = children.take(2 * pos + (code > threshold.take(pos)))
+        x = flat.take(row_start + feature.take(pos))
+        pos = children.take(2 * pos + ~(x < threshold.take(pos)))
     return pos
 
 
@@ -93,12 +87,11 @@ class FlatTree:
     """One regression tree as parallel node arrays.
 
     ``feature[i] < 0`` marks node ``i`` a leaf whose prediction is
-    ``value[i]``; otherwise samples with
-    ``codes[:, feature[i]] <= threshold[i]`` descend to the left child,
-    the rest to the right.  ``children`` interleaves (left, right) so
-    the traversal picks a child with a single flat gather; a leaf's
-    children are itself, with a threshold above every code, so walking
-    ``depth`` levels lands every row on its leaf.
+    ``value[i]``; otherwise rows with ``X[:, feature[i]] < threshold[i]``
+    descend to the left child, the rest (NaN included) to the right.
+    ``children`` interleaves (left, right) so the traversal picks a
+    child with a single flat gather; a leaf's children are itself, so
+    walking ``depth`` levels lands every row on its leaf.
     """
 
     __slots__ = ("feature", "threshold", "children", "value", "depth")
@@ -126,19 +119,18 @@ class FlatTree:
         """
         n = len(nodes)
         feature = np.empty(n, dtype=np.int32)
-        threshold = np.empty(n, dtype=np.int32)
+        threshold = np.empty(n, dtype=np.float64)
         children = np.empty(2 * n, dtype=np.int32)
         value = np.empty(n, dtype=np.float64)
         depths = [0] * n
         for i, node in enumerate(nodes):
             value[i] = node.value
+            threshold[i] = node.threshold
             if node.feature < 0:
                 feature[i] = -1
-                threshold[i] = LEAF_THRESHOLD
                 children[2 * i] = children[2 * i + 1] = i
             else:
                 feature[i] = node.feature
-                threshold[i] = node.bin_threshold
                 children[2 * i] = node.left
                 children[2 * i + 1] = node.right
                 depths[node.left] = depths[node.right] = depths[i] + 1
@@ -148,11 +140,11 @@ class FlatTree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    def predict(self, codes: np.ndarray) -> np.ndarray:
-        """Leaf values for pre-binned ``codes`` (n_samples, n_features)."""
-        start = np.zeros(len(codes), dtype=np.int32)
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Leaf values for raw feature rows ``X`` (n_samples, n_features)."""
+        start = np.zeros(len(X), dtype=np.int32)
         pos = _descend(
-            self.feature, self.threshold, self.children, start, codes, self.depth
+            self.feature, self.threshold, self.children, start, X, self.depth
         )
         return self.value.take(pos)
 
@@ -215,16 +207,16 @@ class FlatForest:
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    def leaf_values(self, codes: np.ndarray, n_trees: Optional[int] = None) -> np.ndarray:
-        """(n_trees, n_samples) leaf values for pre-binned ``codes``.
+    def leaf_values(self, X: np.ndarray, n_trees: Optional[int] = None) -> np.ndarray:
+        """(n_trees, n_samples) leaf values for raw feature rows ``X``.
 
         ``n_trees`` restricts the traversal to the first trees — the
         boosting convergence curve re-predicts prefixes this way.
         """
         roots = self.roots if n_trees is None else self.roots[:n_trees]
-        start = np.repeat(np.asarray(roots, dtype=np.int32)[:, None], len(codes), 1)
+        start = np.repeat(np.asarray(roots, dtype=np.int32)[:, None], len(X), 1)
         pos = _descend(
-            self.feature, self.threshold, self.children, start, codes, self.depth
+            self.feature, self.threshold, self.children, start, X, self.depth
         )
         return self.value.take(pos)
 
@@ -282,67 +274,3 @@ class FlatForest:
             self.roots,
             self.depth,
         ) = state
-
-
-class MergedBinner:
-    """Bin once, translate everywhere.
-
-    Components of a :class:`HierarchicalModel` each own a
-    :class:`~repro.models.tree.BinnedDataset` whose quantile edges were
-    fit on *different* bootstrap streams, so their bin codes disagree
-    and the reference path re-binned the input per component.  This
-    class merges the per-feature edge sets (``M_j = unique(∪ E_cj)``)
-    and precomputes, per component, a lookup table from merged code to
-    component code.
-
-    Exactness: ``searchsorted(E, x, "right")`` is constant on each
-    half-open merged region ``[M[m-1], M[m])`` because every edge of
-    ``E`` appears in ``M``; the table entry for region ``m`` is
-    therefore ``searchsorted(E, M[m-1], "right")`` (0 for the leftmost
-    region), making the translated codes equal to per-component binning
-    for every real input — including the region boundaries themselves.
-    """
-
-    def __init__(self, binners: Sequence[object]):
-        if not binners:
-            raise ValueError("need at least one binner")
-        n_features = binners[0].n_features
-        if any(b.n_features != n_features for b in binners):
-            raise ValueError("binners disagree on feature count")
-        self.n_features = n_features
-        self.edges: List[np.ndarray] = []
-        for j in range(n_features):
-            merged = np.unique(
-                np.concatenate([np.asarray(b.edges[j], dtype=float) for b in binners])
-            )
-            self.edges.append(merged)
-        max_code = max((len(e) for e in self.edges), default=0)
-        #: One (n_features, max_merged_code + 1) table per component.
-        self.tables: List[np.ndarray] = []
-        for binner in binners:
-            table = np.zeros((n_features, max_code + 1), dtype=np.int64)
-            for j in range(n_features):
-                merged = self.edges[j]
-                component_codes = np.searchsorted(
-                    np.asarray(binner.edges[j], dtype=float), merged, side="right"
-                )
-                table[j, 1 : len(merged) + 1] = component_codes
-                # Values past this feature's last merged edge keep the
-                # final component code.
-                if len(merged) + 1 <= max_code:
-                    table[j, len(merged) + 1 :] = (
-                        component_codes[-1] if len(merged) else 0
-                    )
-            self.tables.append(table)
-
-    def merged_codes(self, X: np.ndarray) -> np.ndarray:
-        """Bin a raw feature matrix against the merged edges (once)."""
-        from repro.models.tree import bin_with_edges
-
-        return bin_with_edges(np.asarray(X, dtype=float), self.edges)
-
-    def component_codes(self, component: int, merged: np.ndarray) -> np.ndarray:
-        """Translate merged codes into one component's codes (a gather)."""
-        table = self.tables[component]
-        return table[np.arange(self.n_features)[None, :], merged]
-

@@ -85,10 +85,9 @@ class RandomForest:
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if self._binner is None or not self._trees:
+        if not self._trees:
             raise RuntimeError("model is not fitted")
         if self._flat is None:
             self._flat = FlatForest.from_trees(self._trees)
-        codes = self._binner.bin_matrix(np.asarray(X, dtype=float))
-        total = accumulate(0.0, 1.0, self._flat.leaf_values(codes))
+        total = accumulate(0.0, 1.0, self._flat.leaf_values(X))
         return total / len(self._trees)

@@ -23,7 +23,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.models.boosting import GradientBoostedTrees
-from repro.models.flat import MergedBinner
 from repro.models.histkernel import observe_fit
 from repro.models.metrics import mean_relative_error
 from repro.telemetry import events as tele
@@ -118,7 +117,6 @@ class HierarchicalModel:
 
         self._components: List[GradientBoostedTrees] = []
         self._weights: Optional[np.ndarray] = None
-        self._merged: Optional[MergedBinner] = None
         self.order_: int = 0
         self.holdout_error_: float = np.inf
 
@@ -153,7 +151,6 @@ class HierarchicalModel:
         self._components = []
         self.order_ = 0
         self._weights = None
-        self._merged = None
         self.holdout_error_ = np.inf
         return self._fit_orders(X, y, [], checkpoint, engine)
 
@@ -170,7 +167,6 @@ class HierarchicalModel:
         if not self._components:
             return self.fit(X, y, checkpoint=checkpoint, engine=engine)
         X, y = self._validate(X, y)
-        self._merged = None
         _, _, X_val, _, _ = self._split(X, y)
         preds = [c.predict(X_val) for c in self._components]
         return self._fit_orders(X, y, preds, checkpoint, engine)
@@ -204,7 +200,6 @@ class HierarchicalModel:
     ) -> "HierarchicalModel":
         fit_start = time.perf_counter()
         X_train, y_train, X_val, y_val, measured_val = self._split(X, y)
-        self._merged = None
 
         # A resumed model may already satisfy the stopping criterion.
         if component_val_preds:
@@ -312,32 +307,19 @@ class HierarchicalModel:
 
     # ------------------------------------------------------------------
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Blended prediction, binning the input **once**.
-
-        The input matrix is binned a single time against the merged edge
-        set and each component's codes are recovered with a table gather
-        (:class:`repro.models.flat.MergedBinner`) — exactly the codes
-        per-component binning would produce — then pushed through the
-        component's stacked flat table.
-        """
+        """The stacking blend of the components' raw-row predictions."""
         if not self._components or self._weights is None:
             raise RuntimeError("model is not fitted")
-        if self._merged is None:
-            self._merged = MergedBinner([c._binner for c in self._components])
-        merged = self._merged.merged_codes(np.asarray(X, dtype=float))
-        predictions = [
-            component.predict_codes(self._merged.component_codes(i, merged))
-            for i, component in enumerate(self._components)
-        ]
-        return self._blend(predictions)
+        X = np.asarray(X, dtype=float)
+        return self._blend([component.predict(X) for component in self._components])
 
     # ------------------------------------------------------------------
     def to_sections(self):
         """Lower the fitted model into ``(sections, meta)`` for the blob
         format.
 
-        Per-component node tables, bin edges and stacking weights become
-        array sections, scalars become JSON meta.  An unfitted model
+        Per-component node tables and stacking weights become array
+        sections, scalars become JSON meta.  An unfitted model
         raises ``ValueError``, and the run store refuses to store it.
         """
         if not self._components or self._weights is None:
@@ -393,7 +375,6 @@ class HierarchicalModel:
         model._weights = np.asarray(sections["weights"], dtype=float)
         model.holdout_error_ = float(np.asarray(sections["holdout"])[0])
         model.order_ = int(meta["order"])
-        model._merged = None
         return model
 
     @property

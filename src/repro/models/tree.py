@@ -40,11 +40,8 @@ def bin_with_edges(X: np.ndarray, edges: Sequence[np.ndarray]) -> np.ndarray:
     """``searchsorted(edges[j], X[:, j], side="right")`` per column.
 
     The code for ``x`` is the count of edges ``e <= x``; NaN sorts last,
-    so it bins with ``+inf`` into the top bin.  One binary search per
-    column costs O(rows · log edges): the GA's 10–60-row batches bin
-    2–4x faster than through a rows × features × edges comparison
-    (DESIGN.md §12).  Calling the edge array's own method skips
-    ``np.searchsorted``'s dispatch, half the cost of a one-row column.
+    so it bins with ``+inf`` into the top bin.  Prediction never bins;
+    the node-walk oracles that prediction is tested against do.
     """
     X = np.asarray(X, dtype=float)
     n, n_features = X.shape
@@ -111,16 +108,19 @@ class BinnedDataset:
 
     Bin edges are quantiles of each feature, so splits adapt to the
     feature's empirical distribution (encoded configurations are uniform
-    in [0,1], but datasize and derived features need not be).
+    in [0,1], but datasize and derived features need not be).  Only
+    fitting uses the codes: a split stores the edge its bin stands for
+    (:meth:`threshold`), and prediction compares raw values against it.
     """
-
-    #: Bound on the per-binner repeated-matrix code cache (entries).
-    CODE_CACHE_SIZE = 8
 
     def __init__(self, X: np.ndarray, max_bins: int = DEFAULT_BINS):
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError("X must be 2-dimensional")
+        if not np.isfinite(X).all():
+            # A split's threshold is one of these edges, and a NaN edge
+            # would send every row right.
+            raise ValueError("X must be finite")
         if not 2 <= max_bins <= 255:
             raise ValueError("max_bins must be in [2, 255]")
         self.n_samples, self.n_features = X.shape
@@ -146,7 +146,6 @@ class BinnedDataset:
             codes[:, j] = np.searchsorted(edges, column, side="right")
         self.codes = codes
         self.n_bins = np.array([len(e) + 1 for e in self.edges], dtype=np.int64)
-        self._code_cache: Dict[object, np.ndarray] = {}
 
     @classmethod
     def shared(cls, X: np.ndarray, max_bins: int = DEFAULT_BINS) -> "BinnedDataset":
@@ -179,64 +178,22 @@ class BinnedDataset:
         _shared_binners[key] = binner
         return binner
 
-    @classmethod
-    def from_edges(
-        cls, edges: Sequence[np.ndarray], max_bins: int = DEFAULT_BINS
-    ) -> "BinnedDataset":
-        """A predict-only binner rebuilt from stored edges.
-
-        Section-restored models carry no training rows — only the
-        quantile edges, which are all :meth:`bin_matrix` needs.  The
-        edge arrays are used as-is (they may be read-only memmap
-        views), so reconstruction touches no data pages.
-        """
-        self = cls.__new__(cls)
-        self.n_samples = 0
-        self.n_features = len(edges)
-        self.max_bins = max_bins
-        self.edges = [np.ascontiguousarray(e, dtype=float) for e in edges]
-        self.codes = np.empty((0, self.n_features), dtype=np.uint8)
-        self.n_bins = np.array([len(e) + 1 for e in self.edges], dtype=np.int64)
-        self._code_cache = {}
-        return self
-
     def bin_matrix(self, X: np.ndarray) -> np.ndarray:
-        """Bin new samples with the training edges.
-
-        Binning is a per-column searchsorted (:func:`bin_with_edges`), and the
-        resulting codes are memoized per input matrix — the GA predicts
-        the same holdout/validation matrices repeatedly, and a cache hit
-        is a dict lookup instead of any arithmetic.  Mmap-backed
-        matrices are keyed by their mapping identity, large heap
-        matrices bypass the memo (see :func:`_matrix_cache_key`).
-        """
+        """Bin new samples with the training edges (for the node-walk
+        oracles; prediction itself never bins)."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected (n, {self.n_features}) matrix")
-        key = _matrix_cache_key(X)
-        if key is None:
-            return bin_with_edges(X, self.edges).astype(np.uint8)
-        cached = self._code_cache.get(key)
-        if cached is not None:
-            return cached
-        codes = bin_with_edges(X, self.edges).astype(np.uint8)
-        if len(self._code_cache) >= self.CODE_CACHE_SIZE:
-            self._code_cache.pop(next(iter(self._code_cache)))
-        self._code_cache[key] = codes
-        return codes
-
-    def __getstate__(self):
-        # The code cache is a per-process memo; never persist it.
-        state = dict(self.__dict__)
-        state["_code_cache"] = {}
-        return state
+        return bin_with_edges(X, self.edges).astype(np.uint8)
 
     def threshold(self, feature: int, bin_index: int) -> float:
-        """Real-valued threshold for 'go left if code <= bin_index'."""
-        edges = self.edges[feature]
-        if bin_index >= len(edges):
-            return np.inf
-        return float(edges[bin_index])
+        """The edge a split at ``bin_index`` stands for: a row goes left
+        (``code <= bin_index``) exactly when its value is below it.
+
+        No split uses a feature's last bin (it would leave the right
+        child empty), so the edge exists.
+        """
+        return float(self.edges[feature][bin_index])
 
 
 @dataclass
@@ -502,9 +459,12 @@ class RegressionTree:
 
     # ------------------------------------------------------------------
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if self._binner is None:
-            raise RuntimeError("tree is not fitted")
-        return self.predict_binned(self._binner.bin_matrix(np.asarray(X, dtype=float)))
+        """Leaf values for raw rows, through the flat node table.
+
+        Bit-for-bit equal to :meth:`predict_binned_walk` on the binned
+        rows: each split compares against the edge its bin stands for.
+        """
+        return self.flatten().predict(X)
 
     def flatten(self):
         """This tree as a cached :class:`repro.models.flat.FlatTree`."""
@@ -515,15 +475,6 @@ class RegressionTree:
 
             self._flat = FlatTree.from_nodes(self._nodes)
         return self._flat
-
-    def predict_binned(self, codes: np.ndarray) -> np.ndarray:
-        """Predict from pre-binned codes via the flat node table.
-
-        Bit-for-bit equal to :meth:`predict_binned_walk`: the flat
-        traversal applies the same ``code <= bin_threshold`` branches
-        and gathers the same stored leaf values.
-        """
-        return self.flatten().predict(codes)
 
     def predict_binned_walk(self, codes: np.ndarray) -> np.ndarray:
         """Reference node-walk prediction (kept for equivalence tests)."""

@@ -73,7 +73,8 @@ STORE_SCHEMA = 2
 KIND_SCHEMAS = {
     "training_set": 1,
     # 2: flat node tables with self-looping leaves and a stored depth.
-    "model": 2,
+    # 3: float thresholds (each split's bin edge) and no bin edges.
+    "model": 3,
     "ga_state": 1,
     "report": 1,
     "bytes": 1,

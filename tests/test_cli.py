@@ -283,21 +283,21 @@ class TestJobsCliAcrossProcesses:
         events = tmp_path / "events.jsonl"
         record = {"kind": "event", "name": "tick", "fields": {"pad": "x" * 200}}
         events.write_text((json.dumps(record) + "\n") * 2000)  # > a pipe buffer
-        child = subprocess.Popen(
+        # Leaving the ``with`` closes both pipes and reaps the child.
+        with subprocess.Popen(
             [sys.executable, "-m", "repro", "trace", str(events),
              "--follow", "--idle-timeout", "30"],
             env={**os.environ, "PYTHONPATH": SRC},
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-        )
-        try:
-            assert child.stdout.readline()
-            child.stdout.close()
-            assert child.wait(timeout=20) != 0
-            assert b"Logging error" not in child.stderr.read()
-        finally:
-            child.kill()
-            child.wait()
+        ) as child:
+            try:
+                assert child.stdout.readline()
+                child.stdout.close()
+                assert child.wait(timeout=20) != 0
+                assert b"Logging error" not in child.stderr.read()
+            finally:
+                child.kill()
 
 
 class TestWorkerCommand:

@@ -1,9 +1,10 @@
 """Flat-array inference: bitwise equivalence, binning, memoization, drain.
 
 The load-bearing property of :mod:`repro.models.flat` is that the fast
-path is *bit-for-bit* equal to the node-walk reference — every
-fingerprint-equality guarantee of the store/service layers rides on it —
-so these tests compare with ``tobytes()``, never ``allclose``.
+path, which walks raw feature values against each split's edge, is
+*bit-for-bit* equal to the node-walk reference on the binned codes —
+every fingerprint-equality guarantee of the store/service layers rides
+on it — so these tests compare with ``tobytes()``, never ``allclose``.
 """
 
 from __future__ import annotations
@@ -11,13 +12,12 @@ from __future__ import annotations
 import pickle
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ga import MemoizedFitness
 from repro.models.boosting import GradientBoostedTrees
-from repro.models.flat import FlatForest, FlatTree, MergedBinner, accumulate
+from repro.models.flat import FlatForest, accumulate
 from repro.models.forest import RandomForest
 from repro.models.hierarchical import HierarchicalModel
 from repro.models.tree import BinnedDataset, RegressionTree, bin_with_edges
@@ -63,9 +63,12 @@ class TestBinWithEdges:
             [0, 0, 0, 0],
             [2, 2, 0, 0],
         ]
-        assert bin_with_edges(Q, edges).tolist() == expected
-        binner = BinnedDataset.from_edges(edges)
-        assert binner.bin_matrix(Q).tolist() == expected
+        codes = bin_with_edges(Q, edges)
+        assert codes.tolist() == expected
+        # The raw rule: ``code > k`` exactly when ``not (x < edges[k])``.
+        for j, e in enumerate(edges):
+            for k, edge in enumerate(e):
+                assert np.array_equal(~(Q[:, j] < edge), codes[:, j] > k)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
@@ -79,39 +82,6 @@ class TestBinWithEdges:
         for j in range(3):
             reference[:, j] = np.searchsorted(binner.edges[j], Q[:, j], side="right")
         assert np.array_equal(bin_with_edges(Q, binner.edges), reference)
-
-
-class TestBinMatrixCache:
-    def test_repeat_matrix_served_from_cache(self):
-        rng = np.random.default_rng(2)
-        binner = BinnedDataset(rng.random((100, 5)))
-        Q = rng.random((30, 5))
-        first = binner.bin_matrix(Q)
-        assert binner.bin_matrix(Q) is first  # identity: cached object
-
-    def test_cache_is_bounded(self):
-        rng = np.random.default_rng(3)
-        binner = BinnedDataset(rng.random((50, 2)))
-        for _ in range(3 * BinnedDataset.CODE_CACHE_SIZE):
-            binner.bin_matrix(rng.random((4, 2)))
-        assert len(binner._code_cache) <= BinnedDataset.CODE_CACHE_SIZE
-
-    def test_cache_not_pickled(self):
-        rng = np.random.default_rng(4)
-        binner = BinnedDataset(rng.random((50, 2)))
-        Q = rng.random((5, 2))
-        codes = binner.bin_matrix(Q)
-        clone = pickle.loads(pickle.dumps(binner))
-        assert clone._code_cache == {}
-        assert np.array_equal(clone.bin_matrix(Q), codes)
-
-    def test_duplicate_columns_share_edges(self):
-        rng = np.random.default_rng(5)
-        col = rng.random(100)
-        X = np.column_stack([col, rng.random(100), col])
-        binner = BinnedDataset(X)
-        assert binner.edges[2] is binner.edges[0]
-        assert np.array_equal(binner.codes[:, 2], binner.codes[:, 0])
 
 
 # ----------------------------------------------------------------------
@@ -128,9 +98,9 @@ class TestFlatTree:
         X = rng.random((250, 5))
         y = rng.normal(size=250)
         tree = RegressionTree(tree_complexity=tc, min_samples_leaf=1).fit(X, y)
-        codes = tree._binner.bin_matrix(rng.random((70, 5)))
-        flat = tree.predict_binned(codes)
-        walk = tree.predict_binned_walk(codes)
+        Q = rng.random((70, 5))
+        flat = tree.predict(Q)
+        walk = tree.predict_binned_walk(tree._binner.bin_matrix(Q))
         assert flat.tobytes() == walk.tobytes()
 
     def test_single_leaf_stump(self):
@@ -140,7 +110,7 @@ class TestFlatTree:
         tree = RegressionTree(tree_complexity=1, min_samples_leaf=50).fit(X, y)
         assert tree.n_internal_nodes == 0
         codes = tree._binner.bin_matrix(X)
-        assert tree.predict_binned(codes).tobytes() == \
+        assert tree.predict(X).tobytes() == \
             tree.predict_binned_walk(codes).tobytes()
 
     def test_over_255_nodes(self):
@@ -149,9 +119,9 @@ class TestFlatTree:
         y = rng.normal(size=2000)
         tree = RegressionTree(tree_complexity=400, min_samples_leaf=1).fit(X, y)
         assert len(tree._nodes) > 255
-        codes = tree._binner.bin_matrix(rng.random((100, 6)))
-        assert tree.predict_binned(codes).tobytes() == \
-            tree.predict_binned_walk(codes).tobytes()
+        Q = rng.random((100, 6))
+        assert tree.predict(Q).tobytes() == \
+            tree.predict_binned_walk(tree._binner.bin_matrix(Q)).tobytes()
 
     def test_flatten_cached_and_invalidated_by_refit(self):
         rng = np.random.default_rng(8)
@@ -169,8 +139,8 @@ class TestFlatTree:
         )
         flat = tree.flatten()
         clone = pickle.loads(pickle.dumps(flat))
-        codes = tree._binner.bin_matrix(rng.random((20, 4)))
-        assert clone.predict(codes).tobytes() == flat.predict(codes).tobytes()
+        Q = rng.random((20, 4))
+        assert clone.predict(Q).tobytes() == flat.predict(Q).tobytes()
 
 
 class TestFlatForest:
@@ -193,8 +163,9 @@ class TestFlatForest:
         model = GradientBoostedTrees(n_trees=12, random_state=1).fit(X, y)
         forest = model.flatten()
         assert forest.n_trees == model.n_trees_fitted
-        codes = model._binner.bin_matrix(rng.random((25, 3)))
-        leaves = forest.leaf_values(codes)
+        Q = rng.random((25, 3))
+        codes = model._binner.bin_matrix(Q)
+        leaves = forest.leaf_values(Q)
         for t, tree in enumerate(model._trees):
             assert leaves[t].tobytes() == tree.predict_binned_walk(codes).tobytes()
 
@@ -202,9 +173,9 @@ class TestFlatForest:
         rng = np.random.default_rng(11)
         X, y = rng.random((120, 3)), rng.random(120)
         model = GradientBoostedTrees(n_trees=9, random_state=2).fit(X, y)
-        codes = model._binner.bin_matrix(rng.random((10, 3)))
-        full = model.flatten().leaf_values(codes)
-        partial = model.flatten().leaf_values(codes, n_trees=4)
+        Q = rng.random((10, 3))
+        full = model.flatten().leaf_values(Q)
+        partial = model.flatten().leaf_values(Q, n_trees=4)
         assert partial.shape == (4, 10)
         assert partial.tobytes() == full[:4].tobytes()
 
@@ -231,11 +202,12 @@ class TestFlatForest:
         forest = FlatForest.from_trees(trees)
         assert forest.depth == max(tree.flatten().depth for tree in trees)
         assert (forest.depth == 0) == (set(complexities) == {0})
-        codes = binner.bin_matrix(rng.random((30, 4)))
+        Q = rng.random((30, 4))
+        codes = binner.bin_matrix(Q)
         walks = np.array([tree.predict_binned_walk(codes) for tree in trees])
-        assert forest.leaf_values(codes).tobytes() == walks.tobytes()
+        assert forest.leaf_values(Q).tobytes() == walks.tobytes()
         for n_trees in range(1, len(trees) + 1):
-            prefix = forest.leaf_values(codes, n_trees=n_trees)
+            prefix = forest.leaf_values(Q, n_trees=n_trees)
             assert prefix.tobytes() == walks[:n_trees].tobytes()
 
     @given(
@@ -282,44 +254,100 @@ class TestFlatForest:
 
 
 # ----------------------------------------------------------------------
-# Merged binning across HM components
+# Raw thresholds == binned codes, on every adversarial input
 # ----------------------------------------------------------------------
-class TestMergedBinner:
-    def _binners(self, seed, n_features=4, n=120, count=3):
-        rng = np.random.default_rng(seed)
-        return [
-            BinnedDataset(rng.random((n, n_features)), max_bins=rng.integers(2, 48))
-            for _ in range(count)
+def _training_matrix(rng, n):
+    """Random, constant, duplicated and few-valued columns (ties on edges)."""
+    base = rng.random(n)
+    return np.column_stack(
+        [
+            base,
+            np.full(n, 0.5),  # constant: no edges, never split on
+            base,  # duplicate: shares column 0's edges
+            rng.integers(0, 4, n) / 4.0,
+            rng.normal(size=n),
         ]
+    )
 
-    @given(st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=25, deadline=None)
-    def test_component_codes_equal_direct_binning(self, seed):
-        binners = self._binners(seed)
-        merged = MergedBinner(binners)
-        rng = np.random.default_rng(seed + 1)
-        # Exact merged-edge values are the adversarial inputs.
-        edge_hits = np.column_stack(
-            [
-                rng.choice(merged.edges[j], size=10)
-                for j in range(merged.n_features)
-            ]
-        )
-        Q = np.vstack([rng.random((40, merged.n_features)), edge_hits])
-        codes = merged.merged_codes(Q)
-        for i, binner in enumerate(binners):
-            translated = merged.component_codes(i, codes)
-            assert np.array_equal(translated, binner.bin_matrix(Q).astype(np.int64))
 
-    def test_rejects_mismatched_feature_counts(self):
-        rng = np.random.default_rng(20)
-        a = BinnedDataset(rng.random((50, 3)))
-        b = BinnedDataset(rng.random((50, 4)))
-        with pytest.raises(ValueError):
-            MergedBinner([a, b])
-        with pytest.raises(ValueError):
-            MergedBinner([])
+def _adversarial_rows(rng, X, edges):
+    """Random rows plus every special value: NaN, ±inf, each bin edge of
+    each feature, and the float just below each first edge."""
+    n_features = X.shape[1]
+    longest = max(max((len(e) for e in edges), default=0), 1)
+    on_edges = np.array(X[rng.integers(0, len(X), longest)])
+    for j, e in enumerate(edges):
+        if len(e):
+            on_edges[:, j] = np.resize(e, longest)
+    below = [np.nextafter(e[0], -np.inf) if len(e) else 0.0 for e in edges]
+    specials = np.array(
+        [np.full(n_features, np.nan), np.full(n_features, np.inf),
+         np.full(n_features, -np.inf), below]
+    )
+    mixed = specials[rng.integers(0, 4, (20, n_features)), np.arange(n_features)]
+    return np.vstack([rng.random((20, n_features)), on_edges, specials, mixed])
 
+
+def _assert_splits_on_real_edges(trees):
+    """No split uses a feature's last bin, so every threshold is an edge."""
+    for tree in trees:
+        for node in tree._nodes:
+            if not node.is_leaf:
+                edges = tree._binner.edges[node.feature]
+                assert node.bin_threshold < len(edges)
+                assert node.threshold == edges[node.bin_threshold]
+
+
+class TestRawThresholds:
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        tc=st.integers(min_value=1, max_value=8),
+        min_samples_leaf=st.integers(min_value=1, max_value=6),
+        max_bins=st.integers(min_value=2, max_value=32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tree_raw_walk_equals_binned_walk(
+        self, seed, tc, min_samples_leaf, max_bins
+    ):
+        rng = np.random.default_rng(seed)
+        X = _training_matrix(rng, 90)
+        tree = RegressionTree(
+            tree_complexity=tc, min_samples_leaf=min_samples_leaf,
+            max_bins=max_bins,
+        ).fit(X, rng.normal(size=90))
+        _assert_splits_on_real_edges([tree])
+        Q = _adversarial_rows(rng, X, tree._binner.edges)
+        walk = tree.predict_binned_walk(tree._binner.bin_matrix(Q))
+        assert tree.flatten().predict(Q).tobytes() == walk.tobytes()
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n_trees=st.integers(min_value=1, max_value=6),
+        max_splits=st.integers(min_value=1, max_value=24),
+        max_features=st.integers(min_value=1, max_value=5),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_mtry_forest_raw_walk_equals_binned_walk(
+        self, seed, n_trees, max_splits, max_features
+    ):
+        rng = np.random.default_rng(seed)
+        X = _training_matrix(rng, 90)
+        forest = RandomForest(
+            n_trees=n_trees, max_splits=max_splits, max_features=max_features,
+            min_samples_leaf=1, random_state=seed,
+        ).fit(X, rng.normal(size=90))
+        _assert_splits_on_real_edges(forest._trees)
+        Q = _adversarial_rows(rng, X, forest._binner.edges)
+        codes = forest._binner.bin_matrix(Q)
+        walks = np.array([tree.predict_binned_walk(codes) for tree in forest._trees])
+        leaves = FlatForest.from_trees(forest._trees).leaf_values(Q)
+        assert leaves.tobytes() == walks.tobytes()
+
+
+# ----------------------------------------------------------------------
+# Hierarchical model: the blend of its components' raw predictions
+# ----------------------------------------------------------------------
+class TestHierarchicalPredict:
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=15, deadline=None)
     def test_hm_flat_equals_per_component_walk(self, seed):

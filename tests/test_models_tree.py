@@ -32,12 +32,23 @@ class TestBinnedDataset:
             BinnedDataset(np.zeros(10))  # 1-D
         with pytest.raises(ValueError):
             BinnedDataset(np.zeros((10, 2)), max_bins=1)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                BinnedDataset(np.array([[0.0], [bad], [1.0]]))
 
     def test_threshold_maps_back_to_feature_scale(self):
         X = np.linspace(0, 1, 100).reshape(-1, 1)
         binner = BinnedDataset(X, max_bins=4)
         t = binner.threshold(0, 0)
         assert 0.0 < t < 1.0
+
+    def test_duplicate_columns_share_edges(self):
+        rng = np.random.default_rng(5)
+        col = rng.random(100)
+        X = np.column_stack([col, rng.random(100), col])
+        binner = BinnedDataset(X)
+        assert binner.edges[2] is binner.edges[0]
+        assert np.array_equal(binner.codes[:, 2], binner.codes[:, 0])
 
 
 class TestRegressionTree:
@@ -81,7 +92,7 @@ class TestRegressionTree:
         X, y = regression_data
         tree = RegressionTree(tree_complexity=6).fit(X, y)
         codes = tree._binner.bin_matrix(X)
-        assert np.allclose(tree.predict(X), tree.predict_binned(codes))
+        assert tree.predict(X).tobytes() == tree.predict_binned_walk(codes).tobytes()
 
     def test_bootstrap_fit_uses_only_sampled_rows(self):
         X = np.vstack([np.zeros((50, 1)), np.ones((50, 1))])

@@ -28,13 +28,58 @@ from repro.core.tuner import DacTuner
 from repro.io import dumps_training_set
 from repro.models.hierarchical import HierarchicalModel
 from repro.models.tree import _CACHE_CONTENT_BYTES, _matrix_cache_key
-from repro.store import KIND_SCHEMAS, RunStore, blobfmt
+from repro.store import KIND_SCHEMAS, RunStore, blobfmt, payload_digest
 from repro.store.blobfmt import (
     BlobError,
     decode_sections,
     encode_sections,
     map_sections,
 )
+
+#: The SHA-256 schema 2 stored for the final model of the tune job
+#: ``tests/test_store.py`` pins (TS, 60 examples, 30 trees, seed 7).
+SCHEMA_2_TUNE_MODEL = (
+    "c705df0de8471d7ecffa07d01134c0369fd67328145bf1f702a4ebdd756a8d15"
+)
+
+
+def schema_2_model_payload(model) -> bytes:
+    """``model`` as model schema 2 stored it, byte for byte.
+
+    Schema 2 kept each split's bin index as an int32 threshold (leaves
+    at the int32 maximum) and stored every component's bin edges,
+    concatenated, with their offsets and ``max_bins``.
+    """
+    sections, meta = model.to_sections()
+    old = {"weights": sections["weights"], "holdout": sections["holdout"]}
+    for i, component in enumerate(model._components):
+        prefix = f"c{i}."
+        nodes = [node for tree in component._trees for node in tree._nodes]
+        edges = component._binner.edges
+        old.update(
+            {
+                prefix + "feature": sections[prefix + "feature"],
+                prefix + "threshold": np.array(
+                    [
+                        np.iinfo(np.int32).max if node.is_leaf
+                        else node.bin_threshold
+                        for node in nodes
+                    ],
+                    dtype=np.int32,
+                ),
+                prefix + "children": sections[prefix + "children"],
+                prefix + "value": sections[prefix + "value"],
+                prefix + "roots": sections[prefix + "roots"],
+                prefix + "edges": np.concatenate(edges),
+                prefix + "edges_off": np.cumsum(
+                    [0] + [len(e) for e in edges]
+                ).astype(np.int64),
+                prefix + "val_errors": sections[prefix + "val_errors"],
+            }
+        )
+        meta["components"][i]["max_bins"] = component._binner.max_bins
+    return blobfmt.encode_sections(old, meta=meta, kind="model")
+
 
 # ----------------------------------------------------------------------
 # Hypothesis strategies: arbitrary section tables
@@ -343,6 +388,82 @@ class TestStoreCodecPaths:
         store.put_model("m", model)
         X = tuner.training_set.features()
         assert store.get_model("m").predict(X).tobytes() == model.predict(X).tobytes()
+
+    def test_schema_2_model_reads_absent(self, tmp_path, terasort):
+        """Model blobs of schema 2 (integer bin thresholds, with the bin
+        edges stored beside them) read back as absent in both modes, so
+        the caller refits and rewrites."""
+        store = RunStore(tmp_path / "store")
+        tuner = DacTuner(terasort, n_train=60, n_trees=30, seed=7)
+        tuner.collect()
+        model = tuner.fit()
+        payload = schema_2_model_payload(model)
+        # The final model of the pinned tune job, as schema 2 stored it.
+        assert payload_digest(payload) == SCHEMA_2_TUNE_MODEL
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(KIND_SCHEMAS, "model", 2)
+            store.put_bytes("m", payload, kind="model")
+        for mode in ("copy", "mmap"):
+            assert store.get_model("m", mode=mode) is None
+        store.put_model("m", model)
+        X = tuner.training_set.features()
+        for mode in ("copy", "mmap"):
+            loaded = store.get_model("m", mode=mode)
+            assert loaded.predict(X).tobytes() == model.predict(X).tobytes()
+
+    @pytest.mark.parametrize("drain_after", ["first order", "fit"])
+    def test_schema_2_fit_checkpoint_refits_to_same_fingerprint(
+        self, tmp_path, monkeypatch, drain_after
+    ):
+        """A worker that wrote its fit checkpoints at model schema 2
+        drains after the first order or after the whole fit.  The entry
+        reads as absent, so the next worker refits and finishes the job
+        to the uninterrupted run's fingerprint."""
+        from repro.service import JobService, TuneRequest
+
+        request = TuneRequest(
+            program="TS", size=10.0, n_train=40, n_trees=15, generations=3,
+            patience=None, seed=2,
+        )
+        reference = JobService(tmp_path / "reference", use_cache=False)
+        reference.submit(request)
+        expected = reference.run_pending()[0].result["fingerprint"]
+
+        service = JobService(tmp_path / "store", use_cache=False)
+        record = service.submit(request)
+
+        def drained():
+            data = service.store.load_job(record.job_id) or {}
+            fit = data.get("progress", {}).get("fit", {})
+            if drain_after == "fit":
+                return bool(fit.get("done"))
+            return fit.get("orders_done", 0) >= 1
+
+        def put_schema_2(store, key, model):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setitem(KIND_SCHEMAS, "model", 2)
+                return store.put_bytes(
+                    key, schema_2_model_payload(model), kind="model"
+                )
+
+        with monkeypatch.context() as patched:
+            patched.setattr(RunStore, "put_model", put_schema_2)
+            service.work(poll_interval=0.01, idle_polls=2, drain=drained)
+        paused = service.get(record.job_id)
+        assert paused.state == "running"
+        assert drained()
+
+        key = record.artifact_key("model")
+        assert service.store.entry(key)["schema"] == 2
+        for mode in ("copy", "mmap"):
+            assert service.store.get_model(key, mode=mode) is None
+
+        other = JobService(tmp_path / "store", use_cache=False, worker_id="w2")
+        done = other.work(poll_interval=0.01, idle_polls=3)
+        assert [job.job_id for job in done] == [record.job_id]
+        assert done[0].state == "done"
+        assert done[0].result["fingerprint"] == expected
+        assert other.store.entry(key)["schema"] == KIND_SCHEMAS["model"]
 
     def test_corrupt_blob_section_reads_absent(self, tmp_path, training, space):
         store = RunStore(tmp_path / "store")

@@ -31,11 +31,14 @@ SRC = str(Path(__file__).parent.parent / "src")
 
 
 def _spawn(script: str, *args: str) -> subprocess.Popen:
+    """Start a child that writes to the test's own stdout and stderr.
+
+    No pipes: nothing reads them, so after the kill they would only be
+    left open, and the test's captured output shows what the child wrote.
+    """
     return subprocess.Popen(
         [sys.executable, "-c", script, *args],
         env={**os.environ, "PYTHONPATH": SRC},
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
     )
 
 
