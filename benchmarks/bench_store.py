@@ -243,10 +243,14 @@ def _load_probe(root, key, mode, conn):
     conn.close()
 
 
-def _reader_probe(root, key, X, release, conn):
-    """Child body: mmap-load, touch the node tables via predict, then
-    hold the mapping alive while the parent samples our PSS."""
+def _reader_probe(root, key, X, start, release, conn):
+    """Child body: once every reader exists, mmap-load, touch the node
+    tables via predict, then hold the mapping alive while the parent
+    samples our PSS."""
     store = RunStore(root)
+    # The pages inherited from the parent are shared by every reader, so
+    # the baseline waits until all of them are forked.
+    start.wait(timeout=120)
     pss_before = _pss_kb(os.getpid())
     model = store.get_model(key, mode="mmap")
     prediction = model.predict(X)
@@ -312,26 +316,27 @@ def zero_copy():
     # three concurrent readers, each touching the whole node table:
     # PSS counts each shared page at 1/n-readers, so the summed deltas
     # stay around one artifact's worth if (and only if) the mapping is
-    # actually shared.
-    release = ctx.Event()
+    # actually shared.  Every reader is sampled only once all three
+    # have reported, so each is charged its share of the pages every
+    # reader holds, not whatever it touched before the others did.
+    start, release = ctx.Event(), ctx.Event()
     readers = []
     for _ in range(3):
         parent, child = ctx.Pipe()
         proc = ctx.Process(
             target=_reader_probe,
-            args=(store.root, "model/blob", X, release, child),
+            args=(store.root, "model/blob", X, start, release, child),
         )
         proc.start()
         child.close()
         readers.append((proc, parent))
+    start.set()
+    # sent after predict: each reader's pages are resident
+    samples = [parent.recv() for _, parent in readers]
     deltas = []
-    for proc, parent in readers:
-        sample = parent.recv()  # sent after predict: pages are resident
-        if sample["pss_before_kb"] is None:
-            deltas = None
-            break
+    for (proc, _), sample in zip(readers, samples):
         pss_now = _pss_kb(proc.pid)
-        if pss_now is None:
+        if sample["pss_before_kb"] is None or pss_now is None:
             deltas = None
             break
         deltas.append(pss_now - sample["pss_before_kb"])

@@ -15,8 +15,8 @@ import numpy as np
 
 from repro import get_workload
 from repro.core.collecting import Collector
+from repro.experiments.common import test_matrix
 from repro.models import (
-    GradientBoostedTrees,
     HierarchicalModel,
     NeuralNetworkRegressor,
     RandomForest,
@@ -35,10 +35,7 @@ def main() -> None:
     test = collector.collect(250, stream="test")
 
     X_train, y_train = train.features(), train.log_times()
-    X_test = np.vstack(
-        [train.feature_row(v.configuration, v.datasize_bytes) for v in test.vectors]
-    )
-    measured = test.times()
+    X_test, measured = test_matrix(train, test)
 
     models = {
         "RS  (response surface)": ResponseSurface(),

@@ -12,7 +12,7 @@ from stable string keys rather than shared globally.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
@@ -48,7 +48,3 @@ def derive_rng(*parts: _Seedable) -> np.random.Generator:
     """Return a fresh ``numpy.random.Generator`` keyed by ``parts``."""
     return np.random.default_rng(stable_seed(*parts))
 
-
-def spawn_rngs(base: str, keys: Iterable[_Seedable]) -> list:
-    """Derive one generator per key, all rooted at ``base``."""
-    return [derive_rng(base, key) for key in keys]

@@ -17,7 +17,7 @@ Three components, mirroring Figure 4:
 :mod:`repro.core.expert`) provide the comparison points of Figure 12.
 """
 
-from repro.core.collecting import Collector, PerformanceVector, TrainingSet
+from repro.core.collecting import Collector, TrainingSet
 from repro.core.ga import GaResult, GeneticAlgorithm
 from repro.core.search import (
     GaSearch,
@@ -40,7 +40,6 @@ __all__ = [
     "GaSearch",
     "GeneticAlgorithm",
     "PatternSearch",
-    "PerformanceVector",
     "RandomSearch",
     "RecursiveRandomSearch",
     "RfhocTuner",

@@ -9,18 +9,19 @@ as a performance vector (Equation 5):
     Pv_i = {t_i, c_i1, ..., c_i41, dsize_i}
 
 Each batch of vectors is laid out as one float64 row block
-(:func:`performance_rows`), and a :class:`TrainingSet` is built from
-such blocks.  It exposes the model-facing matrix view: features are the
-41 normalized parameter encodings plus the dataset size over the
-largest one, targets are log execution times (predicting log-time is
-what makes minimizing Equation 2's *relative* error well-posed).
+(:func:`performance_rows`), and a :class:`TrainingSet` holds the
+concatenated blocks as columns.  It exposes the model-facing matrix
+view: features are the 41 normalized parameter encodings plus the
+dataset size over the largest one, targets are log execution times
+(predicting log-time is what makes minimizing Equation 2's *relative*
+error well-posed).
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,12 +44,12 @@ from repro.workloads.datagen import DatasetSizeGenerator
 class CollectBatch:
     """One checkpointable unit of collection: all requests for one size.
 
-    A batch is the collector's unit of progress — the job service
-    executes a plan batch-by-batch and persists the vectors gathered so
-    far after each one, so a crashed collection resumes at the next
-    batch instead of from scratch.  The plan (and therefore every
-    configuration drawn) is a pure function of (workload, seed, stream),
-    so replanning after a crash reproduces the identical batches.
+    A batch is the collector's unit of progress — :meth:`Collector.collect`
+    can checkpoint the rows gathered so far after each one, so a crashed
+    collection resumes at the next batch instead of from scratch.  The
+    plan (and therefore every configuration drawn) is a pure function of
+    (workload, seed, stream), so replanning after a crash reproduces the
+    identical batches.
     """
 
     index: int
@@ -58,25 +59,6 @@ class CollectBatch:
     @property
     def datasize_bytes(self) -> float:
         return self.requests[0].job.datasize_bytes
-
-
-@dataclass(frozen=True)
-class PerformanceVector:
-    """One execution observation — Equation (5)."""
-
-    seconds: float
-    configuration: Configuration
-    datasize: float  # natural units (Table 1)
-    datasize_bytes: float
-
-    def __post_init__(self) -> None:
-        measured = (self.seconds, self.datasize, self.datasize_bytes)
-        if not all(map(math.isfinite, measured)):
-            raise ValueError("execution time and datasize must be finite")
-        if self.seconds <= 0:
-            raise ValueError("execution time must be positive")
-        if self.datasize_bytes <= 0:
-            raise ValueError("datasize must be positive")
 
 
 # ----------------------------------------------------------------------
@@ -160,7 +142,8 @@ def performance_rows(
     :class:`TrainingSet` is built from.  ``datasize`` and
     ``datasize_bytes`` may be one value for the whole block.
 
-    Rejects exactly what :class:`PerformanceVector` rejects.
+    Rejects a non-finite time or datasize, a non-positive time and a
+    non-positive datasize in bytes.
     """
     block = np.empty((len(configurations), 3 + len(space.parameters)))
     block[:, 0] = seconds
@@ -180,12 +163,10 @@ class TrainingSet:
     """The matrix ``S`` of Section 3.2, with feature/target views.
 
     Held as float64 columns (seconds, datasize, datasize_bytes, raw
-    parameter values) built from the collector's row blocks, the job
-    runner's checkpoints, a CSV file's rows or a stored blob —
-    where the columns may be read-only ``np.memmap`` views, so a large
-    set is never copied into private memory.  ``vectors`` is
-    materialized lazily only when row objects are actually asked for
-    (CSV export).
+    parameter values), the set's one in-memory form, built from the
+    collector's row blocks or a stored blob — where the columns may be
+    read-only ``np.memmap`` views, so a large set is never copied into
+    private memory.
     """
 
     def __init__(self, space: ConfigurationSpace, columns):
@@ -208,7 +189,6 @@ class TrainingSet:
                 f"got {values.shape}"
             )
         self.space = space
-        self._vectors: Optional[Tuple[PerformanceVector, ...]] = None
         self._n = n
         self._size_scale = float(np.max(datasize_bytes))
         self._columns = {
@@ -246,46 +226,6 @@ class TrainingSet:
             },
         )
 
-    @classmethod
-    def from_vectors(
-        cls, space: ConfigurationSpace, vectors: Sequence[PerformanceVector]
-    ) -> "TrainingSet":
-        """Build from row objects (CSV rows, tests)."""
-        return cls.from_rows(
-            space,
-            performance_rows(
-                space,
-                [v.seconds for v in vectors],
-                [v.datasize for v in vectors],
-                [v.datasize_bytes for v in vectors],
-                [v.configuration for v in vectors],
-            ),
-        )
-
-    @property
-    def vectors(self) -> Tuple[PerformanceVector, ...]:
-        """Row objects, materialized from columns on first access."""
-        if self._vectors is None:
-            cols = self._columns
-            values = cols["values"]
-            params = self.space.parameters
-            self._vectors = tuple(
-                PerformanceVector(
-                    seconds=float(cols["seconds"][i]),
-                    configuration=Configuration(
-                        self.space,
-                        {
-                            p.name: value_from_raw(p, values[i, j])
-                            for j, p in enumerate(params)
-                        },
-                    ),
-                    datasize=float(cols["datasize"][i]),
-                    datasize_bytes=float(cols["datasize_bytes"][i]),
-                )
-                for i in range(self._n)
-            )
-        return self._vectors
-
     def __len__(self) -> int:
         return self._n
 
@@ -314,14 +254,8 @@ class TrainingSet:
         """Encoded configurations of the first ``n`` rows (the GA's
         seeds): writable copies of :meth:`features` rows without the
         datasize column, bit-equal to ``space.encode`` of each row's
-        configuration, read without materializing row objects."""
+        configuration."""
         return list(np.array(self.features()[:n, :-1]))
-
-    def feature_row(self, config: Configuration, datasize_bytes: float) -> np.ndarray:
-        """Single feature row for model queries."""
-        return np.concatenate(
-            [self.space.encode(config), [datasize_bytes / self._size_scale]]
-        )
 
     def log_times(self) -> np.ndarray:
         """Cached (read-only) log-time targets — copy before mutating."""
@@ -333,7 +267,7 @@ class TrainingSet:
 
     def times(self) -> np.ndarray:
         """Raw-seconds targets: the adopted column, read-only for every
-        set the collector, the runner, a CSV file or the store builds."""
+        set the collector or the store builds."""
         return self._columns["seconds"]
 
     def rows(self) -> np.ndarray:
@@ -396,7 +330,13 @@ class Collector:
         self.sizes: List[float] = DatasetSizeGenerator(num_sizes).generate(low, high)
 
     # ------------------------------------------------------------------
-    def collect(self, total_examples: int, stream: str = "train") -> TrainingSet:
+    def collect(
+        self,
+        total_examples: int,
+        stream: str = "train",
+        resume_from: Optional[TrainingSet] = None,
+        checkpoint: Optional[Callable[[TrainingSet, int, int], None]] = None,
+    ) -> TrainingSet:
         """Collect ``total_examples`` performance vectors.
 
         Examples are spread evenly over the generator's dataset sizes
@@ -408,22 +348,46 @@ class Collector:
         or caching backend accelerates the whole sampling loop; the CG's
         random stream is drawn up front in the original order, keeping
         the collected set identical across backends.  Each batch's row
-        block is kept and the blocks are concatenated once, so the
-        matrix is never resident as Python row objects.
+        block is kept and, with no ``checkpoint``, the blocks are
+        concatenated once at the end.
+
+        ``resume_from`` is a stored prefix of this same collection: when
+        its length ends a batch of the plan, its rows start the set and
+        those batches are skipped; any other set is ignored.
+        ``checkpoint``, if given, is called after every batch with the
+        set so far, the number of batches done and the plan's batch
+        count.  Both are the job service's crash-recovery hooks; since
+        the plan is a pure function of (workload, seed, stream), a
+        resumed collection equals an uninterrupted one byte for byte.
         """
         batches = self.plan(total_examples, stream=stream)
         blocks: List[np.ndarray] = []
-        done = 0
+        skip = 0
+        if resume_from is not None:
+            ends = list(itertools.accumulate(len(b.requests) for b in batches))
+            if len(resume_from) in ends:
+                skip = ends.index(len(resume_from)) + 1
+                blocks.append(resume_from.rows())
+        done = sum(len(block) for block in blocks)
+        training: Optional[TrainingSet] = None
         with tele.span(
             "collect",
             program=self.workload.abbr,
             examples=total_examples,
             stream=stream,
+            resumed=skip > 0,
         ):
-            for batch in batches:
+            for batch in batches[skip:]:
                 blocks.append(self.run_batch(batch, done=done, total=total_examples))
                 done += len(blocks[-1])
-        return TrainingSet.from_rows(self.space, np.concatenate(blocks))
+                if checkpoint is not None:
+                    training = TrainingSet.from_rows(
+                        self.space, np.concatenate(blocks)
+                    )
+                    checkpoint(training, batch.index + 1, len(batches))
+        if training is None:
+            training = TrainingSet.from_rows(self.space, np.concatenate(blocks))
+        return training
 
     def plan(self, total_examples: int, stream: str = "train") -> List[CollectBatch]:
         """Draw the full batch plan for a collection, without executing.

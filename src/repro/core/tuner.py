@@ -35,10 +35,9 @@ from repro.sparksim.confspace import SPARK_CONF_SPACE
 from repro.telemetry import events as tele
 from repro.workloads.base import Workload
 
-#: Section 5.1/5.2's chosen model parameters: ntrain=2000, tc=5,
-#: lr=0.05, nt=3600.  PAPER_SCALE reproduces them; FAST_SCALE keeps the
-#: same shape at test/bench-friendly cost.
-PAPER_SCALE = {"n_train": 2000, "n_trees": 3600, "learning_rate": 0.05}
+#: The pipeline at test/bench-friendly cost.  The paper's Section
+#: 5.1/5.2 parameters (ntrain=2000, tc=5, lr=0.05, nt=3600) are
+#: :data:`repro.experiments.common.PAPER`.
 FAST_SCALE = {"n_train": 600, "n_trees": 250, "learning_rate": 0.1}
 
 
@@ -90,16 +89,9 @@ class DacTuner:
         self.engine = self.collector.engine
         self.training_set: Optional[TrainingSet] = None
         self.model: Optional[HierarchicalModel] = None
-        self._collect_hours = 0.0
         self._modeling_seconds = 0.0
 
     # ------------------------------------------------------------------
-    @classmethod
-    def paper_scale(cls, workload: Workload, **kwargs) -> "DacTuner":
-        """Tuner configured with the paper's full-fidelity parameters."""
-        merged = {**PAPER_SCALE, **kwargs}
-        return cls(workload, **merged)
-
     @classmethod
     def fast_scale(cls, workload: Workload, **kwargs) -> "DacTuner":
         """Tuner with bench/test-friendly parameters (same code paths)."""
@@ -142,26 +134,24 @@ class DacTuner:
         return cls(workload, cluster=cluster, engine=wrapped, **kwargs)
 
     # ------------------------------------------------------------------
-    def collect(self, n_train: Optional[int] = None) -> TrainingSet:
-        """Run the collecting component (idempotent unless re-called)."""
-        n = n_train or self.n_train
-        self.training_set = self.collector.collect(n, stream="train")
-        self._collect_hours = self.collector.simulated_hours(self.training_set)
-        return self.training_set
+    def collect(
+        self,
+        n_train: Optional[int] = None,
+        resume_from: Optional[TrainingSet] = None,
+        checkpoint=None,
+    ) -> TrainingSet:
+        """Run the collecting component (idempotent unless re-called).
 
-    def restore(
-        self, training_set: TrainingSet, collect_hours: float = 0.0
-    ) -> "DacTuner":
-        """Rehydrate from a persisted training set instead of collecting.
-
-        The job service uses this to rebuild a tuner from a
-        :class:`~repro.store.RunStore`'s training set when resuming a
-        checkpointed run; it sets :attr:`model` itself once the fit
-        phase has one.
+        ``resume_from`` continues from a stored prefix of the set and
+        ``checkpoint`` is called after every batch — both are forwarded
+        to :meth:`Collector.collect` and are the job service's
+        crash-recovery hooks.
         """
-        self.training_set = training_set
-        self._collect_hours = collect_hours
-        return self
+        n = n_train or self.n_train
+        self.training_set = self.collector.collect(
+            n, stream="train", resume_from=resume_from, checkpoint=checkpoint
+        )
+        return self.training_set
 
     def fit(
         self,
@@ -212,13 +202,6 @@ class DacTuner:
         return self.model
 
     # ------------------------------------------------------------------
-    def predict_seconds(self, config: Configuration, datasize: float) -> float:
-        """Model-predicted execution time for one configuration."""
-        self._require_model()
-        job_bytes = self.workload.bytes_for(datasize)
-        row = self.training_set.feature_row(config, job_bytes)
-        return float(np.exp(self.model.predict(row[None, :])[0]))
-
     def fitness_for(self, datasize: float):
         """The GA objective for one target size: model-predicted seconds.
 
@@ -296,7 +279,7 @@ class DacTuner:
             predicted_seconds=result.best_fitness,
             ga=result,
             model_holdout_error=self.model.holdout_error_,
-            collecting_simulated_hours=self._collect_hours,
+            collecting_simulated_hours=Collector.simulated_hours(self.training_set),
             modeling_wall_seconds=self._modeling_seconds,
             searching_wall_seconds=search_seconds,
             engine_stats=self.engine.stats if self.engine.stats.runs else None,

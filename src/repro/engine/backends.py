@@ -238,7 +238,7 @@ class ProcessPoolBackend(ExecutionBackend):
         cluster: ClusterSpec = PAPER_CLUSTER,
     ):
         super().__init__()
-        self.jobs = jobs if jobs else (os.cpu_count() or 1)
+        self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
         self.cluster = cluster

@@ -11,7 +11,7 @@ removed (one size-blind configuration reused for every input).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 

@@ -9,7 +9,7 @@ hierarchical part of Hierarchical Modeling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 

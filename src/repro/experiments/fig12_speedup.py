@@ -13,7 +13,7 @@ model-predicted), exactly as the paper measures real runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

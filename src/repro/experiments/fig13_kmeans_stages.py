@@ -15,7 +15,7 @@ Section 5.8's first deep dive: across the five input sizes,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.experiments.common import Scale, execute_batch, render_table
 from repro.experiments.tuning_runs import tune_program

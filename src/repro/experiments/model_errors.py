@@ -8,13 +8,12 @@ set, report the mean Equation-2 relative error per program.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.experiments.common import Scale, collected, render_table, test_matrix
 from repro.models import (
-    GradientBoostedTrees,
     HierarchicalModel,
     NeuralNetworkRegressor,
     RandomForest,

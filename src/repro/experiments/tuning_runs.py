@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.common.space import Configuration
 from repro.core.baselines import default_configuration
@@ -53,7 +53,6 @@ def tune_program(program: str, scale: Scale) -> ProgramTuning:
         engine=shared_engine(),
     )
     dac.fit(training)
-    dac._collect_hours = dac.collector.simulated_hours(training)
 
     dac_reports = {
         size: dac.tune(

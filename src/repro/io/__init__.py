@@ -9,12 +9,7 @@ cluster.  :mod:`repro.io.codecs` holds the blob form in which the run
 store keeps training sets and models.
 """
 
-from repro.io.csvsets import (
-    dumps_training_set,
-    load_training_set,
-    loads_training_set,
-    save_training_set,
-)
+from repro.io.csvsets import dumps_training_set, save_training_set
 from repro.io.sparkconf_file import (
     format_spark_submit,
     load_spark_conf,
@@ -25,8 +20,6 @@ __all__ = [
     "dumps_training_set",
     "format_spark_submit",
     "load_spark_conf",
-    "load_training_set",
-    "loads_training_set",
     "save_spark_conf",
     "save_training_set",
 ]

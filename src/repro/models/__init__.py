@@ -29,17 +29,9 @@ from repro.models.metrics import (
 from repro.models.response_surface import ResponseSurface
 from repro.models.svr import SupportVectorRegressor
 from repro.models.tree import BinnedDataset, RegressionTree
-from repro.models.validation import (
-    CvResult,
-    cross_validate,
-    kfold_indices,
-    paper_holdout_size,
-    select_by_cv,
-)
 
 __all__ = [
     "BinnedDataset",
-    "CvResult",
     "FlatForest",
     "FlatTree",
     "GradientBoostedTrees",
@@ -50,12 +42,8 @@ __all__ = [
     "ResponseSurface",
     "SupportVectorRegressor",
     "accuracy_from_error",
-    "cross_validate",
-    "kfold_indices",
     "mean_relative_error",
-    "paper_holdout_size",
     "relative_errors",
-    "select_by_cv",
     "train_test_split",
 ]
 

@@ -295,9 +295,3 @@ class GradientBoostedTrees:
         if self._trees:
             return len(self._trees)
         return getattr(self, "_frozen_n_trees", 0)
-
-    @property
-    def final_validation_error(self) -> float:
-        if not self.validation_errors_:
-            raise RuntimeError("model is not fitted")
-        return self.validation_errors_[-1]

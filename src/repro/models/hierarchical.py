@@ -35,23 +35,28 @@ def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     residual gradient into the passive set, least-squares solve the
     passive columns (ascending order), and while that solution has a
     negative weight step back toward the last feasible point until a
-    weight hits zero and leaves the set.  Non-finite input raises
+    weight hits zero and leaves the set.  It stops when no free column's
+    gradient exceeds its rounding noise.  Non-finite input raises
     ``ValueError``; more than ``3·n`` outer iterations ``RuntimeError``.
     """
     A = np.asarray_chkfinite(A, dtype=float)
     b = np.asarray_chkfinite(b, dtype=float)
     m, n = A.shape
-    # Gradients below this are rounding noise in ``A.T @ (b - A @ x)``.
-    tol = 10 * max(m, n) * np.finfo(float).eps
-    tol *= np.linalg.norm(A, 1) * np.linalg.norm(b, np.inf)
+    eps = 10 * max(m, n) * np.finfo(float).eps
+    magnitude = np.abs(A)
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
     iterations = 0
     while True:
+        # Column j's gradient is rounding noise while it is below eps
+        # times the magnitude of the terms ``A.T @ (b - A @ x)`` sums,
+        # which grows with ``|A| |x|`` as well as with ``|b|``.
+        noise = eps * (magnitude.T @ (np.abs(b) + magnitude @ x))
         gradient = np.where(passive, -np.inf, A.T @ (b - A @ x))
-        j = int(np.argmax(gradient))
-        if gradient[j] <= tol:
+        entering = gradient > noise
+        if not entering.any():
             return x
+        j = int(np.argmax(np.where(entering, gradient, -np.inf)))
         iterations += 1
         if iterations > 3 * n:
             raise RuntimeError("NNLS: more than 3*n iterations")

@@ -7,7 +7,8 @@ persisting a durable checkpoint after every unit of work:
 * **collect** — the batch plan is a pure function of (workload, seed,
   stream), so after each per-size batch the rows gathered so far are
   stored as a column-backed training set and ``batches_done`` advances;
-  a restart replans and skips the finished prefix.
+  a restart hands the stored set back to :meth:`DacTuner.collect`,
+  which replans and skips the finished prefix.
 * **fit** — the partial :class:`HierarchicalModel` is stored after each
   order; a restart continues from the next order
   (:meth:`HierarchicalModel.resume_fit`).
@@ -28,13 +29,10 @@ direct evidence that resuming cost strictly less than starting over.
 
 from __future__ import annotations
 
-import itertools
 import time
 import traceback
 from contextlib import contextmanager
-from typing import Callable, List, Optional
-
-import numpy as np
+from typing import Callable, Optional
 
 from repro.core.collecting import Collector, TrainingSet
 from repro.core.tuner import DacTuner, TuningReport
@@ -193,7 +191,15 @@ class JobRunner:
     # ------------------------------------------------------------------
     def _execute(self, record: JobRecord, engine: ExecutionBackend, session: str) -> None:
         request = record.request
-        training = self._phase_collect(record, engine, session)
+        tuner = DacTuner(
+            get_workload(request.program),
+            n_train=request.n_train,
+            n_trees=request.n_trees,
+            learning_rate=request.learning_rate,
+            seed=request.seed,
+            engine=engine,
+        )
+        training = self._phase_collect(record, tuner, engine, session)
         if request.kind == "collect":
             record.state = DONE
             record.result = {
@@ -202,17 +208,6 @@ class JobRunner:
                 "simulated_hours": Collector.simulated_hours(training),
             }
             return
-
-        workload = get_workload(request.program)
-        tuner = DacTuner(
-            workload,
-            n_train=request.n_train,
-            n_trees=request.n_trees,
-            learning_rate=request.learning_rate,
-            seed=request.seed,
-            engine=engine,
-        )
-        tuner.restore(training, collect_hours=Collector.simulated_hours(training))
 
         record.phase = "fit"
         self._phase_fit(record, tuner, engine, session)
@@ -237,7 +232,11 @@ class JobRunner:
 
     # -- phase: collect -------------------------------------------------
     def _phase_collect(
-        self, record: JobRecord, engine: ExecutionBackend, session: str
+        self,
+        record: JobRecord,
+        tuner: DacTuner,
+        engine: ExecutionBackend,
+        session: str,
     ) -> TrainingSet:
         store = self.store
         request = record.request
@@ -249,6 +248,7 @@ class JobRunner:
             # host share a single page-cache copy of the matrix.
             training = store.get_training_set(key, mode="mmap")
             if training is not None and len(training) == request.n_train:
+                tuner.training_set = training
                 return training
             progress.clear()  # artifact lost/torn: re-collect
 
@@ -266,54 +266,23 @@ class JobRunner:
                     source=request.warm_from,
                     artifact="training_set",
                 )
+                tuner.training_set = training
                 return training
 
-        workload = get_workload(request.program)
-        collector = Collector(workload, seed=request.seed, engine=engine)
-        batches = collector.plan(request.n_train, stream="train")
-        progress["total_batches"] = len(batches)
+        def checkpoint(training, batches_done, total_batches):
+            def persist():
+                store.put_training_set(key, training)
+                progress["total_batches"] = total_batches
+                progress["batches_done"] = batches_done
 
-        # run_batch's row blocks; each checkpoint stores the set over
-        # their concatenation.
-        blocks: List[np.ndarray] = []
-        training: Optional[TrainingSet] = None
+            self._checkpoint(record, engine, session, persist)
+
         # Resume from whatever batch prefix the stored set holds: a crash
         # between its put and the record save leaves it one batch ahead
         # of ``batches_done``.  Anything else starts over.
-        batches_done = 0
-        partial = store.get_training_set(key)
-        prefix_rows = list(itertools.accumulate(len(b.requests) for b in batches))
-        if partial is not None and len(partial) in prefix_rows:
-            batches_done = prefix_rows.index(len(partial)) + 1
-            training = partial
-            blocks.append(partial.rows())
-        progress["batches_done"] = batches_done
-
-        with tele.span(
-            "collect",
-            program=workload.abbr,
-            examples=request.n_train,
-            stream="train",
-            resumed=batches_done > 0,
-        ):
-            for batch in batches[batches_done:]:
-                blocks.append(
-                    collector.run_batch(
-                        batch,
-                        done=sum(len(b) for b in blocks),
-                        total=request.n_train,
-                    )
-                )
-                training = TrainingSet.from_rows(
-                    collector.space, np.concatenate(blocks)
-                )
-
-                def persist(ts=training, done=batch.index + 1):
-                    store.put_training_set(key, ts)
-                    progress["batches_done"] = done
-
-                self._checkpoint(record, engine, session, persist)
-
+        training = tuner.collect(
+            resume_from=store.get_training_set(key), checkpoint=checkpoint
+        )
         progress["done"] = True
         self._save(record, engine, session)
         return training

@@ -10,7 +10,7 @@ driven by the configuration-dependent terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.units import GB, MB
 

@@ -10,7 +10,6 @@ and hence how many concurrent task slots the job has.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from repro.common.space import Configuration

@@ -36,7 +36,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.space import ConfigurationSpace
 from repro.engine.backends import ExecutionBackend, InProcessBackend

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.common.units import KB, MB
+from repro.common.units import MB
 from repro.sparksim.cluster import ClusterSpec
 from repro.sparksim.config import SparkConf
 from repro.sparksim.serializer import CompressionModel, SerializerModel

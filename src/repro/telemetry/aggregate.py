@@ -356,10 +356,6 @@ class Rollup:
     def names(self) -> List[str]:
         return sorted(self._series)
 
-    def label_sets(self, name: str) -> List[Dict[str, str]]:
-        """Every label set under which ``name`` was observed."""
-        return [dict(key) for key in sorted(self._series.get(name, {}))]
-
     def count(self, name: str, labels: Optional[Mapping[str, str]] = None) -> int:
         """Total records ever filed under ``name`` (matching series)."""
         return sum(s.count for s in self._matching(name, labels))

@@ -10,12 +10,11 @@ CPU-intensive; TeraSort is CPU- and memory-intensive.
 
 from repro.workloads.base import Workload
 from repro.workloads.datagen import DatasetSizeGenerator
-from repro.workloads.registry import ALL_WORKLOADS, get_workload, workload_names
+from repro.workloads.registry import ALL_WORKLOADS, get_workload
 
 __all__ = [
     "ALL_WORKLOADS",
     "DatasetSizeGenerator",
     "Workload",
     "get_workload",
-    "workload_names",
 ]

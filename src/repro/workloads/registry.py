@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.workloads.base import Workload
 from repro.workloads.bayes import Bayes
@@ -17,11 +17,6 @@ ALL_WORKLOADS: Dict[str, Workload] = {
     w.abbr: w
     for w in (PageRank(), KMeans(), Bayes(), NWeight(), WordCount(), TeraSort())
 }
-
-
-def workload_names() -> List[str]:
-    """Paper abbreviations in Table-1 order."""
-    return list(ALL_WORKLOADS)
 
 
 def get_workload(name: str) -> Workload:

@@ -9,7 +9,7 @@ expert guideline of "2-3 tasks per core" backfires on it (Section 5.6).
 
 from __future__ import annotations
 
-from repro.common.units import GB, MB
+from repro.common.units import GB
 from repro.sparksim.dag import JobSpec, StageSpec
 from repro.workloads.base import Workload
 

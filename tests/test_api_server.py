@@ -8,9 +8,7 @@ the JSON routes, raw sockets where the *protocol* itself is the subject
 
 from __future__ import annotations
 
-import json
 import socket
-import threading
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
@@ -23,7 +21,6 @@ from repro.cli.main import main as cli_main
 from repro.service import (
     JobFinished,
     JobRecord,
-    JobService,
     TuneRequest,
     request_fingerprint,
 )

@@ -94,12 +94,15 @@ class TestCollectCommand:
         assert len(lines) == 13  # header + 12 rows
 
     def test_csv_loads_back(self, tmp_path, space):
-        from repro.io import load_training_set
+        import csv
 
         out_file = tmp_path / "S.csv"
         main(["collect", "KM", "--examples", "10", "--output", str(out_file)])
-        training = load_training_set(out_file, space)
-        assert len(training) == 10
+        with out_file.open(newline="") as handle:
+            header, *rows = list(csv.reader(handle))
+        assert header == ["t_seconds", "dsize", "dsize_bytes", *space.names]
+        assert len(rows) == 10
+        assert all(float(row[0]) > 0 for row in rows)
 
 
 class TestTuneCommand:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.rng import derive_rng, spawn_rngs, stable_seed
+from repro.common.rng import derive_rng, stable_seed
 from repro.common.units import GB, KB, MB, fmt_bytes, fmt_duration
 
 
@@ -38,12 +38,6 @@ class TestDeriveRng:
     def test_different_keys_different_streams(self):
         r1, r2 = derive_rng("k", 1), derive_rng("k", 2)
         assert not np.allclose(r1.random(5), r2.random(5))
-
-    def test_spawn_rngs_one_per_key(self):
-        rngs = spawn_rngs("base", ["x", "y", "z"])
-        assert len(rngs) == 3
-        draws = [r.random() for r in rngs]
-        assert len(set(draws)) == 3
 
 
 class TestUnits:

@@ -6,7 +6,6 @@ import pytest
 from repro.core.collecting import (
     CollectBatch,
     Collector,
-    PerformanceVector,
     TrainingSet,
     performance_rows,
     raw_value,
@@ -17,23 +16,15 @@ from repro.workloads.datagen import DatasetSizeGenerator
 
 
 class TestPerformanceVector:
+    """Equation (5)'s vectors are the rows of :func:`performance_rows`."""
+
     def test_rejects_nonpositive_time(self, space):
-        with pytest.raises(ValueError):
-            PerformanceVector(
-                seconds=0.0,
-                configuration=space.default(),
-                datasize=10.0,
-                datasize_bytes=1e9,
-            )
+        with pytest.raises(ValueError, match="time must be positive"):
+            performance_rows(space, [0.0], 10.0, 1e9, [space.default()])
 
     def test_rejects_nonpositive_size(self, space):
-        with pytest.raises(ValueError):
-            PerformanceVector(
-                seconds=5.0,
-                configuration=space.default(),
-                datasize=10.0,
-                datasize_bytes=0.0,
-            )
+        with pytest.raises(ValueError, match="datasize must be positive"):
+            performance_rows(space, [5.0], 10.0, 0.0, [space.default()])
 
     @pytest.mark.parametrize("seconds, datasize_bytes", [(0.0, 1e9), (5.0, 0.0)])
     def test_row_blocks_reject_what_vectors_reject(
@@ -49,8 +40,6 @@ class TestPerformanceVector:
     def test_non_finite_rejected_by_vectors_and_row_blocks(self, space, field, value):
         bad = {"seconds": 5.0, "datasize": 10.0, "datasize_bytes": 1e9, field: value}
         with pytest.raises(ValueError, match="finite"):
-            PerformanceVector(configuration=space.default(), **bad)
-        with pytest.raises(ValueError, match="finite"):
             performance_rows(space, configurations=[space.default()], **bad)
 
 
@@ -64,7 +53,7 @@ class TestCollector:
         collector = Collector(get_workload("TS"), seed=1)
         ts = collector.collect(25, stream="train")
         assert len(ts) == 25
-        sizes = {v.datasize for v in ts.vectors}
+        sizes = set(ts.rows()[:, 1].tolist())
         # 25 over 10 sizes: every size is used.
         assert len(sizes) == 10
 
@@ -72,14 +61,15 @@ class TestCollector:
         collector = Collector(get_workload("TS"), seed=1)
         train = collector.collect(10, stream="train")
         test = collector.collect(10, stream="test")
-        train_configs = {v.configuration for v in train.vectors}
-        test_configs = {v.configuration for v in test.vectors}
+        # Raw parameter values reconstruct each configuration exactly.
+        train_configs = set(map(tuple, train.rows()[:, 3:].tolist()))
+        test_configs = set(map(tuple, test.rows()[:, 3:].tolist()))
         assert not (train_configs & test_configs)
 
     def test_collect_is_reproducible(self):
         a = Collector(get_workload("TS"), seed=4).collect(8)
         b = Collector(get_workload("TS"), seed=4).collect(8)
-        assert [v.seconds for v in a.vectors] == [v.seconds for v in b.vectors]
+        assert a.times().tolist() == b.times().tolist()
 
     def test_rejects_zero_examples(self):
         with pytest.raises(ValueError):
@@ -93,9 +83,8 @@ class TestCollector:
     def test_simulated_hours_matches_sum(self, small_training_set):
         collector = Collector(get_workload("TS"), seed=7)
         hours = collector.simulated_hours(small_training_set)
-        assert hours == pytest.approx(
-            sum(v.seconds for v in small_training_set.vectors) / 3600.0
-        )
+        expected = sum(small_training_set.times().tolist()) / 3600.0
+        assert hours == pytest.approx(expected)
 
 
 class TestTrainingSet:
@@ -113,14 +102,9 @@ class TestTrainingSet:
             np.exp(small_training_set.log_times()), small_training_set.times()
         )
 
-    def test_feature_row_matches_matrix(self, small_training_set):
-        v = small_training_set.vectors[0]
-        row = small_training_set.feature_row(v.configuration, v.datasize_bytes)
-        assert np.allclose(row, small_training_set.features()[0])
-
     def test_empty_training_set_rejected(self, space):
-        with pytest.raises(ValueError):
-            TrainingSet.from_vectors(space, [])
+        with pytest.raises(ValueError, match="empty"):
+            TrainingSet.from_rows(space, np.empty((0, 3 + len(space))))
 
 
 class TestBatchPlan:
@@ -177,3 +161,39 @@ class TestBatchPlan:
         replanned = second.plan(20, stream="train")
         blocks += [second.run_batch(b) for b in replanned[3:]]
         assert np.concatenate(blocks).tobytes() == whole.rows().tobytes()
+
+    def test_checkpoint_sees_every_batch_prefix(self):
+        """collect's checkpoint hook gets the set after every batch; the
+        last one is the collected set."""
+        whole = Collector(get_workload("TS"), seed=13).collect(20, stream="train")
+        calls = []
+        result = Collector(get_workload("TS"), seed=13).collect(
+            20, checkpoint=lambda ts, done, total: calls.append((ts, done, total))
+        )
+        total = len(Collector(get_workload("TS"), seed=13).plan(20))
+        assert [(done, n) for _, done, n in calls] == [
+            (i, total) for i in range(1, total + 1)
+        ]
+        for ts, _, _ in calls:
+            assert ts.rows().tobytes() == whole.rows()[: len(ts)].tobytes()
+        assert calls[-1][0] is result
+        assert result.rows().tobytes() == whole.rows().tobytes()
+
+    def test_resume_from_runs_only_the_missing_batches(self):
+        whole = Collector(get_workload("TS"), seed=13).collect(20, stream="train")
+        stored = []
+        Collector(get_workload("TS"), seed=13).collect(
+            20, checkpoint=lambda ts, done, total: stored.append(ts)
+        )
+        resumed = Collector(get_workload("TS"), seed=13)
+        result = resumed.collect(20, resume_from=stored[2])
+        assert resumed.engine.stats.runs == 20 - len(stored[2])
+        assert result.rows().tobytes() == whole.rows().tobytes()
+
+    def test_resume_from_a_non_prefix_starts_over(self):
+        whole = Collector(get_workload("TS"), seed=13).collect(20, stream="train")
+        torn = TrainingSet.from_rows(whole.space, whole.rows()[:3])
+        collector = Collector(get_workload("TS"), seed=13)
+        result = collector.collect(20, resume_from=torn)
+        assert collector.engine.stats.runs == 20
+        assert result.rows().tobytes() == whole.rows().tobytes()

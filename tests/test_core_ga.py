@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.rng import derive_rng
-from repro.common.space import ConfigurationSpace, FloatParameter, IntParameter
+from repro.common.space import ConfigurationSpace, FloatParameter
 from repro.core.ga import DEFAULT_MUTATION_RATE, GaResult, GeneticAlgorithm
 
 

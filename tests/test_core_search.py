@@ -7,7 +7,6 @@ from repro.common.rng import derive_rng
 from repro.common.space import ConfigurationSpace, FloatParameter
 from repro.core.search import (
     STRATEGIES,
-    GaSearch,
     PatternSearch,
     RandomSearch,
     RecursiveRandomSearch,

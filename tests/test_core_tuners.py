@@ -9,7 +9,6 @@ from repro.core.rfhoc import RfhocTuner
 from repro.core.tuner import DacTuner
 from repro.sparksim.cluster import PAPER_CLUSTER
 from repro.sparksim.confspace import SPARK_CONF_SPACE
-from repro.sparksim.simulator import SparkSimulator
 from repro.workloads import get_workload
 
 #: Three small tunes (120 examples, 60 trees, 30 generations: the job
@@ -82,14 +81,10 @@ class TestDacTuner:
         assert small != large
 
     def test_predict_seconds_positive(self, fitted_dac):
-        pred = fitted_dac.predict_seconds(default_configuration(), 30.0)
+        """The GA objective: model-predicted seconds for a configuration."""
+        encoded = SPARK_CONF_SPACE.encode(default_configuration())
+        (pred,) = fitted_dac.fitness_for(30.0)(encoded[None, :])
         assert np.isfinite(pred) and pred > 0
-
-    def test_paper_scale_factory(self):
-        tuner = DacTuner.paper_scale(get_workload("TS"))
-        assert tuner.n_train == 2000
-        assert tuner.n_trees == 3600
-        assert tuner.learning_rate == 0.05
 
     def test_fast_scale_factory_with_override(self):
         tuner = DacTuner.fast_scale(get_workload("TS"), n_train=100)

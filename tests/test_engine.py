@@ -8,7 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.cli.main import build_parser
+from repro.cli.main import build_parser, main
 from repro.common.rng import derive_rng
 from repro.core.baselines import default_configuration
 from repro.core.collecting import Collector
@@ -230,6 +230,20 @@ def test_cli_parses_backend_flags():
     assert args.backend == "processpool" and args.jobs == 4
     args = parser.parse_args(["collect", "TS", "--output", "x.csv"])
     assert args.backend == "inprocess" and args.jobs is None
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_processpool_rejects_non_positive_jobs(jobs):
+    """Only ``None`` means "one worker per CPU"; 0 is refused before
+    any worker process starts."""
+    with pytest.raises(ValueError, match="jobs must be positive"):
+        ProcessPoolBackend(jobs=jobs)
+
+
+def test_cli_jobs_zero_exits_2(capsys):
+    argv = ["run", "TS", "--size", "30", "--backend", "processpool", "--jobs", "0"]
+    assert main(argv) == 2
+    assert "jobs must be positive" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_backend(capsys):

@@ -1,6 +1,5 @@
 """Unit tests for experiment result dataclasses (no tuning runs needed)."""
 
-import numpy as np
 import pytest
 
 from repro.experiments.common import FAST, PAPER

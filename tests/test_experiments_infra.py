@@ -27,8 +27,9 @@ class TestCollectedCache:
         train = collected("TS", 30, "train", seed=5)
         test = collected("TS", 30, "test", seed=5)
         assert train is not test
-        assert {v.configuration for v in train.vectors}.isdisjoint(
-            {v.configuration for v in test.vectors}
+        # Raw parameter values reconstruct each configuration exactly.
+        assert set(map(tuple, train.rows()[:, 3:].tolist())).isdisjoint(
+            map(tuple, test.rows()[:, 3:].tolist())
         )
 
     def test_scale_is_hashable_for_caching(self):

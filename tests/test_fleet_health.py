@@ -32,7 +32,6 @@ from repro.service import (
     DONE,
     EXITED,
     QUEUED,
-    RUNNING,
     STALE,
     FleetView,
     HeartbeatWriter,

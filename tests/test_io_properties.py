@@ -1,17 +1,14 @@
 """Property-based round-trip tests for the persistence formats."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.collecting import PerformanceVector, TrainingSet
-from repro.io import (
-    load_spark_conf,
-    load_training_set,
-    save_spark_conf,
-    save_training_set,
-)
+from repro.core.collecting import TrainingSet, performance_rows
+from repro.io import load_spark_conf, save_spark_conf, save_training_set
 from repro.sparksim.confspace import SPARK_CONF_SPACE
 
 random_configs = st.integers(min_value=0, max_value=2**31 - 1).map(
@@ -60,21 +57,31 @@ class TestTrainingSetCsvProperty:
     )
     @settings(max_examples=20, deadline=None)
     def test_arbitrary_training_sets_round_trip(self, tmp_path_factory, rows):
-        vectors = [
-            PerformanceVector(
-                seconds=seconds,
-                configuration=SPARK_CONF_SPACE.random(np.random.default_rng(seed)),
-                datasize=datasize_bytes / 1e9,
-                datasize_bytes=datasize_bytes,
-            )
-            for seed, seconds, datasize_bytes in rows
+        """Any set's CSV parses back to its exact times, sizes and
+        configurations."""
+        configs = [
+            SPARK_CONF_SPACE.random(np.random.default_rng(seed)) for seed, _, _ in rows
         ]
-        training = TrainingSet.from_vectors(SPARK_CONF_SPACE, vectors)
+        seconds = [s for _, s, _ in rows]
+        sizes = [b for _, _, b in rows]
+        training = TrainingSet.from_rows(
+            SPARK_CONF_SPACE,
+            performance_rows(
+                SPARK_CONF_SPACE, seconds, [b / 1e9 for b in sizes], sizes, configs
+            ),
+        )
         path = tmp_path_factory.mktemp("csv") / "S.csv"
         save_training_set(training, path)
-        loaded = load_training_set(path, SPARK_CONF_SPACE)
-        assert len(loaded) == len(training)
-        assert np.allclose(loaded.times(), training.times())
-        for a, b in zip(loaded.vectors, training.vectors):
-            assert a.configuration == b.configuration
-            assert a.datasize_bytes == pytest.approx(b.datasize_bytes)
+        with path.open(newline="") as handle:
+            parsed = list(csv.DictReader(handle))
+        assert [float(r["t_seconds"]) for r in parsed] == seconds
+        assert [float(r["dsize_bytes"]) for r in parsed] == sizes
+        for row, config in zip(parsed, configs):
+            for name in SPARK_CONF_SPACE.names:
+                value = config[name]
+                if isinstance(value, bool):
+                    assert row[name] == ("true" if value else "false")
+                elif isinstance(value, str):
+                    assert row[name] == value
+                else:
+                    assert type(value)(row[name]) == value

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.common.rng import derive_rng
 from repro.odc import OdcSimulator
 from repro.odc.confspace import hadoop_configuration_space
 from repro.sparksim.cluster import PAPER_CLUSTER

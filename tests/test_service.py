@@ -33,7 +33,7 @@ FAST = dict(n_train=40, n_trees=15, generations=3, patience=None, seed=2)
 
 #: SHA-256 of each per-batch checkpoint of a TS collect job (30 examples,
 #: seed 1), recorded when checkpoints were still checked against sets
-#: encoded row by row from PerformanceVector objects.
+#: encoded row by row from per-row objects.
 COLLECT_JOB_CHECKPOINT_DIGESTS = [
     "d0beae6c2fb006a2ca89a8599589007acb9aa262a489f575b7a2c2dc6ad68242",
     "72c3566a1c86f02ae854fdbb0b6eb206bea9ede9383d18f8f3cfcad15f08737d",
@@ -228,15 +228,15 @@ class TestExecution:
         assert len(training) == 30
 
         # Every per-batch checkpoint (one index line each) is the
-        # artifact a set built from the row objects so far would give.
+        # artifact a set built from the rows so far would give.
         index = (service.store.root / "index.jsonl").read_text().splitlines()
         written = [e["digest"] for e in map(json.loads, index) if e["key"] == key]
         collector = Collector(get_workload("TS"), seed=1)
-        vectors = collector.collect(30, stream="train").vectors
+        rows = collector.collect(30, stream="train").rows()
         expected, done = [], 0
         for batch in collector.plan(30, stream="train"):
             done += len(batch.requests)
-            prefix = TrainingSet.from_vectors(collector.space, vectors[:done])
+            prefix = TrainingSet.from_rows(collector.space, rows[:done])
             expected.append(payload_digest(encode_training_set(prefix)))
         assert len(expected) > 1 and written == expected
         assert written == COLLECT_JOB_CHECKPOINT_DIGESTS

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.units import GB, MB
+from repro.common.units import MB
 from repro.sparksim.cluster import PAPER_CLUSTER
 from repro.sparksim.config import SparkConf
 from repro.sparksim.confspace import SPARK_CONF_SPACE

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.rng import derive_rng
 from repro.common.units import GB, MB
 from repro.sparksim.confspace import SPARK_CONF_SPACE
 from repro.sparksim.dag import JobSpec, StageSpec

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.collecting import Collector, TrainingSet
+from repro.core.collecting import Collector
 from repro.core.ga import GeneticAlgorithm
 from repro.core.tuner import DacTuner
 from repro.common.rng import derive_rng

@@ -315,17 +315,23 @@ class TestStoreCodecPaths:
         np.testing.assert_array_equal(mapped.times(), training.times())
         assert isinstance(mapped.times().base, np.memmap)
         assert not mapped.times().flags.writeable
-        for a, b in zip(mapped.vectors, training.vectors):
-            assert a.configuration == b.configuration
-            assert a.seconds == b.seconds
+        # Raw values reconstruct each configuration exactly.
+        assert mapped.rows().tobytes() == training.rows().tobytes()
 
-    def test_seed_vectors_are_row_encodings_bitwise(self, tmp_path, training, space):
+    def test_seed_vectors_are_row_encodings_bitwise(
+        self, tmp_path, training, space, terasort
+    ):
         store = RunStore(tmp_path / "store")
         store.put_training_set("ts", training)
-        configs = [v.configuration for v in training.vectors]
+        # The configurations the fixture's collection drew, in row order.
+        configs = [
+            request.config
+            for batch in Collector(terasort, seed=11).plan(24, stream="train")
+            for request in batch.requests
+        ]
         sets = {
             "columns": training,
-            "vectors": TrainingSet.from_vectors(space, training.vectors),
+            "rows": TrainingSet.from_rows(space, training.rows()),
             "mmap": store.get_training_set("ts", space=space, mode="mmap"),
         }
         for backing, ts in sets.items():
@@ -611,8 +617,6 @@ class TestStoreGc:
 # ----------------------------------------------------------------------
 class TestCacheEntryContainer:
     def test_cache_entry_is_checksummed_container(self, tmp_path):
-        from repro.sparksim.simulator import RunResult
-
         blob = blobfmt.encode_sections(
             {"pickle": np.frombuffer(pickle.dumps(1), dtype=np.uint8)},
             kind="cache_entry",

@@ -12,7 +12,6 @@ training-set put and its record save.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import subprocess

@@ -252,9 +252,6 @@ class TestRollup:
         rollup.add(_tag("ga.generation", 2.0, {"job": "b"}, best=7.0))
         assert rollup.count("ga.generation") == 2
         assert rollup.count("ga.generation", labels={"job": "a"}) == 1
-        assert rollup.label_sets("ga.generation") == [
-            {"job": "a"}, {"job": "b"}
-        ]
         assert rollup.values("ga.generation", "best", {"job": "b"}) == [
             (2.0, 7.0)
         ]

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.common.units import GB
-from repro.workloads import ALL_WORKLOADS, get_workload, workload_names
-from repro.workloads.base import Workload
+from repro.workloads import ALL_WORKLOADS, get_workload
 
 TABLE1 = {
     "PR": ("PageRank", (1.2, 1.4, 1.6, 1.8, 2.0), "million pages"),
@@ -18,7 +17,7 @@ TABLE1 = {
 
 class TestRegistry:
     def test_table1_membership_and_order(self):
-        assert workload_names() == list(TABLE1)
+        assert list(ALL_WORKLOADS) == list(TABLE1)
 
     @pytest.mark.parametrize("abbr", list(TABLE1))
     def test_table1_names_sizes_units(self, abbr):

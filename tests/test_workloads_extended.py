@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.baselines import default_configuration
 from repro.sparksim.confspace import SPARK_CONF_SPACE
-from repro.sparksim.simulator import SparkSimulator
 from repro.workloads import ALL_WORKLOADS, get_workload
 from repro.workloads.extended import EXTRA_WORKLOADS
 
