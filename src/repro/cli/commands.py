@@ -480,6 +480,20 @@ def _run_via_service(args: argparse.Namespace, kind: str) -> int:
 EXIT_ALREADY_FINISHED = 3
 
 
+def _log_jobs(records, where: str) -> None:
+    """``repro jobs list``'s table: one row per job record."""
+    if not records:
+        log.info("(no jobs %s)", where)
+        return
+    header = ("job", "kind", "program", "target", "state", "phase", "detail")
+    rows = [record.summary_row() for record in records]
+    widths = [
+        max(len(str(r[i])) for r in [header, *rows]) for i in range(len(header))
+    ]
+    for row in [header, *rows]:
+        log.info("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
+
+
 def _remote_jobs(args: argparse.Namespace) -> int:
     """``repro jobs ... --url``: drive a remote ``repro serve`` endpoint.
 
@@ -505,21 +519,12 @@ def _remote_jobs(args: argparse.Namespace) -> int:
                 log.info("%s", doc["job_id"])
             return 0
         if action == "list":
-            docs = client.jobs()
-            if not docs:
-                log.info("(no jobs at %s)", args.url)
-                return 0
             from repro.service import JobRecord
 
-            header = ("job", "kind", "program", "target", "state", "phase",
-                      "detail")
-            rows = [JobRecord.from_dict(d).summary_row() for d in docs]
-            widths = [
-                max(len(str(r[i])) for r in [header, *rows])
-                for i in range(len(header))
-            ]
-            for row in [header, *rows]:
-                log.info("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
+            _log_jobs(
+                [JobRecord.from_dict(doc) for doc in client.jobs()],
+                f"at {args.url}",
+            )
             return 0
         if action == "status":
             doc = client.status(args.job_id)
@@ -605,17 +610,7 @@ def cmd_jobs(args: argparse.Namespace) -> int:
         return 0
 
     if action == "list":
-        records = service.jobs()
-        if not records:
-            log.info("(no jobs in %s)", args.store)
-            return 0
-        header = ("job", "kind", "program", "target", "state", "phase", "detail")
-        rows = [record.summary_row() for record in records]
-        widths = [
-            max(len(str(r[i])) for r in [header, *rows]) for i in range(len(header))
-        ]
-        for row in [header, *rows]:
-            log.info("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
+        _log_jobs(service.jobs(), f"in {args.store}")
         return 0
 
     if action == "status":
@@ -774,7 +769,7 @@ def cmd_worker(args: argparse.Namespace) -> int:
             pass
         drain_hook = stop_event.is_set
 
-    log_path = service.store.root / "events" / f"worker-{worker_id}.jsonl"
+    log_path = service.store.event_log_path(f"worker-{worker_id}")
     sink = JsonlSink(log_path, append=True, live=True)
     session = Telemetry([sink])
     previous = install(session)

@@ -76,5 +76,7 @@ def tune_program(program: str, scale: Scale) -> ProgramTuning:
         expert=ExpertTuner(PAPER_CLUSTER).tune(),
         default=default_configuration(),
         collecting_simulated_hours=dac.collector.simulated_hours(training),
-        modeling_wall_seconds=dac._modeling_seconds,
+        modeling_wall_seconds=(
+            dac_reports[workload.paper_sizes[0]].modeling_wall_seconds
+        ),
     )

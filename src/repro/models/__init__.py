@@ -20,12 +20,7 @@ from repro.models.boosting import GradientBoostedTrees
 from repro.models.flat import FlatForest, FlatTree
 from repro.models.forest import RandomForest
 from repro.models.hierarchical import HierarchicalModel
-from repro.models.metrics import (
-    accuracy_from_error,
-    mean_relative_error,
-    relative_errors,
-    train_test_split,
-)
+from repro.models.metrics import mean_relative_error, relative_errors
 from repro.models.response_surface import ResponseSurface
 from repro.models.svr import SupportVectorRegressor
 from repro.models.tree import BinnedDataset, RegressionTree
@@ -41,10 +36,8 @@ __all__ = [
     "RegressionTree",
     "ResponseSurface",
     "SupportVectorRegressor",
-    "accuracy_from_error",
     "mean_relative_error",
     "relative_errors",
-    "train_test_split",
 ]
 
 #: The four baseline techniques of Figure 3/9, by paper abbreviation.

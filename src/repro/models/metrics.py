@@ -1,8 +1,6 @@
-"""Model accuracy metrics (Equation 2) and split helpers."""
+"""Model accuracy metrics (Equation 2)."""
 
 from __future__ import annotations
-
-from typing import Tuple
 
 import numpy as np
 
@@ -21,31 +19,3 @@ def relative_errors(predicted: np.ndarray, measured: np.ndarray) -> np.ndarray:
 def mean_relative_error(predicted: np.ndarray, measured: np.ndarray) -> float:
     """The paper's ``err`` metric, averaged over a test set (lower is better)."""
     return float(np.mean(relative_errors(predicted, measured)))
-
-
-def accuracy_from_error(error: float) -> float:
-    """The paper speaks of "target accuracy such as 90%": 1 - err."""
-    return 1.0 - error
-
-
-def train_test_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    test_fraction: float = 0.25,
-    rng: np.random.Generator | None = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shuffled split; the paper validates on a quarter of the training
-    set size (Section 3.2, ``num = (10 x k) / 4``)."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(X) != len(y):
-        raise ValueError("X and y length mismatch")
-    if len(X) < 2:
-        raise ValueError("need at least two samples to split")
-    rng = rng or np.random.default_rng(0)
-    order = rng.permutation(len(X))
-    n_test = max(1, int(round(len(X) * test_fraction)))
-    test_idx, train_idx = order[:n_test], order[n_test:]
-    return X[train_idx], y[train_idx], X[test_idx], y[test_idx]

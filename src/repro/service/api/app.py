@@ -17,7 +17,8 @@ Routes::
     DELETE /v1/jobs/{id}        cancel at the next checkpoint (409 when
                                 already finished)
     GET    /v1/fleet            dashboard snapshot JSON (?format=html
-                                renders the self-refreshing web view)
+                                serves its ``repro top`` frame as a
+                                self-refreshing page)
     GET    /v1/health           liveness probe
     GET    /metrics             Prometheus text exposition of the
                                 fleet gauges
@@ -150,7 +151,7 @@ class ApiServer:
             limit=max(self.limits.max_request_line, 65536),
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        log = self.service.store.root / "events" / f"{self.server_id}.jsonl"
+        log = self.service.store.event_log_path(self.server_id)
         self.events = Telemetry([JsonlSink(log, append=True, live=True)])
         self.events.event(
             "api.started", server=self.server_id, host=self.host,
@@ -549,104 +550,21 @@ def _match(pattern: str, path: str) -> Optional[Dict[str, str]]:
 
 
 # ----------------------------------------------------------------------
-# The web view: the fleet snapshot as one static self-refreshing page.
+# The web view: the ``repro top`` frame as one static self-refreshing page.
 # ----------------------------------------------------------------------
 def render_fleet_html(snapshot: Dict[str, object]) -> str:
-    """Render a dashboard snapshot as a framework-free HTML page.
+    """Render a dashboard snapshot as the ``repro top`` frame in a page.
 
     The page is static — no JavaScript, no assets — and re-requests
-    itself every 2 seconds via ``<meta http-equiv="refresh">``, which is
-    all a glanceable fleet view needs: a web view on top of the same
-    snapshot JSON.
+    itself every 2 seconds via ``<meta http-equiv="refresh">``.
     """
+    from repro.telemetry.dashboard import render_snapshot
 
-    def esc(value: object) -> str:
-        return html.escape(str(value if value is not None else "-"))
-
-    summary = snapshot.get("summary", {}) or {}
-    api = snapshot.get("api", {}) or {}
-    engine = snapshot.get("engine", {}) or {}
-
-    job_rows = []
-    for job in snapshot.get("jobs", []) or []:
-        progress = job.get("progress", {}) or {}
-        fraction = float(progress.get("fraction", 0.0) or 0.0)
-        ga = job.get("ga", {}) or {}
-        job_rows.append(
-            "<tr>"
-            f"<td><code>{esc(job.get('job_id'))}</code></td>"
-            f"<td class='s-{esc(job.get('state'))}'>{esc(job.get('state'))}</td>"
-            f"<td>{esc(job.get('phase'))}</td>"
-            f"<td>{esc(job.get('program'))}</td>"
-            f"<td>{int(fraction * 100)}%</td>"
-            f"<td>{esc(ga.get('generation'))}</td>"
-            f"<td>{esc(job.get('holder') or job.get('worker'))}</td>"
-            "</tr>"
-        )
-    worker_rows = []
-    for worker in snapshot.get("workers", []) or []:
-        worker_rows.append(
-            "<tr>"
-            f"<td><code>{esc(worker.get('worker'))}</code></td>"
-            f"<td>{esc(worker.get('host'))}</td>"
-            f"<td class='s-{esc(worker.get('status'))}'>"
-            f"{esc(worker.get('status'))}</td>"
-            f"<td>{esc(worker.get('age'))}s</td>"
-            f"<td>{esc(worker.get('jobs_done'))}</td>"
-            "</tr>"
-        )
-
-    return f"""<!DOCTYPE html>
-<html lang="en">
-<head>
-<meta charset="utf-8">
-<meta http-equiv="refresh" content="2">
-<title>repro fleet — {esc(snapshot.get('store'))}</title>
-<style>
-body {{ font: 14px/1.4 system-ui, sans-serif; margin: 2em; color: #222; }}
-table {{ border-collapse: collapse; margin: 0.5em 0 1.5em; }}
-th, td {{ border: 1px solid #ccc; padding: 0.25em 0.7em; text-align: left; }}
-th {{ background: #f3f3f3; }}
-.s-done {{ color: #1a7f37; }} .s-running {{ color: #0969da; }}
-.s-failed, .s-dead {{ color: #cf222e; }}
-.s-cancelled, .s-exited, .s-stale {{ color: #888; }}
-.s-alive {{ color: #1a7f37; }}
-.summary span {{ margin-right: 1.5em; }}
-</style>
-</head>
-<body>
-<h1>repro fleet</h1>
-<p class="summary">
-<span>store <code>{esc(snapshot.get('store'))}</code></span>
-<span>jobs {esc(summary.get('jobs_done'))}/{esc(summary.get('jobs_total'))}
-done</span>
-<span>{esc(summary.get('jobs_active'))} active</span>
-<span>{esc(summary.get('jobs_failed'))} failed</span>
-<span>workers {esc(summary.get('workers_alive'))} alive /
-{esc(summary.get('workers_stale'))} stale /
-{esc(summary.get('workers_dead'))} dead</span>
-</p>
-<h2>Jobs</h2>
-<table>
-<tr><th>job</th><th>state</th><th>phase</th><th>program</th>
-<th>progress</th><th>gen</th><th>holder</th></tr>
-{''.join(job_rows) or '<tr><td colspan="7">(no jobs)</td></tr>'}
-</table>
-<h2>Workers</h2>
-<table>
-<tr><th>worker</th><th>host</th><th>status</th><th>age</th><th>done</th></tr>
-{''.join(worker_rows) or '<tr><td colspan="5">(no heartbeats)</td></tr>'}
-</table>
-<h2>API</h2>
-<p>requests {esc(api.get('requests'))} · {esc(api.get('rate'))}/s ·
-errors {esc(api.get('errors'))} · deduplicated
-{esc(api.get('deduplicated'))} · p50 {esc(api.get('latency_p50'))}s ·
-p99 {esc(api.get('latency_p99'))}s</p>
-<h2>Engine</h2>
-<p>runs/sec {esc(engine.get('runs_per_sec'))} · cache hit
-{esc(engine.get('cache_hit_rate'))} · queue wait p50
-{esc(engine.get('queue_wait_p50'))}s / p99
-{esc(engine.get('queue_wait_p99'))}s</p>
-</body>
-</html>
-"""
+    frame = html.escape(render_snapshot(snapshot, color=False))
+    store = html.escape(str(snapshot.get("store", "")))
+    return (
+        '<!DOCTYPE html>\n<html lang="en">\n<head>\n<meta charset="utf-8">\n'
+        '<meta http-equiv="refresh" content="2">\n'
+        f"<title>repro fleet — {store}</title>\n</head>\n"
+        f"<body>\n<pre>{frame}</pre>\n</body>\n</html>\n"
+    )

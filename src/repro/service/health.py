@@ -34,7 +34,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.service.jobs import DONE, PHASES, QUEUED, RUNNING, JobRecord, read_jobs
 from repro.service.lease import LeaseInfo, LeaseManager
@@ -60,6 +60,9 @@ ALIVE = "alive"
 STALE = "stale"
 DEAD = "dead"
 EXITED = "exited"
+
+#: One fleet-view row (a job or a worker) as a JSON-ready dict.
+Row = Dict[str, object]
 
 #: A heartbeat is suspect after this many missed intervals ...
 STALE_AFTER_INTERVALS = 2.0
@@ -322,62 +325,28 @@ class FleetView:
             store.lease_dir, worker_id="fleet-view-reader", clock=clock
         )
 
-    # -- raw sources ----------------------------------------------------
-    def heartbeats(self) -> Dict[str, Heartbeat]:
-        return read_heartbeats(self.store.health_dir)
-
-    def records(self) -> List[JobRecord]:
-        return read_jobs(self.store)
-
     # -- joined rows ----------------------------------------------------
-    def workers(self) -> List[Dict[str, object]]:
-        """One row per worker ever seen beating, plus lease context."""
+    def _rows(self) -> Tuple[float, List[Row], List[Row]]:
+        """The clock reading, job rows and worker rows, from one read of
+        the job records, one lease peek per job and one heartbeat listing."""
         now = self.clock()
-        leases_by_worker: Dict[str, List[str]] = {}
-        for record in self.records():
+        heartbeats = read_heartbeats(self.store.health_dir)
+        records = sorted(read_jobs(self.store), key=lambda r: (r.created, r.job_id))
+        holders: Dict[str, str] = {}  # job id -> holder of its live lease
+        for record in records:
             info = self._leases.peek(record.job_id)
             if info is not None and now < info.expires:
-                leases_by_worker.setdefault(info.worker, []).append(
-                    record.job_id
-                )
-        rows = []
-        for worker, heartbeat in sorted(self.heartbeats().items()):
-            rows.append(
-                {
-                    "worker": worker,
-                    "host": heartbeat.host,
-                    "pid": heartbeat.pid,
-                    "status": heartbeat_status(heartbeat, now),
-                    "age": round(heartbeat.age(now), 3),
-                    "seq": heartbeat.seq,
-                    "interval": heartbeat.interval,
-                    "job": heartbeat.job,
-                    "jobs_done": heartbeat.jobs_done,
-                    "leases": sorted(leases_by_worker.get(worker, [])),
-                }
-            )
-        return rows
+                holders[record.job_id] = info.worker
 
-    def jobs(self) -> List[Dict[str, object]]:
-        """One row per job record, with holder liveness and progress."""
-        now = self.clock()
-        heartbeats = self.heartbeats()
-        rows = []
-        for record in sorted(
-            self.records(), key=lambda r: (r.created, r.job_id)
-        ):
-            info = self._leases.peek(record.job_id)
-            leased = info is not None and now < info.expires
-            holder = info.worker if leased else None
-            holder_status = None
-            if holder is not None:
-                beat = heartbeats.get(holder)
-                if beat is not None:
-                    holder_status = heartbeat_status(beat, now)
+        jobs = []
+        for record in records:
+            holder = holders.get(record.job_id)
+            beat = heartbeats.get(holder) if holder is not None else None
+            holder_status = heartbeat_status(beat, now) if beat else None
             claimable = record.state in (QUEUED, RUNNING) and (
-                not leased or holder_status in (DEAD, EXITED)
+                holder is None or holder_status in (DEAD, EXITED)
             )
-            rows.append(
+            jobs.append(
                 {
                     "job_id": record.job_id,
                     "state": record.state,
@@ -396,14 +365,40 @@ class FleetView:
                     "updated": record.updated,
                 }
             )
-        return rows
+
+        workers = []
+        for worker, heartbeat in sorted(heartbeats.items()):
+            workers.append(
+                {
+                    "worker": worker,
+                    "host": heartbeat.host,
+                    "pid": heartbeat.pid,
+                    "status": heartbeat_status(heartbeat, now),
+                    "age": round(heartbeat.age(now), 3),
+                    "seq": heartbeat.seq,
+                    "interval": heartbeat.interval,
+                    "job": heartbeat.job,
+                    "jobs_done": heartbeat.jobs_done,
+                    "leases": sorted(
+                        job for job, held in holders.items() if held == worker
+                    ),
+                }
+            )
+        return now, jobs, workers
+
+    def workers(self) -> List[Row]:
+        """One row per worker ever seen beating, plus lease context."""
+        return self._rows()[2]
+
+    def jobs(self) -> List[Row]:
+        """One row per job record, with holder liveness and progress."""
+        return self._rows()[1]
 
     def snapshot(self) -> Dict[str, object]:
         """The joined view as one JSON-ready dict."""
-        jobs = self.jobs()
-        workers = self.workers()
+        now, jobs, workers = self._rows()
         return {
-            "generated": self.clock(),
+            "generated": now,
             "store": str(getattr(self.store, "root", "")),
             "jobs": jobs,
             "workers": workers,

@@ -258,24 +258,3 @@ class SparkConf:
     def protected_storage_per_executor(self) -> float:
         """Storage memory immune to eviction by execution (bytes)."""
         return self.spark_memory_per_executor * self.storage_fraction
-
-    @cached_property
-    def execution_memory_per_task(self) -> float:
-        """Upper bound on one task's execution memory (empty cache).
-
-        Unified memory management lets execution use the whole Spark
-        region when no storage is resident; see
-        :meth:`repro.sparksim.memory.MemoryModel.execution_available_per_task`
-        for the cache-aware figure the simulator actually uses.
-        """
-        per_task = self.spark_memory_per_executor / self.executor_cores
-        return per_task + self.off_heap_size / self.executor_cores
-
-    def describe(self) -> str:
-        """One-line summary used in example scripts and logs."""
-        return (
-            f"{self.num_executors} executors x {self.executor_cores} cores, "
-            f"{self['spark.executor.memory']} MB heap, "
-            f"serializer={self.serializer}, codec={self.compression_codec}, "
-            f"parallelism={self.default_parallelism}"
-        )

@@ -25,6 +25,7 @@ from repro.sparksim.config import SparkConf
 from repro.sparksim.scheduler import (
     _STRAGGLER_FACTOR,
     _STRAGGLER_PROBABILITY,
+    WaveScheduler,
 )
 from repro.sparksim.task import TaskProfile
 
@@ -99,7 +100,7 @@ def simulate_stage(
     if n == 0:
         return StageTimeline(makespan=0.0, events=(), speculative_copies=0)
 
-    dispatch = 0.0012 / max(min(conf.akka_threads, conf.driver_cores * 2), 1)
+    dispatch = WaveScheduler(conf).dispatch_seconds_per_task()
     wave_latency = 0.3 * conf.revive_interval + 0.08 * conf.locality_wait
 
     # slot_free[i] = when slot i next becomes idle.

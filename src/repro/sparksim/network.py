@@ -2,9 +2,11 @@
 
 Covers the networking block of Table 2: torrent broadcast
 (``spark.broadcast.blockSize``, ``spark.broadcast.compress``), the Akka
-actor system (``spark.akka.threads``, ``spark.akka.heartbeat.interval``,
+actor system (``spark.akka.heartbeat.interval``,
 ``spark.akka.heartbeat.pauses``, ``spark.akka.failure.detector.threshold``)
-and ``spark.network.timeout``.
+and ``spark.network.timeout``.  ``spark.akka.threads`` sets the task
+dispatch cost, which the stage scheduler charges
+(:meth:`~repro.sparksim.scheduler.WaveScheduler.dispatch_seconds_per_task`).
 
 Two failure interactions matter for tuning:
 
@@ -57,16 +59,6 @@ class NetworkModel:
         return float(cpu + transfer * pipelining_penalty + per_block_overhead)
 
     # -- control plane ----------------------------------------------------
-    def dispatch_seconds_per_task(self) -> float:
-        """Driver-side cost to launch one task.
-
-        Serializing and shipping a task closure takes ~1 ms and is
-        processed by ``spark.akka.threads`` actor threads in parallel
-        (up to the driver's core budget).
-        """
-        threads = min(self.conf.akka_threads, self.conf.driver_cores * 2)
-        return 0.0012 / max(threads, 1)
-
     def heartbeat_overhead_fraction(self) -> float:
         """Fraction of executor CPU spent servicing heartbeats."""
         interval = max(self.conf.akka_heartbeat_interval, 1.0)

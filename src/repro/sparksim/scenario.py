@@ -440,40 +440,51 @@ class ScenarioReport:
         return self.pool_busy_executor_s / (self.slots * self.makespan_s)
 
 
+#: How :func:`report_from_dict` reads a scalar field, by its type name
+#: (a string: this module and ``arrivals`` postpone annotations).
+_CASTS = {"float": float, "int": int, "str": str}
+
+
+def _fields_doc(obj, number: Callable[[float], object]) -> Dict[str, object]:
+    """A dataclass's fields by name, each ``float`` field through ``number``."""
+    doc = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        doc[f.name] = number(value) if f.type == "float" else value
+    return doc
+
+
+def _report_doc(
+    report: ScenarioReport, number: Callable[[float], object]
+) -> Dict[str, object]:
+    """The report as a JSON document: the spec's own document, then one
+    :func:`_fields_doc` per job and per revocation."""
+    doc = _fields_doc(report, number)
+    doc["spec"] = report.spec.to_dict()
+    doc["jobs"] = [_fields_doc(job, number) for job in report.jobs]
+    doc["revocations"] = [_fields_doc(r, number) for r in report.revocations]
+    return doc
+
+
+def _from_doc(cls, doc: Dict[str, object], **built: object):
+    """``cls`` from a :func:`_fields_doc` document: each field not given
+    in ``built`` is cast by its type name."""
+    return cls(**{
+        f.name: built[f.name] if f.name in built else _CASTS[f.type](doc[f.name])
+        for f in dataclasses.fields(cls)
+    })
+
+
 def scenario_fingerprint(report: ScenarioReport) -> str:
     """Digest of a report's semantic content (the replay equality test).
 
     Floats go through ``repr`` so the digest covers their exact values;
     two runs with equal fingerprints made bit-identical scheduling
-    decisions.  Mirrors the store's ``report_fingerprint``.
+    decisions.  Each revocation is the list ``[at_s, slots,
+    duration_s]``.  Mirrors the store's ``report_fingerprint``.
     """
-    doc = {
-        "spec": report.spec.to_dict(),
-        "seed": report.seed,
-        "slots": report.slots,
-        "jobs": [
-            {
-                "job_id": j.job_id,
-                "program": j.program,
-                "size": exact(j.size),
-                "demand": j.demand,
-                "arrival_s": exact(j.arrival_s),
-                "start_s": exact(j.start_s),
-                "finish_s": exact(j.finish_s),
-                "isolated_s": exact(j.isolated_s),
-                "straggler_factor": exact(j.straggler_factor),
-                "io_fraction": exact(j.io_fraction),
-                "busy_executor_s": exact(j.busy_executor_s),
-                "revocation_hits": j.revocation_hits,
-            }
-            for j in report.jobs
-        ],
-        "revocations": [
-            [exact(r.at_s), r.slots, exact(r.duration_s)] for r in report.revocations
-        ],
-        "makespan_s": exact(report.makespan_s),
-        "pool_busy_executor_s": exact(report.pool_busy_executor_s),
-    }
+    doc = _report_doc(report, exact)
+    doc["revocations"] = [list(r.values()) for r in doc["revocations"]]
     return canonical_digest(doc)
 
 
@@ -481,72 +492,21 @@ def report_to_dict(report: ScenarioReport) -> Dict[str, object]:
     """JSON document for one report; embeds the spec and seed so a saved
     report is replayable on its own, plus the fingerprint for quick
     comparison."""
-    return {
-        "spec": report.spec.to_dict(),
-        "seed": report.seed,
-        "slots": report.slots,
-        "jobs": [
-            {
-                "job_id": j.job_id,
-                "program": j.program,
-                "size": j.size,
-                "demand": j.demand,
-                "arrival_s": j.arrival_s,
-                "start_s": j.start_s,
-                "finish_s": j.finish_s,
-                "isolated_s": j.isolated_s,
-                "straggler_factor": j.straggler_factor,
-                "io_fraction": j.io_fraction,
-                "busy_executor_s": j.busy_executor_s,
-                "revocation_hits": j.revocation_hits,
-            }
-            for j in report.jobs
-        ],
-        "revocations": [
-            {"at_s": r.at_s, "slots": r.slots, "duration_s": r.duration_s}
-            for r in report.revocations
-        ],
-        "makespan_s": report.makespan_s,
-        "pool_busy_executor_s": report.pool_busy_executor_s,
-        "fingerprint": scenario_fingerprint(report),
-    }
+    doc = _report_doc(report, lambda value: value)
+    doc["fingerprint"] = scenario_fingerprint(report)
+    return doc
 
 
 def report_from_dict(doc: Dict[str, object]) -> ScenarioReport:
     """Rebuild a report from :func:`report_to_dict` output.  JSON floats
     round-trip exactly, so the rebuilt report's fingerprint equals the
     original's."""
-    return ScenarioReport(
+    return _from_doc(
+        ScenarioReport,
+        doc,
         spec=TraceSpec.from_dict(doc["spec"]),
-        seed=int(doc["seed"]),
-        slots=int(doc["slots"]),
-        jobs=tuple(
-            JobOutcome(
-                job_id=str(j["job_id"]),
-                program=str(j["program"]),
-                size=float(j["size"]),
-                demand=int(j["demand"]),
-                arrival_s=float(j["arrival_s"]),
-                start_s=float(j["start_s"]),
-                finish_s=float(j["finish_s"]),
-                isolated_s=float(j["isolated_s"]),
-                straggler_factor=float(j["straggler_factor"]),
-                io_fraction=float(j["io_fraction"]),
-                busy_executor_s=float(j["busy_executor_s"]),
-                revocation_hits=int(j["revocation_hits"]),
-            )
-            for j in doc["jobs"]
-        ),
-        revocations=tuple(
-            Revocation(
-                at_s=float(r["at_s"]),
-                slots=int(r["slots"]),
-                duration_s=float(r["duration_s"]),
-            )
-            for r in doc["revocations"]
-        ),
-        makespan_s=float(doc["makespan_s"]),
-        pool_busy_executor_s=float(doc["pool_busy_executor_s"]),
+        jobs=tuple(_from_doc(JobOutcome, job) for job in doc["jobs"]),
+        revocations=tuple(_from_doc(Revocation, r) for r in doc["revocations"]),
     )
 
 
@@ -614,6 +574,31 @@ def io_fraction_of(run) -> float:
     return min(1.0, max(0.0, (io + shuffle) / total))
 
 
+@dataclass(frozen=True)
+class SharedPool:
+    """The executor pool one trace replays against."""
+
+    spec: TraceSpec
+    slots: int
+    revocations: Tuple[Revocation, ...]
+
+    def replay(
+        self, loads: Sequence[JobLoad], observer: Optional[Observer] = None
+    ) -> Tuple[List[SimOutcome], float]:
+        """:func:`simulate` ``loads`` on this pool under the spec's
+        policy, interference, node speeds and revocation rework."""
+        return simulate(
+            loads,
+            self.slots,
+            policy=self.spec.policy,
+            revocations=self.revocations,
+            interference_coefficient=self.spec.interference_coefficient,
+            slot_speeds=_slot_speeds(self.spec.node_speed_factors, self.slots),
+            rework=self.spec.revocation_rework,
+            observer=observer,
+        )
+
+
 class ScenarioRunner:
     """Runs a :class:`TraceSpec` end to end against an engine."""
 
@@ -633,6 +618,12 @@ class ScenarioRunner:
             if spec.executor_slots is not None
             else self.cluster.total_cores
         )
+
+    def pool(self, trace: Trace) -> SharedPool:
+        """The pool ``trace`` replays against, its revocations bound to
+        the pool's size."""
+        slots = self.slots_for(trace.spec)
+        return SharedPool(trace.spec, slots, resolve_revocations(trace, slots))
 
     def job_loads(self, trace: Trace) -> List[JobLoad]:
         """Isolated measurements for every arrival, as one engine batch.
@@ -668,9 +659,8 @@ class ScenarioRunner:
 
     def run(self, spec: TraceSpec, seed: int = 0) -> ScenarioReport:
         trace = generate_trace(spec, seed, space=self.space)
-        slots = self.slots_for(spec)
+        pool = self.pool(trace)
         loads = self.job_loads(trace)
-        revocations = resolve_revocations(trace, slots)
         observer = _telemetry_observer(spec.name) if tele.enabled() else None
         with tele.span(
             SCENARIO_SPAN,
@@ -678,43 +668,26 @@ class ScenarioRunner:
             seed=seed,
             jobs=len(loads),
             policy=spec.policy,
-            slots=slots,
+            slots=pool.slots,
         ):
-            outcomes, pool_busy = simulate(
-                loads,
-                slots,
-                policy=spec.policy,
-                revocations=revocations,
-                interference_coefficient=spec.interference_coefficient,
-                slot_speeds=_slot_speeds(spec.node_speed_factors, slots),
-                rework=spec.revocation_rework,
-                observer=observer,
-            )
+            outcomes, pool_busy = pool.replay(loads, observer)
         by_id = {load.job_id: load for load in loads}
         arrivals = {arrival.job_id: arrival for arrival in trace.arrivals}
+        # The load and the event loop's outcome carry every other field.
         jobs = tuple(
             JobOutcome(
-                job_id=o.job_id,
                 program=arrivals[o.job_id].program,
                 size=arrivals[o.job_id].size,
-                demand=by_id[o.job_id].demand,
-                arrival_s=by_id[o.job_id].arrival_s,
-                start_s=o.start_s,
-                finish_s=o.finish_s,
-                isolated_s=by_id[o.job_id].isolated_s,
-                straggler_factor=by_id[o.job_id].straggler_factor,
-                io_fraction=by_id[o.job_id].io_fraction,
-                busy_executor_s=o.busy_executor_s,
-                revocation_hits=o.revocation_hits,
+                **{**vars(by_id[o.job_id]), **vars(o)},
             )
             for o in outcomes
         )
         return ScenarioReport(
             spec=spec,
             seed=seed,
-            slots=slots,
+            slots=pool.slots,
             jobs=jobs,
-            revocations=revocations,
+            revocations=pool.revocations,
             makespan_s=max(j.finish_s for j in jobs),
             pool_busy_executor_s=pool_busy,
         )
@@ -776,62 +749,57 @@ class InterferenceBackend(ExecutionBackend):
         self.target_arrival_s = target_arrival_s
         self.supports_parallel_tasks = base.supports_parallel_tasks
         self._runner = ScenarioRunner(cluster, engine=base)
-        self._background: Optional[
-            Tuple[List[JobLoad], Tuple[Revocation, ...], int, Tuple[float, ...]]
-        ] = None
+        self._background: Optional[Tuple[SharedPool, List[JobLoad]]] = None
 
     @property
     def slots(self) -> int:
         """Size of the contended executor pool."""
         return self._runner.slots_for(self.spec)
 
-    def _bg(self) -> Tuple[List[JobLoad], Tuple[Revocation, ...], int, Tuple[float, ...]]:
+    def _bg(self) -> Tuple[SharedPool, List[JobLoad]]:
         if self._background is None:
             trace = generate_trace(self.spec, self.seed)
-            slots = self._runner.slots_for(self.spec)
             self._background = (
+                self._runner.pool(trace),
                 self._runner.job_loads(trace),
-                resolve_revocations(trace, slots),
-                slots,
-                _slot_speeds(self.spec.node_speed_factors, slots),
             )
         return self._background
 
     def submit(self, requests: Sequence[ExecRequest]) -> List[ExecOutcome]:
-        base_outcomes = self.base.submit(requests)
-        bg_loads, revocations, slots, speeds = self._bg()
+        # Each request is telemetered once, by this backend's recorder,
+        # with its contended seconds: the base's isolated runs and the
+        # background's stay out of the event log.  The base may be
+        # shared (the experiments' engine), so its tap is muted only
+        # for this call.
+        tap = self.base._recorder.telemetry
+        self.base._recorder.telemetry = False
+        try:
+            base_outcomes = self.base.submit(requests)
+            pool, bg_loads = self._bg()
+        finally:
+            self.base._recorder.telemetry = tap
         outcomes: List[ExecOutcome] = []
         for request, outcome in zip(requests, base_outcomes):
-            if not outcome.ok:
-                outcomes.append(outcome)
-                continue
-            target = JobLoad(
-                job_id=TARGET_JOB_ID,
-                arrival_s=self.target_arrival_s,
-                demand=demand_for(request.config, self.cluster, slots),
-                isolated_s=outcome.run.seconds,
-                io_fraction=io_fraction_of(outcome.run),
-            )
-            sim_outcomes, _ = simulate(
-                [*bg_loads, target],
-                slots,
-                policy=self.spec.policy,
-                revocations=revocations,
-                interference_coefficient=self.spec.interference_coefficient,
-                slot_speeds=speeds,
-                rework=self.spec.revocation_rework,
-            )
-            finish = next(
-                o.finish_s for o in sim_outcomes if o.job_id == TARGET_JOB_ID
-            )
-            contended = dataclasses.replace(
-                outcome,
-                run=dataclasses.replace(
-                    outcome.run, seconds=finish - self.target_arrival_s
-                ),
-            )
-            self._recorder.record(contended)
-            outcomes.append(contended)
+            if outcome.ok:
+                target = JobLoad(
+                    job_id=TARGET_JOB_ID,
+                    arrival_s=self.target_arrival_s,
+                    demand=demand_for(request.config, self.cluster, pool.slots),
+                    isolated_s=outcome.run.seconds,
+                    io_fraction=io_fraction_of(outcome.run),
+                )
+                sim_outcomes, _ = pool.replay([*bg_loads, target])
+                finish = next(
+                    o.finish_s for o in sim_outcomes if o.job_id == TARGET_JOB_ID
+                )
+                outcome = dataclasses.replace(
+                    outcome,
+                    run=dataclasses.replace(
+                        outcome.run, seconds=finish - self.target_arrival_s
+                    ),
+                )
+            self._recorder.record(outcome)
+            outcomes.append(outcome)
         return outcomes
 
     def map_tasks(self, fn, items: Sequence) -> List:

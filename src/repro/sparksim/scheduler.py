@@ -161,7 +161,7 @@ class WaveScheduler:
 
         # Scheduling latency: dispatch cost per task (driver-side, akka
         # threads) + revive-interval and locality-wait delays per wave.
-        dispatch = profile.num_tasks * self._dispatch_seconds_per_task()
+        dispatch = profile.num_tasks * self.dispatch_seconds_per_task()
         per_wave_latency = (
             0.3 * self.conf.revive_interval + 0.08 * self.conf.locality_wait
         )
@@ -178,7 +178,13 @@ class WaveScheduler:
             speculation_active=speculation_active,
         )
 
-    def _dispatch_seconds_per_task(self) -> float:
+    def dispatch_seconds_per_task(self) -> float:
+        """Driver-side cost to launch one task.
+
+        Serializing and shipping a task closure takes ~1 ms and is
+        processed by ``spark.akka.threads`` actor threads in parallel
+        (up to the driver's core budget).
+        """
         threads = min(self.conf.akka_threads, self.conf.driver_cores * 2)
         return 0.0012 / max(threads, 1)
 

@@ -19,8 +19,9 @@ On disk::
       jobs/<job_id>.json   job records: one JSON line per update of a
                            running job (latest last), rewritten whole
                            as one line at submit and in a final state
-      events/<id>.jsonl    per-job telemetry event logs (append across
-                           sessions, readable by ``repro trace``)
+      events/<id>.jsonl    telemetry event logs, one per job, worker and
+                           API server (append across sessions, readable
+                           by ``repro trace``)
       cache/               the engine's on-disk result cache
       leases/              per-job worker leases + fencing-token ledger
                            (:mod:`repro.service.lease`)
@@ -145,9 +146,15 @@ class RunStore:
         """Directory for per-worker heartbeat files (:mod:`repro.service.health`)."""
         return self.root / "health"
 
-    def event_log_path(self, job_id: str) -> Path:
-        """The per-job JSONL telemetry event log (append across sessions)."""
-        return self.root / "events" / f"{job_id}.jsonl"
+    @property
+    def events_dir(self) -> Path:
+        """Directory for JSONL telemetry event logs (``repro top`` tails it)."""
+        return self.root / "events"
+
+    def event_log_path(self, name: str) -> Path:
+        """The event log ``name`` — a job id, ``worker-<id>`` or an API
+        server id — appended to across sessions."""
+        return self.events_dir / f"{name}.jsonl"
 
     def _object_path(self, digest: str) -> Path:
         return self.root / "objects" / digest[:2] / digest

@@ -51,7 +51,6 @@ from repro.telemetry.aggregate import (
     LogCursor,
     Rollup,
     TaggedRecord,
-    read_tagged,
 )
 from repro.telemetry.events import (
     Telemetry,
@@ -103,7 +102,6 @@ __all__ = [
     "parse_exposition",
     "prometheus_from_fleet",
     "read_event_log",
-    "read_tagged",
     "render_timeline",
     "render_trace_report",
     "session",

@@ -51,7 +51,6 @@ __all__ = [
     "Rollup",
     "TaggedRecord",
     "labels_for_log",
-    "read_tagged",
 ]
 
 #: Aggregator de-dup ring capacity (keys of recently merged records).
@@ -302,9 +301,9 @@ class Rollup:
       (counter semantics);
     * :meth:`last` — the most recent value of a field (gauge
       semantics; resume-duplicated events collapse to the latest);
-    * :meth:`quantile` / :meth:`mean` — distribution over a numeric
-      field within the window (span durations are exposed as the
-      ``dur`` field).
+    * :meth:`values` / :meth:`quantile` — a numeric field over the
+      retained samples, the last ``max_samples`` of each series (span
+      durations are exposed as the ``dur`` field).
 
     "Now" is the largest wall time ever added, so rollups over a
     finished log are reproducible and tests need no real clock.
@@ -348,34 +347,22 @@ class Rollup:
             self.add(tagged)
 
     # -- queries --------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """The rollup's clock: the latest wall time observed."""
-        return self._now
-
-    def names(self) -> List[str]:
-        return sorted(self._series)
-
     def count(self, name: str, labels: Optional[Mapping[str, str]] = None) -> int:
         """Total records ever filed under ``name`` (matching series)."""
         return sum(s.count for s in self._matching(name, labels))
 
     def rate(
-        self,
-        name: str,
-        labels: Optional[Mapping[str, str]] = None,
-        window: Optional[float] = None,
+        self, name: str, labels: Optional[Mapping[str, str]] = None
     ) -> float:
         """Arrivals per second over the trailing window."""
-        window = window if window is not None else self.window
-        cutoff = self._now - window
+        cutoff = self._now - self.window
         arrived = sum(
             1
             for series in self._matching(name, labels)
             for wall, _ in series.samples
             if wall >= cutoff
         )
-        return arrived / window if window > 0 else 0.0
+        return arrived / self.window
 
     def last(
         self,
@@ -398,17 +385,11 @@ class Rollup:
         name: str,
         field_name: str,
         labels: Optional[Mapping[str, str]] = None,
-        window: Optional[float] = None,
     ) -> List[Tuple[float, float]]:
         """Time-ordered ``(wall, value)`` pairs of a numeric field."""
-        cutoff = None
-        if window is not None:
-            cutoff = self._now - window
         out: List[Tuple[float, float]] = []
         for series in self._matching(name, labels):
             for wall, fields in series.samples:
-                if cutoff is not None and wall < cutoff:
-                    continue
                 value = fields.get(field_name)
                 try:
                     out.append((wall, float(value)))  # type: ignore[arg-type]
@@ -417,30 +398,17 @@ class Rollup:
         out.sort(key=lambda pair: pair[0])
         return out
 
-    def mean(
-        self,
-        name: str,
-        field_name: str,
-        labels: Optional[Mapping[str, str]] = None,
-        window: Optional[float] = None,
-    ) -> Optional[float]:
-        values = [v for _, v in self.values(name, field_name, labels, window)]
-        return sum(values) / len(values) if values else None
-
     def quantile(
         self,
         name: str,
         field_name: str,
         q: float,
         labels: Optional[Mapping[str, str]] = None,
-        window: Optional[float] = None,
     ) -> Optional[float]:
-        """Sample-exact quantile of a numeric field within the window."""
+        """Sample-exact quantile of a numeric field's retained samples."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("q must be in [0, 1]")
-        values = sorted(
-            v for _, v in self.values(name, field_name, labels, window)
-        )
+        values = sorted(v for _, v in self.values(name, field_name, labels))
         if not values:
             return None
         # Nearest-rank: the smallest value with cumulative freq >= q.
@@ -460,11 +428,3 @@ class Rollup:
         series = by_labels.get(key)
         return (series,) if series is not None else ()
 
-
-def read_tagged(paths: Iterable[Union[str, Path]]) -> List[TaggedRecord]:
-    """One-shot merge of complete logs (the batch analogue of polling)."""
-    out: List[TaggedRecord] = []
-    for path in paths:
-        out.extend(LogCursor(path).poll())
-    out.sort(key=lambda tagged: tagged.wall)
-    return out

@@ -41,7 +41,8 @@ __all__ = [
 #: Unicode block ramp for sparklines (space = no data at that column).
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
-#: Trailing window (seconds) for rate/quantile panels.
+#: Trailing window (seconds) of the rate panels; quantiles span the
+#: retained samples.
 DEFAULT_WINDOW = 60.0
 
 #: GA best-fitness values kept per job for the sparkline.
@@ -86,12 +87,12 @@ class FleetDashboard:
 
     def __init__(
         self,
-        store,  # RunStore (health_dir/lease_dir/list_jobs/root)
+        store,  # RunStore (health_dir/lease_dir/events_dir/list_jobs/root)
         clock: Callable[[], float] = time.time,
     ):
         self.store = store
         self.view = FleetView(store, clock=clock)
-        self.aggregator = LogAggregator(Path(store.root) / "events")
+        self.aggregator = LogAggregator(store.events_dir)
         self.rollup = Rollup(window=DEFAULT_WINDOW, max_samples=4096)
 
     def refresh(self) -> int:

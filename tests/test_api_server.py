@@ -8,6 +8,7 @@ the JSON routes, raw sockets where the *protocol* itself is the subject
 
 from __future__ import annotations
 
+import html
 import socket
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -30,8 +31,10 @@ from repro.service.api import (
     ApiServer,
     HttpLimits,
     QuotaManager,
+    render_fleet_html,
 )
 from repro.store import RunStore
+from repro.telemetry.dashboard import FleetDashboard, render_snapshot
 from repro.telemetry.export import parse_exposition
 from repro.telemetry.trace import read_event_log
 
@@ -401,6 +404,18 @@ class TestFleetAndMetrics:
         assert 'http-equiv="refresh"' in page
         assert doc["job_id"] in page
         assert "<script" not in page  # static by construction
+
+    def test_fleet_html_is_the_top_frame(self, done_server):
+        """The page is the HTML-escaped ``repro top`` frame of the same
+        snapshot: one renderer for the terminal and the web."""
+        api, job_id = done_server
+        snap = FleetDashboard(api.service.store).snapshot()
+        snap["store"] = "<store & co>"
+        frame = render_snapshot(snap, color=False)
+        page = render_fleet_html(snap)
+        assert f"<pre>{html.escape(frame)}</pre>" in page
+        assert job_id in frame and "<store & co>" not in page
+        assert "<table" not in page
 
     def test_metrics_parse_and_api_series(self, server, client):
         """With no global telemetry, the server's own event log feeds

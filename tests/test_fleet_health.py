@@ -325,6 +325,35 @@ class TestFleetView:
         assert job["holder_status"] == DEAD
         assert job["claimable"]  # dead holder: anyone may take over
 
+    def test_snapshot_reads_each_source_once(self, tmp_path, monkeypatch):
+        """One snapshot loads each job record once, peeks each lease
+        once and lists the heartbeat directory once."""
+        import repro.service.health as health
+
+        store = RunStore(tmp_path / "store")
+        service = JobService(store, use_cache=False)
+        records = [service.submit(_request(seed=seed)) for seed in range(5)]
+        LeaseManager(store.lease_dir, worker_id="w1").acquire(records[0].job_id)
+        HeartbeatWriter(store.health_dir, "w1").beat()
+
+        reads = {"load_job": 0, "peek": 0, "listing": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                reads[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(store, "load_job", counted("load_job", store.load_job))
+        monkeypatch.setattr(LeaseManager, "peek", counted("peek", LeaseManager.peek))
+        monkeypatch.setattr(
+            health, "read_heartbeats", counted("listing", health.read_heartbeats)
+        )
+        snap = FleetView(store).snapshot()
+        assert reads == {"load_job": 5, "peek": 5, "listing": 1}
+        assert snap["jobs"][0]["holder"] == "w1"
+        assert snap["workers"][0]["leases"] == [records[0].job_id]
+
 
 # ----------------------------------------------------------------------
 # Across real processes: DEAD + reclaimed in far less than TTL/2

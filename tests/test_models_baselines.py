@@ -7,12 +7,7 @@ from hypothesis import strategies as st
 
 from repro.models.ann import NeuralNetworkRegressor
 from repro.models.forest import RandomForest
-from repro.models.metrics import (
-    accuracy_from_error,
-    mean_relative_error,
-    relative_errors,
-    train_test_split,
-)
+from repro.models.metrics import mean_relative_error, relative_errors
 from repro.models.response_surface import ResponseSurface
 from repro.models.svr import SupportVectorRegressor
 
@@ -34,21 +29,6 @@ class TestMetrics:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             relative_errors(np.zeros(3), np.ones(2))
-
-    def test_accuracy_complement(self):
-        assert accuracy_from_error(0.076) == pytest.approx(0.924)
-
-    def test_train_test_split_partitions(self):
-        X, y = np.arange(40).reshape(-1, 1).astype(float), np.arange(40).astype(float)
-        Xt, yt, Xv, yv = train_test_split(X, y, test_fraction=0.25)
-        assert len(Xv) == 10 and len(Xt) == 30
-        assert sorted(np.concatenate([yt, yv]).tolist()) == list(map(float, range(40)))
-
-    def test_train_test_split_validates(self):
-        with pytest.raises(ValueError):
-            train_test_split(np.zeros((4, 1)), np.zeros(4), test_fraction=1.5)
-        with pytest.raises(ValueError):
-            train_test_split(np.zeros((1, 1)), np.zeros(1))
 
 
 class TestRandomForest:

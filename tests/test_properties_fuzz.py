@@ -40,7 +40,6 @@ class TestSparkConfInvariants:
         assert conf.spark_memory_per_executor > 0
         assert conf.user_memory_per_executor >= 0
         assert 0 <= conf.protected_storage_per_executor <= conf.spark_memory_per_executor
-        assert conf.execution_memory_per_task > 0
 
     @given(configs)
     @settings(max_examples=40, deadline=None)

@@ -446,3 +446,29 @@ class TestInterference:
             get_workload("TS"), "smoke", scenario_seed=1
         )
         assert tuner.engine.signature().startswith("interference|")
+
+    def test_each_request_is_telemetered_once_with_contended_seconds(self):
+        """One ``engine.request`` per request the wrapper served: none
+        for the base's isolated runs or the background's, and each
+        carries the contended time the collector stored."""
+        workload = get_workload("TS")
+        tuner = DacTuner.under_interference(
+            workload, "smoke", n_train=16, n_trees=8, seed=3
+        )
+        with telemetry.session() as tel:
+            training = tuner.collect()
+            tuner.fit()
+            tuner.tune(min(workload.paper_sizes), generations=2)
+        seconds = [
+            r["fields"].get("seconds")
+            for r in tel.records
+            if r.get("name") == "engine.request"
+        ]
+        assert len(seconds) == tuner.engine.stats.runs == len(training)
+        assert sorted(seconds) == sorted(training.times().tolist())
+
+        # The base may be shared: its direct callers stay telemetered.
+        job = workload.job(min(workload.paper_sizes))
+        with telemetry.session() as tel:
+            tuner.engine.base.run(job, SPARK_CONF_SPACE.default())
+        assert [r.get("name") for r in tel.records].count("engine.request") == 1

@@ -92,7 +92,3 @@ class TestMemoryRegions:
     def test_tiny_heap_clamped_above_zero(self):
         c = conf(**{"spark.executor.memory": 1024})
         assert c.spark_memory_per_executor > 0
-
-    def test_describe_mentions_key_facts(self):
-        text = conf().describe()
-        assert "executors" in text and "serializer=java" in text

@@ -83,8 +83,10 @@ class TestFailureDetectors:
         )
 
     def test_dispatch_faster_with_more_akka_threads(self):
-        slow = net(**{"spark.akka.threads": 1, "spark.driver.cores": 4})
-        fast = net(**{"spark.akka.threads": 8, "spark.driver.cores": 4})
+        slow = WaveScheduler(conf(**{"spark.akka.threads": 1,
+                                     "spark.driver.cores": 4}))
+        fast = WaveScheduler(conf(**{"spark.akka.threads": 8,
+                                     "spark.driver.cores": 4}))
         assert fast.dispatch_seconds_per_task() < slow.dispatch_seconds_per_task()
 
     def test_heartbeat_overhead_bounded(self):

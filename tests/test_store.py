@@ -19,7 +19,9 @@ from repro.common.rng import derive_rng
 from repro.service.jobs import (
     CANCELLED, DONE, FAILED, TuneRequest, request_fingerprint,
 )
-from repro.sparksim.scenario import ScenarioRunner, builtin_trace, scenario_fingerprint
+from repro.sparksim.scenario import (
+    ScenarioRunner, builtin_trace, report_to_dict, scenario_fingerprint,
+)
 from repro.store import (
     KIND_SCHEMAS,
     RunStore,
@@ -435,6 +437,20 @@ class TestFingerprints:
     def test_scenario_fingerprint_golden(self, trace, digest):
         report = ScenarioRunner().run(builtin_trace(trace), seed=3)
         assert scenario_fingerprint(report) == digest
+
+    @pytest.mark.parametrize(
+        "trace, digest",
+        [
+            ("rush", "1da225320c26b1c7e7da9697d0a4c032dc74085aaf4b8ebc77ce304f7b088bc5"),
+            ("smoke", "6414c9d8f9f93288ac3d82f5033c43d43aec0aaf17ca0fe20c1b5273bb3c9a26"),
+            ("spot", "92effc3c6a0b1c286c553a2cf93355e26aec38ea207dd4be35853686954bf432"),
+        ],
+    )
+    def test_scenario_report_json_golden(self, trace, digest):
+        """The bytes ``repro scenario run --out`` writes."""
+        report = ScenarioRunner().run(builtin_trace(trace), seed=3)
+        text = json.dumps(report_to_dict(report), indent=2, sort_keys=True)
+        assert payload_digest(text.encode("utf-8")) == digest
 
     def test_report_fingerprint_golden(self):
         tuner = DacTuner(get_workload("WC"), n_train=60, n_trees=20, seed=4)

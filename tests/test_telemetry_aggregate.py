@@ -11,7 +11,6 @@ from repro.telemetry.aggregate import (
     Rollup,
     TaggedRecord,
     labels_for_log,
-    read_tagged,
 )
 
 
@@ -194,13 +193,6 @@ class TestLogAggregator:
         assert [r.name for r in agg.poll()] == ["hello"]
         assert len(agg.logs) == 1
 
-    def test_read_tagged_one_shot(self, tmp_path):
-        a = tmp_path / "worker-a.jsonl"
-        b = tmp_path / "ts-9.jsonl"
-        a.write_text(_meta(100.0) + "\n" + _event("a", 2.0) + "\n")
-        b.write_text(_meta(100.0) + "\n" + _event("b", 1.0) + "\n")
-        assert [r.name for r in read_tagged([a, b])] == ["b", "a"]
-
 
 def _tag(name, wall, labels=None, kind="event", **fields):
     record = {"kind": kind, "name": name, "ts": wall, "fields": fields}
@@ -232,14 +224,13 @@ class TestRollup:
         assert rollup.last("g", "v") == 2
         assert rollup.last("g", "v", labels={"job": "a"}) == 1
 
-    def test_quantiles_and_mean(self):
+    def test_quantiles(self):
         rollup = Rollup(window=1000.0)
         for i in range(1, 101):
             rollup.add(_tag("engine.request", float(i), queue_wait=float(i)))
         assert rollup.quantile("engine.request", "queue_wait", 0.5) == 50
         assert rollup.quantile("engine.request", "queue_wait", 0.99) == 99
         assert rollup.quantile("engine.request", "queue_wait", 1.0) == 100
-        assert rollup.mean("engine.request", "queue_wait") == pytest.approx(50.5)
 
     def test_span_duration_exposed_as_dur(self):
         rollup = Rollup()
@@ -269,7 +260,6 @@ class TestRollup:
         assert rollup.rate("nope") == 0.0
         assert rollup.last("nope", "x") is None
         assert rollup.quantile("nope", "x", 0.5) is None
-        assert rollup.mean("nope", "x") is None
 
     def test_invalid_parameters_raise(self):
         with pytest.raises(ValueError):
