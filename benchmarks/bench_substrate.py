@@ -120,7 +120,8 @@ def test_engine_queue_wait_and_cache_latency(benchmark, once):
     the same batch twice through a cached engine — first pass misses,
     second hits — under a telemetry session, counts each pass's
     ``engine.request`` events in the ring, and prints the queue-wait and
-    wall-time quantiles they carry.
+    wall-time quantiles they carry.  Every executed request, bare or a
+    cache miss, carries its queue wait; a hit carries none.
     """
     job = get_workload("TS").job(30.0)
     rng = derive_rng("bench-engine-tele")
@@ -140,12 +141,13 @@ def test_engine_queue_wait_and_cache_latency(benchmark, once):
                     if record.get("name") == "engine.request"]
 
     fields = benchmark.pedantic(run_batches, **once)
-    queued = [f["queue_wait"] for f in fields if "queue_wait" in f]
+    executed = [f for f in fields if not f["cache_hit"]]
     hits = [f for f in fields if f["cache_hit"]]
-    misses = [f["wall_seconds"] for f in fields
-              if not f["cache_hit"] and "queue_wait" not in f]
+    queued = [f["queue_wait"] for f in executed if "queue_wait" in f]
+    misses = [f["wall_seconds"] for f in fields[64:128]]
     assert len(fields) == 3 * 64
-    assert (len(queued), len(misses), len(hits)) == (64, 64, 64)
+    assert (len(executed), len(queued), len(hits)) == (128, 128, 64)
+    assert not any("queue_wait" in f for f in hits)
     report(
         f"engine.request: queue wait p50 {np.median(queued) * 1e3:.2f}ms "
         f"p99 {np.quantile(queued, 0.99) * 1e3:.2f}ms; cache misses "

@@ -39,9 +39,13 @@ SRC = str(REPO / "src")
 sys.path.insert(0, SRC)
 
 from repro.store import RunStore, StoreError  # noqa: E402
+from repro.telemetry import read_event_log  # noqa: E402
 
 #: Sizes the jobs cycle through (TS, Table-1 units).
 SIZES = [10.0, 20.0, 40.0]
+
+#: Records only a job's own event log may hold.
+JOB_RECORDS = {"engine.request", "model.fit", "job.completed"}
 
 
 def _python_env() -> dict:
@@ -242,13 +246,14 @@ def main() -> int:
             )
 
     # 4b. the fencing ledger: no token ever issued twice for one job.
+    # A SIGKILL's torn tail line is skipped by the reader.
+    worker_logs = {
+        path: read_event_log(path).records
+        for path in (store / "events").glob("worker-*.jsonl")
+    }
     acquired = {}
-    for log_path in (store / "events").glob("worker-*.jsonl"):
-        for line in log_path.read_text().splitlines():
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn tail from a SIGKILL: expected
+    for records in worker_logs.values():
+        for event in records:
             if event.get("name") != "lease.acquired":
                 continue
             fields = event.get("fields", {})
@@ -268,8 +273,21 @@ def main() -> int:
             failures += 1
 
     # 4c. the operator's view agrees: `repro top --once --json` must show
-    # every job done at 100% and no worker stuck in STALE limbo (SIGKILL
-    # victims age through stale into dead; clean exits report exited).
+    # every job done at 100%, no worker stuck in STALE limbo (SIGKILL
+    # victims age through stale into dead; clean exits report exited),
+    # and each engine request counted once: a job's records are in its
+    # own log only, never in a worker's.
+    job_requests = sum(
+        event.get("name") == "engine.request"
+        for path in (store / "events").glob("*.jsonl")
+        if path not in worker_logs
+        for event in read_event_log(path).records
+    )
+    for path, records in sorted(worker_logs.items()):
+        leaked = {event.get("name") for event in records} & JOB_RECORDS
+        if leaked:
+            print(f"FAIL: worker log {path.name} holds {sorted(leaked)}")
+            failures += 1
     top = _repro("top", "--store", str(store), "--once", "--json")
     if top.returncode != 0:
         print(f"FAIL: repro top exited {top.returncode}: {top.stderr}")
@@ -289,6 +307,11 @@ def main() -> int:
         missing = {name for name in workers} - seen
         if missing:
             print(f"FAIL: workers never heartbeat: {sorted(missing)}")
+            failures += 1
+        counted = snap["engine"]["requests"]
+        if counted != job_requests:
+            print(f"FAIL: top counts {counted} engine requests, the job "
+                  f"logs hold {job_requests}")
             failures += 1
         print(
             f"top: {snap['summary']['jobs_done']}/{snap['summary']['jobs_total']} "

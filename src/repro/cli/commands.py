@@ -447,11 +447,21 @@ def _report_job(record) -> None:
         log.info("  substrate executions: %s", sessions)
 
 
+def _log_event_log(service, job_id: str) -> None:
+    """Name the job's event log, where its records are (``repro trace``)."""
+    events = service.store.event_log_path(job_id)
+    if events.exists():
+        log.info("  event log: %s (repro trace %s)", events, events)
+
+
 def _run_via_service(args: argparse.Namespace, kind: str) -> int:
     """``tune``/``collect --store``: submit one job and run it here.
 
-    ``--output`` receives the tuned configuration of a tune job, or the
-    training set of a collect job.
+    The job's records go to its own event log, whose path is printed;
+    ``--telemetry`` records this command's own session (its lease
+    records).  ``--output`` receives the tuned configuration of a tune
+    job, or the training set of a collect job; ``--spark-submit``
+    prints a tune job's configuration as a spark-submit command.
     """
     with telemetry_session(args):
         service = _build_service(args)
@@ -459,19 +469,21 @@ def _run_via_service(args: argparse.Namespace, kind: str) -> int:
         log.info("submitted job %s to %s", record.job_id, args.store)
         record = service.resume(record.job_id)
         _report_job(record)
+        _log_event_log(service, record.job_id)
         output = getattr(args, "output", None)
-        if record.state == "done" and output:
-            store = service.store
-            if kind == "tune":
-                report = store.get_report(record.artifact_key("report"))
-                if report is not None:
-                    save_spark_conf(report.configuration, output)
-                    log.info("  wrote %s", output)
-            else:
-                training = store.get_training_set(record.artifact_key("training"))
-                if training is not None:
-                    save_training_set(training, output)
-                    log.info("  wrote %s", output)
+        store = service.store
+        if record.state == "done" and kind == "tune":
+            report = store.get_report(record.artifact_key("report"))
+            if report is not None and output:
+                save_spark_conf(report.configuration, output)
+                log.info("  wrote %s", output)
+            if report is not None and args.spark_submit:
+                log.info("\n%s", format_spark_submit(report.configuration))
+        elif record.state == "done" and output:
+            training = store.get_training_set(record.artifact_key("training"))
+            if training is not None:
+                save_training_set(training, output)
+                log.info("  wrote %s", output)
     return 0 if record.state == "done" else 1
 
 
@@ -619,9 +631,7 @@ def cmd_jobs(args: argparse.Namespace) -> int:
         log.info("  state: %s   phase: %s", record.state, record.phase)
         log.info("  progress: %s", json.dumps(record.progress, sort_keys=True))
         _report_job(record)
-        events = service.store.event_log_path(record.job_id)
-        if events.exists():
-            log.info("  event log: %s (repro trace %s)", events, events)
+        _log_event_log(service, record.job_id)
         return 0
 
     if action == "run":
@@ -730,10 +740,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_worker(args: argparse.Namespace) -> int:
     """``repro worker``: drain a shared store's queue under a lease.
 
-    The worker's own telemetry — lease acquisitions, takeovers, losses
-    — streams to ``events/worker-<id>.jsonl`` in the store; each job it
-    runs additionally taps that pipeline into the job's per-job event
-    log, so both the per-worker and per-job views survive the worker.
+    The worker's own telemetry — start and exit, lease acquisitions,
+    takeovers and releases — streams to ``events/worker-<id>.jsonl`` in
+    the store.  While a job runs, its records go to the job's own event
+    log instead, so each record lands in exactly one file and both
+    views survive the worker.
     """
     from repro.service import JobService, default_worker_id
     from repro.telemetry.events import Telemetry, install

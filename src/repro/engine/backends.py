@@ -56,6 +56,7 @@ def _execute_with_retry(
     max_attempts: int,
     backoff_seconds: float,
     backend: str,
+    queue_wait: Optional[float] = None,
 ) -> ExecOutcome:
     """Run one request under the bounded-backoff failure policy."""
     start = time.perf_counter()
@@ -73,6 +74,7 @@ def _execute_with_retry(
             wall_seconds=time.perf_counter() - start,
             attempts=attempt,
             backend=backend,
+            queue_wait=queue_wait,
         )
     return FailedRun(
         program=job.program,
@@ -81,6 +83,7 @@ def _execute_with_retry(
         attempts=max_attempts,
         backend=backend,
         wall_seconds=time.perf_counter() - start,
+        queue_wait=queue_wait,
     )
 
 
@@ -179,7 +182,6 @@ class InProcessBackend(ExecutionBackend):
         batch_start = time.perf_counter()
         outcomes: List[ExecOutcome] = []
         for request in requests:
-            queue_wait = time.perf_counter() - batch_start
             outcome = _execute_with_retry(
                 self._simulator,
                 request.job,
@@ -187,8 +189,9 @@ class InProcessBackend(ExecutionBackend):
                 self.max_attempts,
                 self.backoff_seconds,
                 self.name,
+                queue_wait=time.perf_counter() - batch_start,
             )
-            self._recorder.record(outcome, queue_wait=queue_wait)
+            self._recorder.record(outcome)
             outcomes.append(outcome)
         return outcomes
 

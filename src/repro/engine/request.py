@@ -7,9 +7,9 @@ datasize in one object, custom workloads included) plus the
 :class:`Configuration` to run it under.
 
 An outcome is either an :class:`ExecResult` wrapping the simulator's
-:class:`RunResult` together with execution metadata (wall time, retry
-attempts, cache provenance), or a typed :class:`FailedRun` when the
-substrate raised on every attempt.  Batches never raise because one
+:class:`RunResult` together with execution metadata (wall time, queue
+wait, retry attempts, cache provenance), or a typed :class:`FailedRun`
+when the substrate raised on every attempt.  Batches never raise because one
 request failed — callers that need all-success semantics use
 :func:`require_success` / :class:`ExecutionError`.
 """
@@ -17,7 +17,7 @@ request failed — callers that need all-success semantics use
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.common.space import Configuration
 from repro.sparksim.dag import JobSpec
@@ -49,6 +49,9 @@ class ExecResult:
     attempts: int
     backend: str
     cache_hit: bool = False
+    #: Seconds the request waited behind earlier ones in its batch
+    #: (None where the backend does not measure it).
+    queue_wait: Optional[float] = None
 
     @property
     def ok(self) -> bool:
@@ -70,6 +73,7 @@ class FailedRun:
     attempts: int
     backend: str
     wall_seconds: float = 0.0
+    queue_wait: Optional[float] = None
 
     @property
     def ok(self) -> bool:

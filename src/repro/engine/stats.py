@@ -10,7 +10,7 @@ parallelism effects the engine adds on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from repro.telemetry import events as tele
 
@@ -89,15 +89,13 @@ class StatsRecorder:
         #: When False the recorder updates stats only (no events).
         self.telemetry = True
 
-    def record(
-        self, outcome: "ExecOutcome", queue_wait: Optional[float] = None
-    ) -> None:
+    def record(self, outcome: "ExecOutcome") -> None:
         from repro.engine.request import ExecResult
 
         s = self._stats
         success = isinstance(outcome, ExecResult)
         if self.telemetry and tele.enabled():
-            self._record_telemetry(outcome, success, queue_wait)
+            self._record_telemetry(outcome, success)
         self._stats = EngineStats(
             runs=s.runs + 1,
             failures=s.failures + (0 if success else 1),
@@ -112,9 +110,7 @@ class StatsRecorder:
             else tuple(sorted((*s.backends, outcome.backend))),
         )
 
-    def _record_telemetry(
-        self, outcome: "ExecOutcome", success: bool, queue_wait: Optional[float]
-    ) -> None:
+    def _record_telemetry(self, outcome: "ExecOutcome", success: bool) -> None:
         fields = {
             "backend": outcome.backend,
             "program": outcome.program if not success else outcome.run.program,
@@ -123,8 +119,8 @@ class StatsRecorder:
             "wall_seconds": outcome.wall_seconds,
             "cache_hit": success and outcome.cache_hit,
         }
-        if queue_wait is not None:
-            fields["queue_wait"] = queue_wait
+        if outcome.queue_wait is not None:
+            fields["queue_wait"] = outcome.queue_wait
         if success:
             fields["seconds"] = outcome.run.seconds
         tele.event("engine.request", **fields)

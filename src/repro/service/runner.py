@@ -412,34 +412,24 @@ class JobRunner:
 
     @contextmanager
     def _job_telemetry(self, job_id: str):
-        """Route this job's events into its per-store JSONL log.
+        """Record this session of the job in its own per-store JSONL log.
 
-        If a global telemetry pipeline is active (the CLI's
-        ``--telemetry``), the job log taps it as an extra sink; else a
-        dedicated pipeline is installed for the duration.  Either way
-        the log is appended and flushed per record, so every session of
-        a resumed job lands in one file that ``repro trace --follow``
-        can tail live.
+        The job's pipeline replaces whichever one is installed (a
+        worker's, or the CLI's ``--telemetry``) for the duration, so the
+        job log is its only writer, and each session opens with its own
+        ``meta`` record.  The log is appended and flushed per record, so
+        every session of a resumed job lands in one file that ``repro
+        trace --follow`` can tail live.
         """
-        sink = JsonlSink(
-            self.store.event_log_path(job_id), append=True, live=True
+        session = Telemetry(
+            [JsonlSink(self.store.event_log_path(job_id), append=True, live=True)]
         )
-        active = tele.get_telemetry()
-        if active is not None:
-            active.add_sink(sink)
-            try:
-                yield
-            finally:
-                active.remove_sink(sink)
-                sink.close()
-        else:
-            session = Telemetry([sink])
-            previous = tele.install(session)
-            try:
-                yield
-            finally:
-                tele.install(previous)
-                session.close()
+        previous = tele.install(session)
+        try:
+            yield
+        finally:
+            tele.install(previous)
+            session.close()
 
     def _load_record(self, job_id: Optional[str]) -> Optional[JobRecord]:
         return parse_job(self.store.load_job(job_id)) if job_id else None

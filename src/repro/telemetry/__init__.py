@@ -56,7 +56,6 @@ from repro.telemetry.events import (
     Telemetry,
     enabled,
     event,
-    get_telemetry,
     install,
     span,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "follow_events",
     "format_record",
     "get_logger",
-    "get_telemetry",
     "install",
     "parse_exposition",
     "prometheus_from_fleet",

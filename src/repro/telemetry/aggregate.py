@@ -12,25 +12,23 @@ exporters (:mod:`repro.telemetry.export`) read:
   held back until its newline lands), and truncation/rotation detection
   (file shrank or inode changed → reopen from the start);
 * :class:`LogAggregator` — discovers logs in a directory, polls every
-  cursor, converts per-session monotonic timestamps to wall time via
-  each session's ``meta`` record, and de-duplicates records fanned out
-  to several sinks (a job's records land in both the worker log and the
-  job log);
+  cursor and orders the batch by wall time.  Each log has one writer
+  (a job's records go only to its own log), so every record is counted
+  once;
 * :class:`Rollup` — windowed reductions keyed by ``(name, labels)``:
   counter rates, gauge last-values, and quantiles over any numeric
   field (span durations included).
 
 Everything is tolerant by construction: unreadable lines, torn tails,
-out-of-order timestamps across logs, duplicated events after a worker
-resume, and empty or absent logs all merge without raising — an
-observer must never take the fleet down.
+out-of-order timestamps across logs, and empty or absent logs all merge
+without raising — an observer must never take the fleet down.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -52,9 +50,6 @@ __all__ = [
     "TaggedRecord",
     "labels_for_log",
 ]
-
-#: Aggregator de-dup ring capacity (keys of recently merged records).
-DEDUPE_CAPACITY = 65536
 
 #: Files in a store's ``events/`` directory that the aggregator tails.
 LOG_PATTERN = "*.jsonl"
@@ -120,15 +115,9 @@ class LogCursor:
     session's monotonic timestamps onto its own ``wall_start``.
     """
 
-    def __init__(
-        self,
-        path: Union[str, Path],
-        labels: Optional[Mapping[str, str]] = None,
-    ):
+    def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
-        self.labels: Dict[str, str] = dict(
-            labels if labels is not None else labels_for_log(path)
-        )
+        self.labels = labels_for_log(path)
         self._offset = 0
         self._inode: Optional[int] = None
         #: Wall-clock epoch of the current session (None before any meta).
@@ -214,16 +203,12 @@ class LogAggregator:
 
     Logs are discovered on every poll (a job that starts mid-watch is
     picked up), tailed incrementally, and the batch is sorted by wall
-    time.  Records that were fanned out to several sinks — the runner
-    taps a job's log into the worker's live pipeline, so the same emit
-    lands in both files — are de-duplicated; job logs are polled first,
-    so the surviving copy carries the more specific ``job`` label.
+    time.
     """
 
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
         self._cursors: Dict[Path, LogCursor] = {}
-        self._seen: "OrderedDict[Tuple, None]" = OrderedDict()
 
     @property
     def logs(self) -> List[Path]:
@@ -243,35 +228,10 @@ class LogAggregator:
         """All newly appended records across every log, ordered by wall."""
         self._discover()
         batch: List[TaggedRecord] = []
-        # Job logs before worker logs: the first copy of a duplicated
-        # record wins, and the job-labeled copy is the specific one.
-        ordered = sorted(
-            self._cursors,
-            key=lambda p: (p.stem.startswith("worker-"), str(p)),
-        )
-        for path in ordered:
-            batch.extend(r for r in self._cursors[path].poll() if self._fresh(r))
+        for cursor in self._cursors.values():
+            batch.extend(cursor.poll())
         batch.sort(key=lambda tagged: tagged.wall)
         return batch
-
-    def _fresh(self, tagged: TaggedRecord) -> bool:
-        record = tagged.record
-        try:
-            key = (
-                record.get("kind"),
-                record.get("name"),
-                record.get("id"),
-                round(tagged.wall, 6),
-                json.dumps(record.get("fields", {}), sort_keys=True, default=str),
-            )
-        except (TypeError, ValueError):
-            return True
-        if key in self._seen:
-            return False
-        self._seen[key] = None
-        while len(self._seen) > DEDUPE_CAPACITY:
-            self._seen.popitem(last=False)
-        return True
 
 
 # ----------------------------------------------------------------------

@@ -38,7 +38,6 @@ __all__ = [
     "Telemetry",
     "enabled",
     "event",
-    "get_telemetry",
     "install",
     "span",
 ]
@@ -92,17 +91,6 @@ class Telemetry:
 
     def span(self, name: str, **fields: object) -> "Span":
         return Span(self, name, fields)
-
-    def add_sink(self, sink: object) -> None:
-        """Attach a sink to a live session (job logs tap in this way)."""
-        self._sinks.append(sink)
-
-    def remove_sink(self, sink: object) -> None:
-        """Detach a sink added with :meth:`add_sink` (does not close it)."""
-        try:
-            self._sinks.remove(sink)
-        except ValueError:
-            pass
 
     @property
     def records(self) -> List[Dict[str, object]]:
@@ -189,10 +177,6 @@ def install(telemetry: Optional[Telemetry]) -> Optional[Telemetry]:
     previous = _ACTIVE
     _ACTIVE = telemetry
     return previous
-
-
-def get_telemetry() -> Optional[Telemetry]:
-    return _ACTIVE
 
 
 def enabled() -> bool:

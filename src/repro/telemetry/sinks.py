@@ -44,11 +44,6 @@ class RingBufferSink:
     def records(self) -> List[Dict[str, object]]:
         return list(self._buffer)
 
-    @property
-    def dropped(self) -> int:
-        """Records that fell off the ring (0 until it wraps)."""
-        return max(0, self.total_written - len(self._buffer))
-
     def close(self) -> None:
         pass
 

@@ -45,8 +45,7 @@ __all__ = [
 class EventLog:
     """A parsed telemetry event log."""
 
-    path: Optional[Path]
-    meta: Dict[str, object]
+    path: Path
     records: Tuple[Dict[str, object], ...]
 
     @property
@@ -77,26 +76,20 @@ class EventLog:
 
 
 def read_event_log(path: Union[str, Path]) -> EventLog:
-    """Parse a JSONL event log; unreadable lines are skipped."""
+    """Parse a whole JSONL event log through :class:`LogCursor`.
+
+    The tailer behind ``repro top`` and ``--follow`` does the parsing,
+    so every reader treats a log alike: unreadable lines (non-JSON,
+    non-dict or undecodable) are skipped, a final line without its
+    newline (a record still being written) is left out, and session
+    ``meta`` records are consumed, not returned.  A missing log raises
+    :class:`FileNotFoundError`.
+    """
     path = Path(path)
-    meta: Dict[str, object] = {}
-    records: List[Dict[str, object]] = []
-    with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(record, dict):
-                continue
-            if record.get("kind") == "meta" and not meta:
-                meta = record
-            else:
-                records.append(record)
-    return EventLog(path=path, meta=meta, records=tuple(records))
+    if not path.is_file():
+        raise FileNotFoundError(f"no event log at {path}")
+    records = tuple(tagged.record for tagged in LogCursor(path).poll())
+    return EventLog(path=path, records=records)  # type: ignore[arg-type]
 
 
 def follow_events(
@@ -116,7 +109,7 @@ def follow_events(
     ``idle_timeout``, iteration ends after that many seconds without a
     new record; without it, the caller stops by closing the generator.
     """
-    cursor = LogCursor(path, labels={})
+    cursor = LogCursor(path)
     idle = 0.0
     while True:
         records = cursor.poll()
@@ -292,9 +285,8 @@ def _event_summary(log: EventLog) -> str:
 
 def render_trace_report(log: EventLog, limit: int = 40) -> str:
     """The ``repro trace`` text report: header, timeline, summaries."""
-    source = log.path.name if log.path is not None else "<memory>"
     header = (
-        f"=== event log {source}: {len(log.records)} records, "
+        f"=== event log {log.path.name}: {len(log.records)} records, "
         f"{_fmt_seconds(log.duration)} ==="
     )
     sections = [header, "", "timeline:", render_timeline(log, limit=limit)]

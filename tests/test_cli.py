@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli.main import build_parser, main
+from repro.telemetry import read_event_log
 
 SRC = str(Path(__file__).parent.parent / "src")
 
@@ -336,8 +337,14 @@ class TestWorkerCommand:
         assert "worker.started" in names
         assert "lease.acquired" in names
         assert "lease.released" in names
-        assert "job.completed" in names
         assert names[-1] == "worker.exit"
+        # The job's records go to its own log, which opens with the
+        # session's meta record, and not to the worker's.
+        assert "job.completed" not in names
+        job_log = tmp_path / "store" / "events" / f"{job_id}.jsonl"
+        records = [json.loads(line) for line in job_log.read_text().splitlines()]
+        assert records[0]["kind"] == "meta"
+        assert "job.completed" in [record.get("name") for record in records]
 
 
 class TestStoreFlagOnTuneCollect:
@@ -352,6 +359,30 @@ class TestStoreFlagOnTuneCollect:
         assert conf.exists()
         out = capsys.readouterr().out
         assert "submitted job" in out and "fingerprint" in out
+
+    def test_tune_via_store_prints_spark_submit_and_job_log(
+        self, capsys, tmp_path
+    ):
+        store = tmp_path / "store"
+        own = tmp_path / "tele"
+        code = main(
+            ["tune", "TS", "--size", "10", "--train", "30", "--trees", "10",
+             "--generations", "2", "--store", str(store), "--spark-submit",
+             "--no-cache", "--telemetry", str(own)]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "spark-submit \\" in out and "--conf spark." in out
+        job_id = out.split("submitted job ", 1)[1].split()[0]
+        job_log = store / "events" / f"{job_id}.jsonl"
+        assert f"event log: {job_log}" in out
+
+        # --telemetry records the command's own session; the job's
+        # records are in the job log only.
+        names = [r["name"] for r in read_event_log(own / "events.jsonl").records]
+        assert "lease.acquired" in names and "engine.request" not in names
+        names = [r["name"] for r in read_event_log(job_log).records]
+        assert "engine.request" in names
 
     def test_collect_via_store_writes_csv(self, capsys, tmp_path):
         out_file = tmp_path / "set.csv"

@@ -15,6 +15,7 @@ from repro.telemetry.dashboard import (
     run_top,
     sparkline,
 )
+from repro.telemetry.events import Telemetry, install
 from repro.telemetry.export import (
     ExpositionError,
     parse_exposition,
@@ -22,6 +23,8 @@ from repro.telemetry.export import (
     write_json_snapshot,
     write_prometheus,
 )
+from repro.telemetry.sinks import JsonlSink
+from repro.telemetry.trace import read_event_log
 
 FAST = dict(n_train=40, n_trees=15, generations=3, patience=None, seed=2)
 
@@ -39,6 +42,29 @@ def finished_store(tmp_path_factory):
     finished = service.work(poll_interval=0.01, max_jobs=1, idle_polls=2)
     assert finished[0].state == DONE
     return root
+
+
+@pytest.fixture(scope="module")
+def worker_store(tmp_path_factory):
+    """A job drained by ``JobService.work`` under an installed worker
+    session, as ``repro worker`` runs it (cached engine)."""
+    service = JobService(tmp_path_factory.mktemp("worker") / "store",
+                         worker_id="w1")
+    job_id = service.submit(_request()).job_id
+    worker_log = service.store.event_log_path("worker-w1")
+    session = Telemetry([JsonlSink(worker_log, append=True, live=True)])
+    previous = install(session)
+    try:
+        finished = service.work(poll_interval=0.01, max_jobs=1, idle_polls=2)
+    finally:
+        install(previous)
+        session.close()
+    assert finished[0].state == DONE
+    return service.store, job_id
+
+
+def _names(path):
+    return [record.get("name") for record in read_event_log(path).records]
 
 
 class TestSparkline:
@@ -104,6 +130,38 @@ class TestFleetDashboard:
         store = RunStore(tmp_path / "empty")
         frame = render_snapshot(FleetDashboard(store).snapshot(), color=False)
         assert "(no jobs)" in frame and "(no heartbeats)" in frame
+
+
+class TestOneWriterPerLog:
+    def test_job_log_opens_with_meta(self, worker_store):
+        store, job_id = worker_store
+        first = store.event_log_path(job_id).read_text().splitlines()[0]
+        assert json.loads(first)["kind"] == "meta"
+
+    def test_worker_log_holds_no_job_records(self, worker_store):
+        store, _ = worker_store
+        names = set(_names(store.event_log_path("worker-w1")))
+        assert {"lease.acquired", "lease.released"} <= names
+        assert not names & {"engine.request", "model.fit", "job.completed"}
+
+    def test_engine_panel_counts_each_record_once(self, worker_store):
+        store, job_id = worker_store
+        names = _names(store.event_log_path(job_id))
+        engine = FleetDashboard(store).snapshot()["engine"]
+        assert engine["requests"] == names.count("engine.request") > 0
+        assert engine["fits"] == names.count("model.fit") > 0
+
+    def test_executed_requests_carry_queue_wait(self, worker_store):
+        store, job_id = worker_store
+        requests = [
+            record["fields"]
+            for record in read_event_log(store.event_log_path(job_id)).records
+            if record.get("name") == "engine.request"
+        ]
+        executed = [fields for fields in requests if not fields["cache_hit"]]
+        assert executed and all("queue_wait" in fields for fields in executed)
+        engine = FleetDashboard(store).snapshot()["engine"]
+        assert engine["queue_wait_p50"] is not None
 
 
 class TestTopCli:

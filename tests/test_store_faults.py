@@ -17,7 +17,8 @@ never ``None``; and resuming ends with the uninterrupted run's
 fingerprint.  Over one cache batch, every key then either hits with
 the right run or misses.  ``load_job`` is also checked right after
 every completed save, so a torn line that a later save would bury is
-still caught.
+still caught.  A worker loop whose every heartbeat rename fails still
+finishes its job with that fingerprint and leaves no temp file.
 """
 
 from __future__ import annotations
@@ -172,3 +173,32 @@ def test_fault_while_storing_a_cache_batch(batch, fault):
             cold = CachedBackend(InProcessBackend(), directory=tmp)
             found = cold._lookup(request_key(request, cold.signature()))
             assert found is None or found == run
+
+
+def test_heartbeat_replace_faults_leave_the_worker_running(
+    reference_fingerprint, tmp_path
+):
+    # Every heartbeat's rename fails with ENOSPC, the first beat, the
+    # background thread's and the final ``exited`` beat alike; liveness
+    # reporting is best-effort, so the job and the loop carry on.
+    service = JobService(tmp_path / "store", worker_id="w1",
+                         heartbeat_interval=0.01)
+    job_id = service.submit(REQUEST).job_id
+    real = os.replace
+    failed = []
+
+    def replace(src, dst, **kwargs):
+        if str(dst).endswith(".hb"):
+            failed.append(dst)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real(src, dst, **kwargs)
+
+    with mock.patch.object(os, "replace", replace):
+        finished = service.work(poll_interval=0.01, max_jobs=1, idle_polls=2)
+
+    assert failed
+    [record] = finished
+    assert record.state == DONE
+    assert record.result["fingerprint"] == reference_fingerprint
+    assert service.store.load_job(job_id)["state"] == DONE
+    assert list(service.store.health_dir.iterdir()) == []

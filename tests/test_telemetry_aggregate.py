@@ -152,19 +152,6 @@ class TestLogAggregator:
             ("x", 1001.0), ("y", 1003.0), ("x", 1005.0),
         ]
 
-    def test_duplicates_across_job_and_worker_logs_collapse(self, tmp_path):
-        # The runner fans a job's records into both the worker log and
-        # the job log; the aggregator must count each emit once, and
-        # the surviving copy carries the job label.
-        line = _event("ga.generation", 2.0, generation=1, best=9.0)
-        (tmp_path / "ts-123.jsonl").write_text(_meta(1000.0) + "\n" + line + "\n")
-        (tmp_path / "worker-w1.jsonl").write_text(
-            _meta(1000.0) + "\n" + line + "\n"
-        )
-        merged = LogAggregator(tmp_path).poll()
-        assert len(merged) == 1
-        assert merged[0].labels == {"job": "ts-123"}
-
     def test_resume_duplicates_with_new_epoch_are_kept(self, tmp_path):
         # A resumed job may re-emit an identical-looking event in a new
         # session; its wall differs (new meta), so it is a new sample.
