@@ -14,7 +14,9 @@ asserts the service-level contract end to end:
   within a group, all returned report fingerprints are equal;
 * the final ``/metrics`` scrape passes the strict exposition parser,
   and its ``repro_fleet_api_requests`` (the server's ``api.request``
-  records) counts at least every submission sent.
+  records) counts at least every submission sent;
+* eight concurrent ``/metrics`` scrapes, then one more, all parse and
+  report the same ``repro_fleet_engine_requests``.
 
 Exit 0 on success, 1 with a reason on any violation.  Artifacts (the
 metrics scrape, a summary JSON, and pointers to the API event log) are
@@ -248,6 +250,23 @@ def main() -> int:
                   f"than the {args.clients} submissions sent",
                   file=sys.stderr)
             return 1
+
+        # -- concurrent scrapes count what a lone one counts -----------
+        def engine_requests(_=None) -> float:
+            families = parse_exposition(client.metrics())
+            [(_, _, value)] = families["repro_fleet_engine_requests"][
+                "samples"]
+            return value
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            burst = list(pool.map(engine_requests, range(8)))
+        last = engine_requests()
+        if burst != [last] * len(burst):
+            print(f"FAIL: 8 concurrent /metrics scrapes read {burst} engine "
+                  f"requests, a later one {last:g}", file=sys.stderr)
+            return 1
+        print(f"8 concurrent /metrics scrapes and a later one all count "
+              f"{last:g} engine requests")
         (out / "metrics.txt").write_text(exposition)
         (out / "summary.json").write_text(json.dumps({
             "clients": args.clients,

@@ -392,7 +392,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if stage_table:
         log.info("\nstages:\n%s", stage_table)
     if args.chrome:
-        path = telemetry.write_chrome_trace(event_log.records, args.chrome)
+        # On the wall clock, so a resumed log's sessions follow one another.
+        placed = ({**t.record, "ts": t.wall} for t in event_log.tagged)
+        path = telemetry.write_chrome_trace(placed, args.chrome)
         log.info("\nwrote Chrome trace %s (open in chrome://tracing or Perfetto)", path)
     return 0
 

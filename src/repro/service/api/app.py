@@ -39,8 +39,12 @@ request-shaping layers then run in order:
 3. **admission** — :class:`JobService`'s active-job cap; full → 503
    with ``Retry-After``.
 
-Dedup + submit run under one server-wide lock, which is what makes
-"exactly one stored job" hold under concurrent identical submissions.
+Every handler runs on the server's one store thread, one request at a
+time: dedup and admission read one listing of the store inside one
+handler call, so concurrent identical submissions store exactly one
+job, and two fleet snapshots never tail the event logs at once.  Each
+connection carries one request; every response says ``Connection:
+close``.
 
 Every handler (and every parse failure) appends an ``api.request``
 record to the server's own event log, ``events/<server-id>.jsonl`` in
@@ -58,8 +62,8 @@ import json
 import threading
 import time
 import uuid
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.service.api.http import (
     HttpError,
@@ -80,7 +84,6 @@ from repro.service.jobs import (
     request_fingerprint,
 )
 from repro.service.scheduler import AdmissionError, JobFinished, JobService
-from repro.store import RunStore
 from repro.telemetry.events import Telemetry
 from repro.telemetry.export import prometheus_from_fleet
 from repro.telemetry.sinks import JsonlSink
@@ -98,22 +101,18 @@ DEDUP_STATES = ("queued", "running", DONE)
 
 
 class ApiServer:
-    """One asyncio HTTP front door over one run store."""
+    """One asyncio HTTP front door over one job service."""
 
     def __init__(
         self,
-        store: Union[RunStore, str, Path, JobService],
+        service: JobService,
         host: str = "127.0.0.1",
         port: int = 0,
         quota: Optional[QuotaManager] = None,
         limits: Optional[HttpLimits] = None,
-        max_queued: int = 256,
         server_id: Optional[str] = None,
     ):
-        if isinstance(store, JobService):
-            self.service = store
-        else:
-            self.service = JobService(store, max_queued=max_queued)
+        self.service = service
         self.host = host
         self.port = port  # rewritten with the bound port after start()
         self.quota = quota
@@ -125,7 +124,8 @@ class ApiServer:
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
-        self._submit_lock: Optional[asyncio.Lock] = None
+        #: The one thread every handler runs on (see :meth:`_dispatch`).
+        self._store_thread: Optional[ThreadPoolExecutor] = None
         self._dashboard = None  # built lazily (imports the dashboard stack)
         self.routes: List[Tuple[str, str, Callable]] = [
             ("GET", "/v1/health", self._health),
@@ -143,7 +143,9 @@ class ApiServer:
     # ------------------------------------------------------------------
     async def start(self) -> "ApiServer":
         """Bind and begin accepting; resolves once the port is known."""
-        self._submit_lock = asyncio.Lock()
+        self._store_thread = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix=f"repro-{self.server_id}-store"
+        )
         self._server = await asyncio.start_server(
             self._handle_connection,
             self.host,
@@ -159,16 +161,14 @@ class ApiServer:
         )
         return self
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
-
     async def aclose(self) -> None:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        if self._store_thread is not None:
+            self._store_thread.shutdown()
+            self._store_thread = None
         if self.events is not None:
             self.events.close()
 
@@ -232,7 +232,7 @@ class ApiServer:
         async def _main() -> None:
             try:
                 await self.start()
-                await self.serve_forever()
+                await self._server.serve_forever()
             finally:
                 await self.aclose()
 
@@ -248,57 +248,44 @@ class ApiServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        first = True
+        """Read one request, answer it, close the connection."""
+        started = time.perf_counter()
         try:
-            while True:
-                started = time.perf_counter()
-                try:
-                    request = await read_request(reader, self.limits, first)
-                except HttpError as err:
-                    if not first and err.status == 408:
-                        # An idle keep-alive connection timing out is a
-                        # normal close, not an error worth answering.
-                        return
-                    self._observe(
-                        "(unparsed)", "-", err.status,
-                        time.perf_counter() - started, tenant=None,
-                    )
-                    body, ctype = error_body(err.status, err.message)
-                    writer.write(response_bytes(
-                        err.status, body, ctype,
-                        headers=err.headers, keep_alive=False,
-                    ))
-                    await writer.drain()
-                    return
-                if request is None:
-                    return  # clean EOF
-                first = False
-                status, payload, headers, ctype, route = await self._dispatch(
-                    request
-                )
-                keep = request.keep_alive and status < 500
-                if isinstance(payload, (bytes, bytearray)):
-                    body = bytes(payload)
-                else:
-                    body = json.dumps(
-                        payload, sort_keys=True, default=str
-                    ).encode("utf-8")
+            try:
+                request = await read_request(reader, self.limits)
+            except HttpError as err:
                 self._observe(
-                    route, request.method, status,
-                    time.perf_counter() - started,
-                    tenant=request.headers.get(TENANT_HEADER),
-                    deduplicated=bool(
-                        isinstance(payload, dict)
-                        and payload.get("deduplicated")
-                    ),
+                    "(unparsed)", "-", err.status,
+                    time.perf_counter() - started, tenant=None,
                 )
-                writer.write(response_bytes(
-                    status, body, ctype, headers=headers, keep_alive=keep
-                ))
+                body, ctype = error_body(err.status, err.message)
+                writer.write(
+                    response_bytes(err.status, body, ctype, err.headers)
+                )
                 await writer.drain()
-                if not keep:
-                    return
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
+                return
+            if request is None:
+                return  # the client closed before a whole request
+            status, payload, headers, ctype, route = await self._dispatch(
+                request
+            )
+            if isinstance(payload, (bytes, bytearray)):
+                body = bytes(payload)
+            else:
+                body = json.dumps(
+                    payload, sort_keys=True, default=str
+                ).encode("utf-8")
+            self._observe(
+                route, request.method, status,
+                time.perf_counter() - started,
+                tenant=request.headers.get(TENANT_HEADER),
+                deduplicated=bool(
+                    isinstance(payload, dict) and payload.get("deduplicated")
+                ),
+            )
+            writer.write(response_bytes(status, body, ctype, headers))
+            await writer.drain()
+        except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
             writer.close()
@@ -310,8 +297,8 @@ class ApiServer:
     async def _dispatch(
         self, request: HttpRequest
     ) -> Tuple[int, object, Dict[str, str], str, str]:
-        """Route one request; returns (status, payload, headers, ctype,
-        route-label)."""
+        """Route one request and run its handler on the store thread;
+        returns (status, payload, headers, ctype, route-label)."""
         allowed: List[str] = []
         for method, pattern, handler in self.routes:
             params = _match(pattern, request.path)
@@ -321,7 +308,9 @@ class ApiServer:
                 allowed.append(method)
                 continue
             try:
-                result = await handler(request, **params)
+                result = await asyncio.wrap_future(
+                    self._store_thread.submit(handler, request, **params)
+                )
             except HttpError as err:
                 body, ctype = error_body(err.status, err.message)
                 return err.status, body, err.headers, ctype, pattern
@@ -364,23 +353,18 @@ class ApiServer:
             deduplicated=deduplicated,
         )
 
-    async def _in_executor(self, fn: Callable, *args):
-        return await asyncio.get_running_loop().run_in_executor(
-            None, fn, *args
-        )
-
     # ------------------------------------------------------------------
-    # Handlers
+    # Handlers (each runs on the store thread)
     # ------------------------------------------------------------------
-    async def _health(self, request: HttpRequest):
+    def _health(self, request: HttpRequest):
         return 200, {"status": "ok", "server": self.server_id,
                      "store": str(self.service.store.root)}
 
-    async def _jobs_list(self, request: HttpRequest):
-        records = await self._in_executor(self._jobs_sync)
-        return 200, {"jobs": [self._record_doc(r) for r in records]}
+    def _jobs_list(self, request: HttpRequest):
+        self.service.store.refresh()
+        return 200, {"jobs": [self._record_doc(r) for r in self.service.jobs()]}
 
-    async def _jobs_submit(self, request: HttpRequest):
+    def _jobs_submit(self, request: HttpRequest):
         tenant = request.headers.get(TENANT_HEADER, DEFAULT_TENANT)
         if self.quota is not None:
             retry_after = self.quota.try_acquire(tenant)
@@ -389,47 +373,43 @@ class ApiServer:
                     429,
                     f"tenant {tenant!r} is over its submission quota",
                     headers={"Retry-After": f"{max(1, round(retry_after))}"},
-                    close=False,
                 )
         doc = request.json()
         if not isinstance(doc, dict):
-            raise HttpError(400, "request body must be a JSON object",
-                            close=False)
+            raise HttpError(400, "request body must be a JSON object")
         try:
             priority = int(doc.pop("priority", 0))
         except (TypeError, ValueError):
-            raise HttpError(400, "priority must be an integer", close=False)
+            raise HttpError(400, "priority must be an integer")
         unknown = sorted(set(doc) - set(TuneRequest.__dataclass_fields__))
         if unknown:
             raise HttpError(
-                400, f"unknown request field(s): {', '.join(unknown)}",
-                close=False,
+                400, f"unknown request field(s): {', '.join(unknown)}"
             )
         try:
             tune_request = TuneRequest.from_dict(doc)
         except (TypeError, ValueError) as exc:
-            raise HttpError(400, f"invalid request: {exc}", close=False)
+            raise HttpError(400, f"invalid request: {exc}")
 
-        assert self._submit_lock is not None
-        async with self._submit_lock:
-            try:
-                record, deduplicated = await self._in_executor(
-                    self._submit_sync, tune_request, priority
-                )
-            except AdmissionError as exc:
-                raise HttpError(
-                    503, str(exc), headers={"Retry-After": "5"}, close=False
-                )
-        doc = self._record_doc(record)
-        doc["deduplicated"] = deduplicated
-        return (200 if deduplicated else 201), doc
+        # Dedup, then admit against the same listing of the store.
+        self.service.store.refresh()
+        jobs = self.service.jobs()
+        fingerprint = request_fingerprint(tune_request)
+        for record in jobs:
+            if (record.state in DEDUP_STATES
+                    and request_fingerprint(record.request) == fingerprint):
+                return 200, {**self._record_doc(record), "deduplicated": True}
+        try:
+            record = self.service.admit(tune_request, priority, jobs)
+        except AdmissionError as exc:
+            raise HttpError(503, str(exc), headers={"Retry-After": "5"})
+        return 201, {**self._record_doc(record), "deduplicated": False}
 
-    async def _jobs_status(self, request: HttpRequest, id: str):
-        record = await self._in_executor(self._get_sync, id)
-        return 200, self._record_doc(record)
+    def _jobs_status(self, request: HttpRequest, id: str):
+        return 200, self._record_doc(self._get(id))
 
-    async def _jobs_result(self, request: HttpRequest, id: str):
-        record = await self._in_executor(self._get_sync, id)
+    def _jobs_result(self, request: HttpRequest, id: str):
+        record = self._get(id)
         if record.state == DONE:
             return 200, {
                 "job_id": record.job_id,
@@ -442,7 +422,6 @@ class ApiServer:
                 409,
                 f"{record.job_id} is {record.state}"
                 + (f": {record.error}" if record.error else ""),
-                close=False,
             )
         return 202, {
             "job_id": record.job_id,
@@ -451,76 +430,45 @@ class ApiServer:
             "progress": job_progress(record),
         }
 
-    async def _jobs_cancel(self, request: HttpRequest, id: str):
+    def _jobs_cancel(self, request: HttpRequest, id: str):
+        self.service.store.refresh()
         try:
-            record = await self._in_executor(self._cancel_sync, id)
+            record = self.service.cancel(id)
         except JobFinished as exc:
-            raise HttpError(409, f"already finished: {exc}", close=False)
+            raise HttpError(409, f"already finished: {exc}")
+        except KeyError:
+            raise HttpError(404, f"no such job: {id}")
         return 200, self._record_doc(record)
 
-    async def _fleet(self, request: HttpRequest):
-        snapshot = await self._in_executor(self._fleet_snapshot_sync)
+    def _fleet(self, request: HttpRequest):
+        snapshot = self._fleet_snapshot()
         if request.query.get("format") == "html":
             page = render_fleet_html(snapshot)
             return 200, page.encode("utf-8"), {}, "text/html; charset=utf-8"
         return 200, snapshot
 
-    async def _metrics(self, request: HttpRequest):
-        text = await self._in_executor(self._metrics_sync)
+    def _metrics(self, request: HttpRequest):
         return (
             200,
-            text.encode("utf-8"),
+            prometheus_from_fleet(self._fleet_snapshot()).encode("utf-8"),
             {},
             "text/plain; version=0.0.4; charset=utf-8",
         )
 
-    # ------------------------------------------------------------------
-    # Blocking halves (run on the default executor)
-    # ------------------------------------------------------------------
-    def _jobs_sync(self) -> List[JobRecord]:
-        self.service.store.refresh()
-        return self.service.jobs()
-
-    def _get_sync(self, job_id: str) -> JobRecord:
+    def _get(self, job_id: str) -> JobRecord:
+        """The stored record of ``job_id``; 404 when there is none."""
         self.service.store.refresh()
         try:
             return self.service.get(job_id)
         except KeyError:
-            raise HttpError(404, f"no such job: {job_id}", close=False)
+            raise HttpError(404, f"no such job: {job_id}")
 
-    def _cancel_sync(self, job_id: str) -> JobRecord:
-        self.service.store.refresh()
-        try:
-            return self.service.cancel(job_id)
-        except JobFinished:
-            raise
-        except KeyError:
-            raise HttpError(404, f"no such job: {job_id}", close=False)
-
-    def _submit_sync(
-        self, tune_request: TuneRequest, priority: int
-    ) -> Tuple[JobRecord, bool]:
-        """Dedup, then admit against the same listing of the store;
-        serialized by the caller's lock."""
-        self.service.store.refresh()
-        fingerprint = request_fingerprint(tune_request)
-        jobs = self.service.jobs()
-        for record in jobs:
-            if record.state not in DEDUP_STATES:
-                continue
-            if request_fingerprint(record.request) == fingerprint:
-                return record, True
-        return self.service.admit(tune_request, priority, jobs), False
-
-    def _fleet_snapshot_sync(self) -> Dict[str, object]:
+    def _fleet_snapshot(self) -> Dict[str, object]:
         if self._dashboard is None:
             from repro.telemetry.dashboard import FleetDashboard
 
             self._dashboard = FleetDashboard(self.service.store)
         return self._dashboard.snapshot()
-
-    def _metrics_sync(self) -> str:
-        return prometheus_from_fleet(self._fleet_snapshot_sync())
 
     # ------------------------------------------------------------------
     @staticmethod

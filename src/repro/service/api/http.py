@@ -1,8 +1,9 @@
 """Minimal asyncio HTTP/1.1 plumbing for the tuning API.
 
 Deliberately not a framework: just enough of RFC 9112 to parse one
-request from a stream and write one response back, with every limit an
-internet-facing front door needs enforced *during* the read —
+request from a stream and write one response back — a connection's
+only one, so every response says ``Connection: close`` — with every
+limit an internet-facing front door needs enforced *during* the read —
 
 * request-line and header-block size caps (414/431),
 * a body-size cap checked against ``Content-Length`` before a byte of
@@ -73,8 +74,6 @@ class HttpLimits:
     #: Seconds a single read (line or body chunk) may stall before the
     #: client is judged a slow loris and the connection 408'd.
     read_timeout: float = 10.0
-    #: Seconds an idle keep-alive connection waits for its next request.
-    keepalive_timeout: float = 30.0
 
 
 class HttpError(Exception):
@@ -85,16 +84,11 @@ class HttpError(Exception):
         status: int,
         message: str,
         headers: Optional[Mapping[str, str]] = None,
-        close: bool = True,
     ):
         super().__init__(message)
         self.status = status
         self.message = message
         self.headers = dict(headers or {})
-        #: Whether the connection state is unknown/poisoned and must be
-        #: closed after the error response (always true for parse-level
-        #: failures — we cannot find the next request's start).
-        self.close = close
 
 
 @dataclass
@@ -110,16 +104,11 @@ class HttpRequest:
     def json(self) -> object:
         """The body parsed as JSON; :class:`HttpError` 400 on failure."""
         if not self.body:
-            raise HttpError(400, "empty body where JSON was expected",
-                            close=False)
+            raise HttpError(400, "empty body where JSON was expected")
         try:
             return json.loads(self.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise HttpError(400, f"malformed JSON body: {exc}", close=False)
-
-    @property
-    def keep_alive(self) -> bool:
-        return self.headers.get("connection", "").lower() != "close"
+            raise HttpError(400, f"malformed JSON body: {exc}")
 
 
 async def _readline(
@@ -142,26 +131,19 @@ async def _readline(
 
 
 async def read_request(
-    reader: asyncio.StreamReader,
-    limits: HttpLimits,
-    first: bool = True,
+    reader: asyncio.StreamReader, limits: HttpLimits
 ) -> Optional[HttpRequest]:
-    """Parse one request off ``reader``; ``None`` on clean EOF.
+    """Parse one request off ``reader``; ``None`` when the client hangs
+    up first.
 
-    ``first`` selects the patience for the opening request line: a
-    fresh connection gets ``read_timeout`` (it connected to say
-    something), while a kept-alive one may idle up to
-    ``keepalive_timeout`` before we give up on a next request.  EOF
-    *before any bytes* of a request is a normal close, not an error.
+    EOF *before any bytes* of a request, or in the middle of its body,
+    is a normal close with nothing to answer, not an error.
     """
     line = await _readline(
-        reader,
-        limits.read_timeout if first else limits.keepalive_timeout,
-        limits.max_request_line,
-        "request line",
+        reader, limits.read_timeout, limits.max_request_line, "request line"
     )
     if not line:
-        return None  # clean EOF between requests
+        return None  # closed without sending a request
     parts = line.decode("latin-1").strip().split()
     if len(parts) != 3:
         raise HttpError(400, f"malformed request line {line[:80]!r}")
@@ -233,15 +215,14 @@ def response_bytes(
     body: bytes,
     content_type: str = "application/json",
     headers: Optional[Mapping[str, str]] = None,
-    keep_alive: bool = True,
 ) -> bytes:
-    """Serialize one complete HTTP/1.1 response."""
+    """Serialize one complete HTTP/1.1 response, the connection's last."""
     reason = REASONS.get(status, "Unknown")
     lines = [
         f"HTTP/1.1 {status} {reason}",
         f"Content-Type: {content_type}",
         f"Content-Length: {len(body)}",
-        f"Connection: {'keep-alive' if keep_alive else 'close'}",
+        "Connection: close",
     ]
     for name, value in (headers or {}).items():
         lines.append(f"{name}: {value}")

@@ -134,7 +134,8 @@ class JobService:
         """:meth:`submit` against ``jobs``, a listing the caller holds.
 
         The HTTP front door lists the store once per submission, for its
-        dedup scan, and admits against that same listing under its lock.
+        dedup scan, and admits against that same listing in the same
+        call on its one store thread.
         """
         backlog = [job for job in jobs if job.active]
         if len(backlog) >= self.max_queued:

@@ -353,8 +353,8 @@ class RunStore:
     ) -> Optional["HierarchicalModel"]:
         """The stored model, or ``None``.
 
-        ``mode="mmap"`` maps the node tables and bin edges read-only
-        from the object file — loading touches no array data, and N
+        ``mode="mmap"`` maps the node tables and stacking weights
+        read-only from the object file — loading touches no array data, and N
         processes share one page-cache copy.  Predictions are
         bit-for-bit identical on every path.
         """

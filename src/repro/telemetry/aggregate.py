@@ -65,6 +65,9 @@ class TaggedRecord:
     labels: Mapping[str, str]
     #: The raw record dict as written by the sink.
     record: Mapping[str, object]
+    #: The session of its log that wrote it: the number of ``meta``
+    #: records before it.  Span ids and ``ts`` restart in each session.
+    session: int = 0
 
     @property
     def name(self) -> str:
@@ -110,9 +113,10 @@ class LogCursor:
     * **unreadable lines** — non-JSON, non-dict, or undecodable lines
       are dropped, never raised.
 
-    Session ``meta`` records update the wall-clock epoch, so one file
-    holding several appended sessions (a resumed job) maps each
-    session's monotonic timestamps onto its own ``wall_start``.
+    Session ``meta`` records update the wall-clock epoch and the
+    session count, so one file holding several appended sessions (a
+    resumed job) maps each session's monotonic timestamps onto its own
+    ``wall_start`` and tags each record with its session.
     """
 
     def __init__(self, path: Union[str, Path]):
@@ -122,6 +126,7 @@ class LogCursor:
         self._inode: Optional[int] = None
         #: Wall-clock epoch of the current session (None before any meta).
         self._wall_start: Optional[float] = None
+        self._session = 0
         self._carry = b""
 
     def poll(self) -> List[TaggedRecord]:
@@ -159,6 +164,7 @@ class LogCursor:
             if record is None:
                 continue
             if record.get("kind") == "meta":
+                self._session += 1
                 try:
                     self._wall_start = float(record["wall_start"])  # type: ignore[arg-type]
                 except (KeyError, TypeError, ValueError):
@@ -166,7 +172,10 @@ class LogCursor:
                 continue
             out.append(
                 TaggedRecord(
-                    wall=self._wall(record), labels=self.labels, record=record
+                    wall=self._wall(record),
+                    labels=self.labels,
+                    record=record,
+                    session=self._session,
                 )
             )
         return out
@@ -195,6 +204,7 @@ class LogCursor:
         self._offset = 0
         self._inode = None
         self._wall_start = None
+        self._session = 0
         self._carry = b""
 
 

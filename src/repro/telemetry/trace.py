@@ -2,7 +2,7 @@
 
 :func:`read_event_log` parses a JSONL event log written by
 :class:`~repro.telemetry.sinks.JsonlSink` back into an
-:class:`EventLog` with the span tree reconstructed;
+:class:`EventLog` with each session's span tree reconstructed;
 :func:`render_trace_report` turns it into the text timeline and summary
 tables behind ``repro trace``; :func:`write_chrome_trace` exports any
 record sequence as a ``chrome://tracing`` / Perfetto-loadable JSON file
@@ -27,7 +27,7 @@ from typing import (
     Union,
 )
 
-from repro.telemetry.aggregate import LogCursor
+from repro.telemetry.aggregate import LogCursor, TaggedRecord
 from repro.telemetry.events import ROOT
 
 __all__ = [
@@ -43,10 +43,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EventLog:
-    """A parsed telemetry event log."""
+    """A parsed telemetry event log.
+
+    A log may hold several sessions (a resumed job appends one per
+    run), each with its own span ids and ``ts`` clock, so every record
+    is kept as a :class:`TaggedRecord`: placed on the wall clock and
+    tagged with its session.
+    """
 
     path: Path
-    records: Tuple[Dict[str, object], ...]
+    tagged: Tuple[TaggedRecord, ...]
+
+    @property
+    def records(self) -> List[Dict[str, object]]:
+        return [t.record for t in self.tagged]  # type: ignore[misc]
 
     @property
     def spans(self) -> List[Dict[str, object]]:
@@ -58,21 +68,27 @@ class EventLog:
 
     @property
     def duration(self) -> float:
-        """Seconds from the first to the last recorded instant."""
+        """Wall-clock seconds from the first to the last recorded instant."""
         points: List[float] = []
-        for r in self.records:
-            ts = r.get("ts")
-            if ts is None:
-                continue
-            points.append(float(ts))
-            if r.get("kind") == "span":
-                points.append(float(ts) + float(r.get("dur", 0.0)))
+        for t in self.tagged:
+            points.append(t.wall)
+            if t.kind == "span":
+                points.append(t.wall + _dur(t))
         return max(points) - min(points) if points else 0.0
 
-    def children_of(self, span_id: int) -> List[Dict[str, object]]:
-        """Child spans of ``span_id`` (``ROOT`` for top-level), by start."""
-        kids = [s for s in self.spans if s.get("parent", ROOT) == span_id]
-        return sorted(kids, key=lambda s: float(s.get("ts", 0.0)))
+    def children_of(
+        self, span: Optional[TaggedRecord] = None
+    ) -> List[TaggedRecord]:
+        """Child spans of ``span`` in its own session, by wall-clock
+        start; without ``span``, the top-level spans of every session."""
+        parent = ROOT if span is None else span.record.get("id", ROOT)
+        kids = [
+            t for t in self.tagged
+            if t.kind == "span"
+            and t.record.get("parent", ROOT) == parent
+            and (span is None or t.session == span.session)
+        ]
+        return sorted(kids, key=lambda t: t.wall)
 
 
 def read_event_log(path: Union[str, Path]) -> EventLog:
@@ -82,14 +98,14 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
     so every reader treats a log alike: unreadable lines (non-JSON,
     non-dict or undecodable) are skipped, a final line without its
     newline (a record still being written) is left out, and session
-    ``meta`` records are consumed, not returned.  A missing log raises
+    ``meta`` records are consumed, not returned: they place each
+    session's records on the wall clock.  A missing log raises
     :class:`FileNotFoundError`.
     """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no event log at {path}")
-    records = tuple(tagged.record for tagged in LogCursor(path).poll())
-    return EventLog(path=path, records=records)  # type: ignore[arg-type]
+    return EventLog(path=path, tagged=tuple(LogCursor(path).poll()))
 
 
 def follow_events(
@@ -216,37 +232,42 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
+def _dur(span: TaggedRecord) -> float:
+    return float(span.record.get("dur", 0.0))  # type: ignore[arg-type]
+
+
 def render_timeline(log: EventLog, limit: int = 40) -> str:
-    """Indented span tree with offset bars over the session's duration."""
-    spans = log.spans
+    """Indented span trees with offset bars over the log's wall-clock
+    span; a resumed log's sessions follow one another."""
+    spans = [t for t in log.tagged if t.kind == "span"]
     if not spans:
         return "(no spans recorded)"
-    t0 = min(float(s.get("ts", 0.0)) for s in spans)
-    t1 = max(float(s.get("ts", 0.0)) + float(s.get("dur", 0.0)) for s in spans)
+    t0 = min(s.wall for s in spans)
+    t1 = max(s.wall + _dur(s) for s in spans)
     total = max(t1 - t0, 1e-9)
 
     lines: List[str] = []
     truncated = [False]
 
-    def emit(span: Dict[str, object], depth: int) -> None:
+    def emit(span: TaggedRecord, depth: int) -> None:
         if len(lines) >= limit:
             truncated[0] = True
             return
-        ts = float(span.get("ts", 0.0)) - t0
-        dur = float(span.get("dur", 0.0))
+        ts = span.wall - t0
+        dur = _dur(span)
         start = int(round(ts / total * _BAR_WIDTH))
         length = max(1, int(round(dur / total * _BAR_WIDTH)))
         length = min(length, _BAR_WIDTH - min(start, _BAR_WIDTH - 1))
         bar = "." * start + "#" * length
         bar = bar[:_BAR_WIDTH].ljust(_BAR_WIDTH, ".")
-        label = ("  " * depth) + str(span.get("name", "?"))
+        label = ("  " * depth) + (span.name or "?")
         lines.append(
             f"{ts:>9.3f}s  {label:<32s} {_fmt_seconds(dur):>8s}  |{bar}|"
         )
-        for child in log.children_of(int(span.get("id", ROOT))):
+        for child in log.children_of(span):
             emit(child, depth + 1)
 
-    for top in log.children_of(ROOT):
+    for top in log.children_of():
         emit(top, 0)
     if truncated[0]:
         lines.append(f"... truncated at {limit} rows (--limit to raise)")

@@ -9,7 +9,9 @@ the JSON routes, raw sockets where the *protocol* itself is the subject
 from __future__ import annotations
 
 import html
+import json
 import socket
+import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
@@ -22,6 +24,7 @@ from repro.cli.main import main as cli_main
 from repro.service import (
     JobFinished,
     JobRecord,
+    JobService,
     TuneRequest,
     request_fingerprint,
 )
@@ -51,7 +54,7 @@ def _request(**overrides) -> TuneRequest:
 
 @pytest.fixture()
 def server(tmp_path):
-    api = ApiServer(tmp_path / "store", port=0).start_in_thread()
+    api = ApiServer(JobService(tmp_path / "store"), port=0).start_in_thread()
     yield api
     api.stop_in_thread()
 
@@ -66,7 +69,7 @@ def done_server(tmp_path_factory):
     """A server whose store holds one finished job (shared: it costs a
     full FAST pipeline run)."""
     root = tmp_path_factory.mktemp("api-done")
-    api = ApiServer(root / "store", port=0).start_in_thread()
+    api = ApiServer(JobService(root / "store"), port=0).start_in_thread()
     record = api.service.submit(_request(seed=77))
     finished = api.service.work(poll_interval=0.01, max_jobs=1, idle_polls=3)
     assert finished and finished[0].state == "done"
@@ -223,7 +226,9 @@ class TestDedup:
         assert calls == {"list_jobs": 1, "from_dict": 20}
 
     def test_full_queue_is_503_yet_duplicates_still_dedup(self, tmp_path):
-        api = ApiServer(tmp_path / "store", port=0, max_queued=2).start_in_thread()
+        api = ApiServer(
+            JobService(tmp_path / "store", max_queued=2), port=0
+        ).start_in_thread()
         try:
             client = ApiClient(api.url)
             first = client.submit(_request(seed=1))
@@ -349,7 +354,7 @@ class TestHardening:
 
     def test_slow_loris_times_out_with_408(self, tmp_path):
         api = ApiServer(
-            tmp_path / "store", port=0,
+            JobService(tmp_path / "store"), port=0,
             limits=HttpLimits(read_timeout=0.3),
         ).start_in_thread()
         try:
@@ -365,10 +370,33 @@ class TestHardening:
         assert raw.startswith(b"HTTP/1.1 414 ")
 
 
+class TestOneRequestPerConnection:
+    def test_second_request_on_a_connection_gets_no_answer(self, server):
+        """The server answers the first request with ``Connection:
+        close`` and closes: a second request sent on the same
+        connection is never read, and the client sees EOF at once."""
+        health = b"GET /v1/health HTTP/1.1\r\nHost: x\r\n\r\n"
+        with socket.create_connection(
+            (server.host, server.port), timeout=5.0
+        ) as sock:
+            sock.sendall(health + health)
+            raw = b""
+            while True:
+                chunk = sock.recv(65536)  # a kept-open socket times out
+                if not chunk:
+                    break
+                raw += chunk
+        assert raw.count(b"HTTP/1.1 ") == 1
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert b"Connection: close" in head.split(b"\r\n")
+        assert json.loads(body)["status"] == "ok"
+
+
 class TestQuotaLayer:
     def test_429_with_retry_after(self, tmp_path):
         api = ApiServer(
-            tmp_path / "store", port=0,
+            JobService(tmp_path / "store"), port=0,
             quota=QuotaManager(rate=0.1, burst=2.0),
         ).start_in_thread()
         try:
@@ -435,6 +463,45 @@ class TestFleetAndMetrics:
         assert [r["name"] for r in log.events] == ["api.started"] + [
             "api.request"] * 4
         assert log.events[-1]["fields"]["route"] == "/metrics"
+
+    def test_concurrent_first_scrapes_are_exact(self, tmp_path):
+        """Eight first scrapes at once of a store whose event log holds
+        40,000 engine requests: each answers 200 with the exact count,
+        and so does a later one.  Every snapshot tails the logs through
+        one cursor and one rollup, so two of them must not overlap."""
+        store = RunStore(tmp_path / "store")
+        store.events_dir.mkdir(parents=True, exist_ok=True)
+        meta = {"kind": "meta", "version": 1, "wall_start": time.time(),
+                "pid": 1}
+        lines = [json.dumps(meta)] + [
+            json.dumps({
+                "kind": "event", "name": "engine.request", "ts": i * 1e-4,
+                "parent": 0, "fields": {"cache_hit": i % 2 == 0,
+                                        "queue_wait": 0.001,
+                                        "wall_seconds": 0.01},
+            })
+            for i in range(40_000)
+        ]
+        store.event_log_path("ts-scraped").write_text("\n".join(lines) + "\n")
+
+        api = ApiServer(JobService(store), port=0).start_in_thread()
+
+        def scrape(_) -> float:
+            client = ApiClient(api.url, timeout=120.0)
+            families = parse_exposition(client.metrics())
+            assert client.last_status == 200
+            [(_, _, requests)] = families["repro_fleet_engine_requests"][
+                "samples"]
+            return requests
+
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                first = list(pool.map(scrape, range(8)))
+            later = scrape(None)
+        finally:
+            api.stop_in_thread()
+        assert first == [40_000] * 8
+        assert later == 40_000
 
     def test_requests_stay_out_of_the_process_global_log(self, client):
         """A pipeline installed process-globally — a job's, while it runs
@@ -529,8 +596,10 @@ def fuzz_server(tmp_path_factory):
     or truncated requests resolve in milliseconds instead of the
     production ten-second loris window."""
     root = tmp_path_factory.mktemp("api-fuzz")
-    limits = HttpLimits(read_timeout=0.2, keepalive_timeout=0.2)
-    api = ApiServer(root / "store", port=0, limits=limits).start_in_thread()
+    limits = HttpLimits(read_timeout=0.2)
+    api = ApiServer(
+        JobService(root / "store"), port=0, limits=limits
+    ).start_in_thread()
     yield api
     api.stop_in_thread()
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -271,6 +272,11 @@ class TestJobsCliAcrossProcesses:
             stderr=subprocess.DEVNULL,
         )
         try:
+            # The idle clock starts with the follow: begin it once the
+            # child has created the job log, however slowly it starts.
+            deadline = time.monotonic() + 120.0
+            while not events.exists() and time.monotonic() < deadline:
+                time.sleep(0.05)
             code = main(
                 ["trace", str(events), "--follow", "--idle-timeout", "2"]
             )

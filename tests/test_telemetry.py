@@ -8,7 +8,7 @@ import pytest
 from repro import telemetry
 from repro.telemetry import events as tele
 from repro.telemetry.sinks import RingBufferSink
-from repro.telemetry.trace import read_event_log
+from repro.telemetry.trace import read_event_log, render_timeline
 
 
 @pytest.fixture(autouse=True)
@@ -131,6 +131,52 @@ class TestEventLogRoundTrip:
         assert "timeline:" in text
         assert "tune.search" in text
         assert "ga.generation" in text
+
+
+class TestResumedJobLog:
+    def test_each_session_keeps_its_own_spans_on_the_wall_clock(
+        self, tmp_path
+    ):
+        """A job that runs out of budget and is resumed appends a second
+        session to its log, where span ids and ``ts`` start over: each
+        ``job`` span lists only its own session's children, and the
+        timeline, duration and Chrome trace put session 2 after 1."""
+        from repro.cli.main import main
+        from repro.service import JobService, TuneRequest
+
+        service = JobService(tmp_path / "store", use_cache=False)
+        record = service.submit(TuneRequest(
+            program="TS", size=10.0, n_train=60, n_trees=20, generations=5,
+            population_size=12, seed=3, budget=25,
+        ))
+        [failed] = service.run_pending()
+        assert failed.state == "failed" and "budget" in failed.error
+        assert service.resume(record.job_id, budget=100).state == "done"
+
+        path = service.store.event_log_path(record.job_id)
+        log = read_event_log(path)
+        first, second = [t for t in log.tagged if t.name == "job"]
+        assert (first.session, second.session) == (1, 2)
+        assert [c.name for c in log.children_of(first)] == ["collect"]
+        assert [c.name for c in log.children_of(second)] == [
+            "collect", "tune.fit", "tune.search"]
+        first_end = first.wall + first.record["dur"]
+        assert second.wall >= first_end
+        assert log.duration >= second.wall + second.record["dur"] - first.wall
+
+        rows = render_timeline(log, limit=10_000).splitlines()
+        offsets = [float(row.split()[0].rstrip("s")) for row in rows]
+        assert offsets == sorted(offsets)
+        session_one = [t for t in log.tagged
+                       if t.kind == "span" and t.session == 1]
+        jobs = [i for i, row in enumerate(rows) if row.split()[1] == "job"]
+        assert jobs == [0, len(session_one)]
+
+        chrome = tmp_path / "trace.json"
+        assert main(["trace", str(path), "--chrome", str(chrome)]) == 0
+        one, two = [e for e in json.loads(chrome.read_text())["traceEvents"]
+                    if e["name"] == "job"]
+        assert two["ts"] >= one["ts"] + one["dur"]
 
 
 class TestCliIntegration:
