@@ -97,7 +97,7 @@ def test_disabled_overhead_below_one_percent():
     )
 
 
-def test_rollup_100k_events_under_budget(tmp_path):
+def test_dashboard_ingests_100k_events_under_budget(tmp_path):
     """Aggregation throughput: 100k logged events ingest within budget.
 
     `repro top` must catch up on a large backlog (a long fleet run it
@@ -107,26 +107,29 @@ def test_rollup_100k_events_under_budget(tmp_path):
     """
     import json
 
-    from repro.telemetry.aggregate import LogAggregator, Rollup
+    from repro.store import RunStore
+    from repro.telemetry.dashboard import FleetDashboard
 
     n = 100_000
     lines = [json.dumps({"kind": "meta", "version": 1, "wall_start": 0.0,
                          "pid": 1})]
     for i in range(n):
         lines.append(json.dumps({
-            "kind": "event", "name": f"engine.request.{i % 8}",
+            "kind": "event", "name": "engine.request",
             "ts": i * 0.001, "parent": 0,
             "fields": {"queue_wait": (i % 50) * 0.01, "ok": True},
         }))
-    (tmp_path / "worker-bench.jsonl").write_text("\n".join(lines) + "\n")
+    store = RunStore(tmp_path / "store")
+    store.events_dir.mkdir(parents=True, exist_ok=True)
+    store.event_log_path("worker-bench").write_text("\n".join(lines) + "\n")
 
-    aggregator = LogAggregator(tmp_path)
-    rollup = Rollup(window=3600.0, max_samples=4096)
+    dashboard = FleetDashboard(store)
     start = time.perf_counter()
-    rollup.extend(aggregator.poll())
+    ingested = dashboard.refresh()
     elapsed = time.perf_counter() - start
 
-    assert rollup.total == n
+    assert ingested == n
+    assert dashboard.snapshot()["engine"]["requests"] == n
     assert elapsed < 10.0, f"100k-event ingest took {elapsed:.2f}s"
     print(f"\n100k events ingested in {elapsed:.3f}s "
           f"({n / elapsed / 1e3:.0f}k records/s)")

@@ -19,7 +19,7 @@ Hadoop-like ODC space used for the Figure 2 sensitivity study.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -53,10 +53,6 @@ class Parameter:
     def decode(self, x: float) -> Any:
         """Inverse of :meth:`encode` (clipping out-of-range inputs)."""
         raise NotImplementedError
-
-    def grid(self, resolution: int = 5) -> List[Any]:
-        """A small set of representative values, used by tests and sweeps."""
-        return [self.decode(x) for x in np.linspace(0.0, 1.0, resolution)]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}({self.name!r}, default={self.default!r})"
@@ -174,9 +170,6 @@ class CategoricalParameter(Parameter):
         index = int(round(x * (len(self.choices) - 1)))
         return self.choices[index]
 
-    def grid(self, resolution: int = 5) -> List[Any]:
-        return list(self.choices)
-
 
 def BoolParameter(
     name: str, default: bool, description: str = ""
@@ -285,9 +278,6 @@ class ConfigurationSpace:
     def random(self, rng: np.random.Generator) -> Configuration:
         """One draw of the paper's Configuration Generator (CG)."""
         return Configuration(self, {p.name: p.sample(rng) for p in self.parameters})
-
-    def sample(self, n: int, rng: np.random.Generator) -> List[Configuration]:
-        return [self.random(rng) for _ in range(n)]
 
     def from_dict(self, values: Mapping[str, Any]) -> Configuration:
         """Build a configuration from a possibly partial dict (defaults fill gaps)."""

@@ -34,7 +34,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Mapping, Optional, Union
 
 from repro.service.jobs import DONE, PHASES, QUEUED, RUNNING, JobRecord, read_jobs
 from repro.service.lease import LeaseInfo, LeaseManager
@@ -60,9 +60,6 @@ ALIVE = "alive"
 STALE = "stale"
 DEAD = "dead"
 EXITED = "exited"
-
-#: One fleet-view row (a job or a worker) as a JSON-ready dict.
-Row = Dict[str, object]
 
 #: A heartbeat is suspect after this many missed intervals ...
 STALE_AFTER_INTERVALS = 2.0
@@ -325,10 +322,11 @@ class FleetView:
             store.lease_dir, worker_id="fleet-view-reader", clock=clock
         )
 
-    # -- joined rows ----------------------------------------------------
-    def _rows(self) -> Tuple[float, List[Row], List[Row]]:
-        """The clock reading, job rows and worker rows, from one read of
-        the job records, one lease peek per job and one heartbeat listing."""
+    def snapshot(self) -> Dict[str, object]:
+        """The joined view as one JSON-ready dict: one row per job record
+        (holder liveness and progress) and one per worker ever seen
+        beating (lease context), from one read of the job records, one
+        lease peek per job and one heartbeat listing."""
         now = self.clock()
         heartbeats = read_heartbeats(self.store.health_dir)
         records = sorted(read_jobs(self.store), key=lambda r: (r.created, r.job_id))
@@ -384,19 +382,6 @@ class FleetView:
                     ),
                 }
             )
-        return now, jobs, workers
-
-    def workers(self) -> List[Row]:
-        """One row per worker ever seen beating, plus lease context."""
-        return self._rows()[2]
-
-    def jobs(self) -> List[Row]:
-        """One row per job record, with holder liveness and progress."""
-        return self._rows()[1]
-
-    def snapshot(self) -> Dict[str, object]:
-        """The joined view as one JSON-ready dict."""
-        now, jobs, workers = self._rows()
         return {
             "generated": now,
             "store": str(getattr(self.store, "root", "")),

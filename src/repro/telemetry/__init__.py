@@ -15,12 +15,12 @@ experiment scripts re-derive:
   trace`` text timeline, and Chrome-trace (``chrome://tracing`` /
   Perfetto) export;
 * :mod:`repro.telemetry.aggregate` — merge N per-worker/per-job event
-  logs into one wall-clock-ordered stream with incremental tailing and
-  windowed rollups (rates, last-values, quantiles);
+  logs into one wall-clock-ordered stream with incremental tailing;
 * :mod:`repro.telemetry.dashboard` — the ``repro top`` live fleet
-  view (jobs/workers/engine panels, ANSI in-place refresh, ``--json``);
+  view (jobs/workers/engine panels folded from that stream as records
+  arrive, ANSI in-place refresh, ``--json``);
 * :mod:`repro.telemetry.export` — Prometheus text-exposition and JSON
-  snapshot writers over the fleet rollups;
+  snapshot writers over the dashboard's snapshot;
 * :mod:`repro.telemetry.log` — structured logging behind the CLI's
   ``--verbose``/``--quiet``.
 
@@ -49,7 +49,6 @@ from typing import Iterator, Optional, Union
 from repro.telemetry.aggregate import (
     LogAggregator,
     LogCursor,
-    Rollup,
     TaggedRecord,
 )
 from repro.telemetry.events import (
@@ -85,7 +84,6 @@ __all__ = [
     "LogAggregator",
     "LogCursor",
     "RingBufferSink",
-    "Rollup",
     "TaggedRecord",
     "Telemetry",
     "configure_logging",

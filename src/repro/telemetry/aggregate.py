@@ -2,10 +2,10 @@
 
 A fleet writes many JSONL event logs into one store — ``events/
 worker-<id>.jsonl`` per worker plus ``events/<job_id>.jsonl`` per job —
-each on its own process-local monotonic clock.  This module merges them
-into a single wall-clock-ordered stream and reduces it to windowed
-rollups the dashboard (:mod:`repro.telemetry.dashboard`) and the
-exporters (:mod:`repro.telemetry.export`) read:
+each on its own process-local monotonic clock.  This module tails each
+log (``repro trace`` reads through the same cursor) and merges them into
+a single wall-clock-ordered stream, which the dashboard
+(:mod:`repro.telemetry.dashboard`) folds into its panels:
 
 * :class:`LogCursor` — incremental tailer over one JSONL log: byte-
   offset resume, torn-tail tolerance (a line still being written is
@@ -14,10 +14,7 @@ exporters (:mod:`repro.telemetry.export`) read:
 * :class:`LogAggregator` — discovers logs in a directory, polls every
   cursor and orders the batch by wall time.  Each log has one writer
   (a job's records go only to its own log), so every record is counted
-  once;
-* :class:`Rollup` — windowed reductions keyed by ``(name, labels)``:
-  counter rates, gauge last-values, and quantiles over any numeric
-  field (span durations included).
+  once.
 
 Everything is tolerant by construction: unreadable lines, torn tails,
 out-of-order timestamps across logs, and empty or absent logs all merge
@@ -27,26 +24,13 @@ without raising — an observer must never take the fleet down.
 from __future__ import annotations
 
 import json
-import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Deque,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, List, Mapping, Optional, Union
 
 __all__ = [
     "LogAggregator",
     "LogCursor",
-    "Rollup",
     "TaggedRecord",
     "labels_for_log",
 ]
@@ -242,159 +226,4 @@ class LogAggregator:
             batch.extend(cursor.poll())
         batch.sort(key=lambda tagged: tagged.wall)
         return batch
-
-
-# ----------------------------------------------------------------------
-# Windowed rollups
-# ----------------------------------------------------------------------
-_LabelsKey = Tuple[Tuple[str, str], ...]
-
-
-@dataclass
-class _Series:
-    """One (name, labels) series: total count + a bounded sample window."""
-
-    count: int = 0
-    samples: Deque[Tuple[float, Mapping[str, object]]] = field(
-        default_factory=deque
-    )
-
-
-class Rollup:
-    """Windowed reductions over a tagged-record stream.
-
-    ``add()`` files each record under ``(record name, source labels)``;
-    queries reduce over every series matching a name (and, optionally,
-    an exact label set):
-
-    * :meth:`rate` — arrivals per second over the trailing window
-      (counter semantics);
-    * :meth:`last` — the most recent value of a field (gauge
-      semantics; resume-duplicated events collapse to the latest);
-    * :meth:`values` / :meth:`quantile` — a numeric field over the
-      retained samples, the last ``max_samples`` of each series (span
-      durations are exposed as the ``dur`` field).
-
-    "Now" is the largest wall time ever added, so rollups over a
-    finished log are reproducible and tests need no real clock.
-    """
-
-    def __init__(self, window: float = 60.0, max_samples: int = 1024):
-        if window <= 0:
-            raise ValueError("window must be positive")
-        if max_samples < 1:
-            raise ValueError("max_samples must be positive")
-        self.window = window
-        self.max_samples = max_samples
-        self._series: Dict[str, Dict[_LabelsKey, _Series]] = {}
-        self._now = 0.0
-        self.total = 0
-
-    # -- ingest ---------------------------------------------------------
-    def add(self, tagged: TaggedRecord) -> None:
-        """File one record (meta records are ignored upstream)."""
-        name = tagged.name
-        if not name:
-            return
-        fields: Dict[str, object] = dict(tagged.fields)
-        if tagged.kind == "span":
-            try:
-                fields["dur"] = float(tagged.record.get("dur", 0.0))  # type: ignore[arg-type]
-            except (TypeError, ValueError):
-                pass
-        key = tuple(sorted((k, str(v)) for k, v in tagged.labels.items()))
-        series = self._series.setdefault(name, {}).setdefault(key, _Series())
-        series.count += 1
-        series.samples.append((tagged.wall, fields))
-        while len(series.samples) > self.max_samples:
-            series.samples.popleft()
-        if tagged.wall > self._now:
-            self._now = tagged.wall
-        self.total += 1
-
-    def extend(self, batch: Iterable[TaggedRecord]) -> None:
-        for tagged in batch:
-            self.add(tagged)
-
-    # -- queries --------------------------------------------------------
-    def count(self, name: str, labels: Optional[Mapping[str, str]] = None) -> int:
-        """Total records ever filed under ``name`` (matching series)."""
-        return sum(s.count for s in self._matching(name, labels))
-
-    def rate(
-        self, name: str, labels: Optional[Mapping[str, str]] = None
-    ) -> float:
-        """Arrivals per second over the trailing window."""
-        cutoff = self._now - self.window
-        arrived = sum(
-            1
-            for series in self._matching(name, labels)
-            for wall, _ in series.samples
-            if wall >= cutoff
-        )
-        return arrived / self.window
-
-    def last(
-        self,
-        name: str,
-        field_name: str,
-        labels: Optional[Mapping[str, str]] = None,
-    ) -> Optional[object]:
-        """The newest value of ``field_name`` across matching series."""
-        best: Optional[Tuple[float, object]] = None
-        for series in self._matching(name, labels):
-            for wall, fields in reversed(series.samples):
-                if field_name in fields:
-                    if best is None or wall > best[0]:
-                        best = (wall, fields[field_name])
-                    break
-        return best[1] if best is not None else None
-
-    def values(
-        self,
-        name: str,
-        field_name: str,
-        labels: Optional[Mapping[str, str]] = None,
-    ) -> List[Tuple[float, float]]:
-        """Time-ordered ``(wall, value)`` pairs of a numeric field."""
-        out: List[Tuple[float, float]] = []
-        for series in self._matching(name, labels):
-            for wall, fields in series.samples:
-                value = fields.get(field_name)
-                try:
-                    out.append((wall, float(value)))  # type: ignore[arg-type]
-                except (TypeError, ValueError):
-                    continue
-        out.sort(key=lambda pair: pair[0])
-        return out
-
-    def quantile(
-        self,
-        name: str,
-        field_name: str,
-        q: float,
-        labels: Optional[Mapping[str, str]] = None,
-    ) -> Optional[float]:
-        """Sample-exact quantile of a numeric field's retained samples."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        values = sorted(v for _, v in self.values(name, field_name, labels))
-        if not values:
-            return None
-        # Nearest-rank: the smallest value with cumulative freq >= q.
-        rank = max(1, math.ceil(q * len(values))) - 1
-        return values[min(rank, len(values) - 1)]
-
-    # ------------------------------------------------------------------
-    def _matching(
-        self, name: str, labels: Optional[Mapping[str, str]]
-    ) -> Sequence[_Series]:
-        by_labels = self._series.get(name)
-        if not by_labels:
-            return ()
-        if labels is None:
-            return tuple(by_labels.values())
-        key = tuple(sorted((k, str(v)) for k, v in labels.items()))
-        series = by_labels.get(key)
-        return (series,) if series is not None else ()
 

@@ -1,10 +1,11 @@
 """`repro top`: a dependency-free live terminal view of one fleet.
 
-:class:`FleetDashboard` composes the three observability sources this
-PR-stack built — the store's job records and heartbeats (via
-:class:`~repro.service.health.FleetView`), the merged event-log stream
-(:class:`~repro.telemetry.aggregate.LogAggregator`), and its windowed
-:class:`~repro.telemetry.aggregate.Rollup` — into one snapshot dict,
+:class:`FleetDashboard` composes the store's job records and heartbeats
+(via :class:`~repro.service.health.FleetView`) with the answers its
+panels show, which it folds from the merged event-log stream
+(:class:`~repro.telemetry.aggregate.LogAggregator`) as each record
+arrives — exact counts, trailing-window rates, nearest-rank quantiles
+over the newest samples, per-job GA curves — into one snapshot dict,
 then renders it two ways:
 
 * an ANSI terminal frame refreshing in place (plain ``\\x1b[H`` homing,
@@ -21,14 +22,17 @@ a fleet perturbs nothing but the page cache.
 
 from __future__ import annotations
 
+import bisect
 import json
+import math
 import sys
 import time
+from collections import deque
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Deque, Dict, List, Optional, Union
 
 from repro.service.health import FleetView
-from repro.telemetry.aggregate import LogAggregator, Rollup
+from repro.telemetry.aggregate import LogAggregator, TaggedRecord
 from repro.telemetry.export import write_json_snapshot, write_prometheus
 
 __all__ = [
@@ -41,9 +45,11 @@ __all__ = [
 #: Unicode block ramp for sparklines (space = no data at that column).
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
-#: Trailing window (seconds) of the rate panels; quantiles span the
-#: retained samples.
+#: Trailing window (seconds) of the rate panels.
 DEFAULT_WINDOW = 60.0
+
+#: Newest values kept, fleet-wide, of each field a quantile is read from.
+QUANTILE_SAMPLES = 4096
 
 #: GA best-fitness values kept per job for the sparkline.
 GA_HISTORY = 64
@@ -75,14 +81,68 @@ def sparkline(values: List[float], width: int = 16) -> str:
     return "".join(out).rjust(width)
 
 
+class _GaCurve:
+    """One job's GA convergence: its newest generation and best values."""
+
+    def __init__(self) -> None:
+        self.generation: object = None
+        self.history: Deque[float] = deque(maxlen=GA_HISTORY)
+
+    def panel(self) -> Dict[str, object]:
+        return {
+            "generation": (
+                int(self.generation) if self.generation is not None else None
+            ),
+            "best": self.history[-1] if self.history else None,
+            "history": list(self.history),
+        }
+
+
+def _number(value: object) -> Optional[float]:
+    """``value`` as a float, or None when it is not a number."""
+    try:
+        return float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        return None
+
+
+def _keep(samples: Deque[float], value: object) -> None:
+    """Append ``value`` to a quantile sample window if it is numeric."""
+    number = _number(value)
+    if number is not None:
+        samples.append(number)
+
+
+def _quantile(samples: Deque[float], q: float) -> Optional[float]:
+    """Nearest-rank quantile: the smallest sample whose cumulative
+    frequency reaches ``q``."""
+    values = sorted(samples)
+    if not values:
+        return None
+    return values[max(1, math.ceil(q * len(values))) - 1]
+
+
 class FleetDashboard:
     """Aggregate one store's observability sources into snapshots.
 
     The dashboard owns a persistent :class:`LogAggregator` (incremental
-    tailing: each refresh reads only appended bytes) and a
-    :class:`Rollup`; :class:`FleetView` reads are stateless.  One
-    instance per watching process; :meth:`snapshot` is cheap enough to
-    call at refresh rate.
+    tailing: each refresh reads only appended bytes) and folds every
+    new record into the answers its panels show, then drops it:
+
+    * exact counts of ``api.request``, ``engine.request`` and
+      ``model.fit`` records (errors, dedup hits, cache hits, fit trees)
+      and of every record ingested;
+    * the wall times of request arrivals inside the trailing
+      :data:`DEFAULT_WINDOW`, for the rates;
+    * the newest :data:`QUANTILE_SAMPLES` values of each field a p50 or
+      p99 is read from, across the fleet;
+    * per job log, the last GA generation and :data:`GA_HISTORY` best
+      values.
+
+    What it keeps grows with the request rate and the number of job
+    logs, never with the length of the logs.  :class:`FleetView` reads
+    are stateless.  One instance per watching process; :meth:`snapshot`
+    is cheap enough to call at refresh rate.
     """
 
     def __init__(
@@ -93,13 +153,67 @@ class FleetDashboard:
         self.store = store
         self.view = FleetView(store, clock=clock)
         self.aggregator = LogAggregator(store.events_dir)
-        self.rollup = Rollup(window=DEFAULT_WINDOW, max_samples=4096)
+        self._records = 0
+        self._api_requests = self._api_errors = self._api_deduplicated = 0
+        self._engine_requests = self._cache_flags = self._cache_hits = 0
+        self._fits = 0
+        self._fit_trees = 0.0
+        # "Now" is the largest wall time ingested, so panels over a
+        # finished log are reproducible and tests need no real clock.
+        self._now = 0.0
+        # Sorted arrival walls; refresh() drops those older than the
+        # window.  Batches come in wall order, so an insort appends.
+        self._api_walls: List[float] = []
+        self._engine_walls: List[float] = []
+        self._api_seconds: Deque[float] = deque(maxlen=QUANTILE_SAMPLES)
+        self._queue_waits: Deque[float] = deque(maxlen=QUANTILE_SAMPLES)
+        self._run_seconds: Deque[float] = deque(maxlen=QUANTILE_SAMPLES)
+        self._fit_seconds: Deque[float] = deque(maxlen=QUANTILE_SAMPLES)
+        self._ga: Dict[str, _GaCurve] = {}
 
     def refresh(self) -> int:
         """Ingest newly appended event-log records; returns how many."""
         batch = self.aggregator.poll()
-        self.rollup.extend(batch)
+        for tagged in batch:
+            self._ingest(tagged)
+        cutoff = self._now - DEFAULT_WINDOW
+        for walls in (self._api_walls, self._engine_walls):
+            del walls[: bisect.bisect_left(walls, cutoff)]
         return len(batch)
+
+    def _ingest(self, tagged: TaggedRecord) -> None:
+        """Fold one record into the panels; records of kinds no panel
+        reads are only counted."""
+        self._records += 1
+        self._now = max(self._now, tagged.wall)
+        name, fields = tagged.name, tagged.fields
+        if name == "api.request":
+            self._api_requests += 1
+            bisect.insort(self._api_walls, tagged.wall)
+            status = _number(fields.get("status"))
+            if status is not None and status >= 400:
+                self._api_errors += 1
+            if _number(fields.get("deduplicated")):
+                self._api_deduplicated += 1
+            _keep(self._api_seconds, fields.get("seconds"))
+        elif name == "engine.request":
+            self._engine_requests += 1
+            bisect.insort(self._engine_walls, tagged.wall)
+            hit = _number(fields.get("cache_hit"))
+            if hit is not None:
+                self._cache_flags += 1
+                self._cache_hits += bool(hit)
+            _keep(self._queue_waits, fields.get("queue_wait"))
+            _keep(self._run_seconds, fields.get("wall_seconds"))
+        elif name == "model.fit":
+            self._fits += 1
+            self._fit_trees += _number(fields.get("trees")) or 0.0
+            _keep(self._fit_seconds, fields.get("seconds"))
+        elif name == "ga.generation" and "job" in tagged.labels:
+            curve = self._ga.setdefault(tagged.labels["job"], _GaCurve())
+            if "generation" in fields:
+                curve.generation = fields["generation"]
+            _keep(curve.history, fields.get("best"))
 
     # -- snapshot -------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
@@ -108,29 +222,14 @@ class FleetDashboard:
         self.store.refresh()
         snap = self.view.snapshot()
         for job in snap["jobs"]:  # type: ignore[union-attr]
-            job["ga"] = self._ga_panel(str(job["job_id"]))
+            job["ga"] = self._ga.get(str(job["job_id"]), _GaCurve()).panel()
         snap["engine"] = self._engine_panel()
         snap["api"] = self._api_panel()
         snap["events"] = {
-            "records": self.rollup.total,
+            "records": self._records,
             "logs": len(self.aggregator.logs),
         }
         return snap
-
-    def _ga_panel(self, job_id: str) -> Dict[str, object]:
-        """GA convergence for one job, from its ``ga.generation`` events."""
-        labels = {"job": job_id}
-        history = [
-            value
-            for _, value in self.rollup.values("ga.generation", "best", labels)
-        ]
-        generation = self.rollup.last("ga.generation", "generation", labels)
-        best = history[-1] if history else None
-        return {
-            "generation": int(generation) if generation is not None else None,
-            "best": best,
-            "history": history[-GA_HISTORY:],
-        }
 
     def _api_panel(self) -> Dict[str, object]:
         """Front-door health from ``api.request`` events.
@@ -140,47 +239,31 @@ class FleetDashboard:
         here — over the merged event stream — means the panel is right
         even with several ``repro serve`` processes on one store.
         """
-        statuses = self.rollup.values("api.request", "status")
-        dedup = self.rollup.values("api.request", "deduplicated")
         return {
-            "requests": self.rollup.count("api.request"),
-            "rate": round(self.rollup.rate("api.request"), 3),
-            "errors": len([1 for _, status in statuses if status >= 400]),
-            "deduplicated": len([1 for _, flag in dedup if flag]),
-            "latency_p50": self.rollup.quantile("api.request", "seconds", 0.5),
-            "latency_p99": self.rollup.quantile("api.request", "seconds", 0.99),
+            "requests": self._api_requests,
+            "rate": round(len(self._api_walls) / DEFAULT_WINDOW, 3),
+            "errors": self._api_errors,
+            "deduplicated": self._api_deduplicated,
+            "latency_p50": _quantile(self._api_seconds, 0.5),
+            "latency_p99": _quantile(self._api_seconds, 0.99),
         }
 
     def _engine_panel(self) -> Dict[str, object]:
         """Cross-fleet engine health from ``engine.request`` events,
         plus the modeling side from ``model.fit`` events."""
-        requests = self.rollup.count("engine.request")
-        hits = len([
-            1
-            for _, flag in self.rollup.values("engine.request", "cache_hit")
-            if flag
-        ])
-        sampled = len(self.rollup.values("engine.request", "cache_hit"))
         return {
-            "requests": requests,
-            "runs_per_sec": round(self.rollup.rate("engine.request"), 3),
+            "requests": self._engine_requests,
+            "runs_per_sec": round(len(self._engine_walls) / DEFAULT_WINDOW, 3),
             "cache_hit_rate": (
-                round(hits / sampled, 4) if sampled else None
+                round(self._cache_hits / self._cache_flags, 4)
+                if self._cache_flags else None
             ),
-            "queue_wait_p50": self.rollup.quantile(
-                "engine.request", "queue_wait", 0.5
-            ),
-            "queue_wait_p99": self.rollup.quantile(
-                "engine.request", "queue_wait", 0.99
-            ),
-            "wall_p50": self.rollup.quantile(
-                "engine.request", "wall_seconds", 0.5
-            ),
-            "fits": self.rollup.count("model.fit"),
-            "fit_seconds_p50": self.rollup.quantile("model.fit", "seconds", 0.5),
-            "fit_trees": int(
-                sum(v for _, v in self.rollup.values("model.fit", "trees"))
-            ),
+            "queue_wait_p50": _quantile(self._queue_waits, 0.5),
+            "queue_wait_p99": _quantile(self._queue_waits, 0.99),
+            "wall_p50": _quantile(self._run_seconds, 0.5),
+            "fits": self._fits,
+            "fit_seconds_p50": _quantile(self._fit_seconds, 0.5),
+            "fit_trees": int(self._fit_trees),
         }
 
 

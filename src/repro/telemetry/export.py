@@ -21,7 +21,7 @@ import json
 import math
 import re
 from pathlib import Path
-from typing import Dict, List, Mapping, Union
+from typing import Dict, List, Mapping, Optional, Union
 
 from repro.store.artifacts import atomic_write
 
@@ -68,41 +68,17 @@ def _fmt_value(value: float) -> str:
     return repr(float(value))
 
 
-class _Writer:
-    """Accumulate exposition lines, one HELP/TYPE header per family."""
-
-    def __init__(self) -> None:
-        self.lines: List[str] = []
-        self._headed: Dict[str, str] = {}
-
-    def header(self, name: str, kind: str, help_text: str) -> None:
-        if self._headed.get(name) == kind:
-            return
-        self._headed[name] = kind
-        self.lines.append(f"# HELP {name} {help_text}")
-        self.lines.append(f"# TYPE {name} {kind}")
-
-    def sample(
-        self,
-        name: str,
-        labels: Mapping[str, object],
-        value: float,
-    ) -> None:
-        self.lines.append(f"{name}{_labels_str(labels)} {_fmt_value(value)}")
-
-    def text(self) -> str:
-        return "\n".join(self.lines) + ("\n" if self.lines else "")
-
-
 def prometheus_from_fleet(snapshot: Mapping[str, object]) -> str:
     """Render a fleet-dashboard snapshot dict as Prometheus text.
 
     One gauge family per observable: job progress/state, worker
     heartbeat age and status, and the engine panel — everything an
     alert rule would want ("any worker dead", "job stuck below 50%
-    for an hour", "cache hit rate collapsed").
+    for an hour", "cache hit rate collapsed").  Each family is one
+    group, as the format requires: its HELP/TYPE header and then all of
+    its samples, families in first-seen order.
     """
-    writer = _Writer()
+    families: Dict[str, List[str]] = {}
 
     def gauge(name, help_text, labels, value):
         if value is None:
@@ -112,8 +88,10 @@ def prometheus_from_fleet(snapshot: Mapping[str, object]) -> str:
         except (TypeError, ValueError):
             return
         full = _metric_name("repro_fleet_" + name)
-        writer.header(full, "gauge", help_text)
-        writer.sample(full, labels, value)
+        lines = families.setdefault(
+            full, [f"# HELP {full} {help_text}", f"# TYPE {full} gauge"]
+        )
+        lines.append(f"{full}{_labels_str(labels)} {_fmt_value(value)}")
 
     summary = snapshot.get("summary", {}) or {}
     for key, help_text in (
@@ -182,8 +160,8 @@ def prometheus_from_fleet(snapshot: Mapping[str, object]) -> str:
           engine.get("queue_wait_p50"))
     gauge("engine_queue_wait_seconds", "engine queue wait", {"quantile": "0.99"},
           engine.get("queue_wait_p99"))
-    gauge("engine_requests", "substrate requests observed in window", {},
-          engine.get("requests"))
+    gauge("engine_requests", "substrate requests observed in the event stream",
+          {}, engine.get("requests"))
 
     api = snapshot.get("api", {}) or {}
     gauge("api_requests", "API requests observed in the event stream", {},
@@ -203,7 +181,8 @@ def prometheus_from_fleet(snapshot: Mapping[str, object]) -> str:
     gauge("event_records", "event-log records aggregated", {},
           events.get("records"))
     gauge("event_logs", "event logs tailed", {}, events.get("logs"))
-    return writer.text()
+    lines = [line for family in families.values() for line in family]
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # ----------------------------------------------------------------------
@@ -265,12 +244,21 @@ def parse_exposition(text: str) -> Dict[str, Dict[str, object]]:
     Returns ``{family: {"type", "help", "samples": [(name, labels,
     value), ...]}}``.  Enforced rules: valid metric/label names, quoted
     and escape-valid label values, float-parsable sample values, TYPE
-    lines naming a known metric type, and samples belonging to the
-    family most recently TYPEd when headers are present.
+    lines naming a known metric type and preceding the family's samples,
+    and each family's lines forming one group: once a line of another
+    family follows, no line of the first may appear again.
     """
     families: Dict[str, Dict[str, object]] = {}
+    current: Optional[str] = None  # the family whose group is open
 
-    def family(name: str) -> Dict[str, object]:
+    def family(name: str, lineno: int) -> Dict[str, object]:
+        nonlocal current
+        if name != current:
+            if name in families:
+                raise ExpositionError(
+                    f"line {lineno}: {name} resumes after its group ended"
+                )
+            current = name
         return families.setdefault(
             name, {"type": None, "help": None, "samples": []}
         )
@@ -295,13 +283,13 @@ def parse_exposition(text: str) -> Dict[str, Dict[str, object]]:
                     raise ExpositionError(
                         f"line {lineno}: unknown TYPE {rest!r}"
                     )
-                if family(name)["samples"]:
+                if family(name, lineno)["samples"]:
                     raise ExpositionError(
                         f"line {lineno}: TYPE for {name} after its samples"
                     )
-                family(name)["type"] = rest
+                family(name, lineno)["type"] = rest
             else:
-                family(name)["help"] = rest
+                family(name, lineno)["help"] = rest
             continue
         match = _SAMPLE_RE.match(line)
         if not match:
@@ -333,8 +321,8 @@ def parse_exposition(text: str) -> Dict[str, Dict[str, object]]:
             if name.endswith(suffix) and name[: -len(suffix)] in families:
                 base = name[: -len(suffix)]
                 break
-        target = family(base if base in families else name)
-        target["samples"].append((name, labels, float(value)))  # type: ignore[union-attr]
+        samples = family(base, lineno)["samples"]
+        samples.append((name, labels, float(value)))  # type: ignore[union-attr]
     for name, meta in families.items():
         if meta["type"] == "histogram":
             sample_names = {s[0] for s in meta["samples"]}  # type: ignore[union-attr]

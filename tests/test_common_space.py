@@ -95,10 +95,6 @@ class TestCategoricalParameter:
         for choice in p.choices:
             assert p.decode(p.encode(choice)) == choice
 
-    def test_grid_returns_choices(self):
-        p = CategoricalParameter("c", ("a", "b", "c"), "a")
-        assert p.grid() == ["a", "b", "c"]
-
     def test_bool_parameter_is_two_choice(self):
         p = BoolParameter("flag", False)
         assert p.choices == (False, True)

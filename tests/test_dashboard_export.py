@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -65,6 +66,20 @@ def worker_store(tmp_path_factory):
 
 def _names(path):
     return [record.get("name") for record in read_event_log(path).records]
+
+
+def _write_log(store, name, records):
+    """Write event log ``name``: one session from wall 1000.0 holding
+    ``(record name, ts, fields)`` events."""
+    store.events_dir.mkdir(parents=True, exist_ok=True)
+    meta = {"kind": "meta", "version": 1, "wall_start": 1000.0, "pid": 1}
+    lines = [json.dumps(meta)] + [
+        json.dumps({"kind": "event", "name": record, "ts": ts, "parent": 0,
+                    "fields": fields})
+        for record, ts, fields in records
+    ]
+    with store.event_log_path(name).open("a") as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 class TestSparkline:
@@ -130,6 +145,130 @@ class TestFleetDashboard:
         store = RunStore(tmp_path / "empty")
         frame = render_snapshot(FleetDashboard(store).snapshot(), color=False)
         assert "(no jobs)" in frame and "(no heartbeats)" in frame
+
+
+class TestPanels:
+    """What the dashboard keeps of each record: exact counts, the
+    trailing-window rates, nearest-rank quantiles and per-job GA curves."""
+
+    def test_counts_stay_exact_past_the_sample_window(self, tmp_path):
+        store = RunStore(tmp_path / "store")
+        records = []
+        for i in range(6000):
+            first_half = i < 3000
+            records += [
+                ("api.request", 0.003 * i,
+                 {"status": 500 if first_half else 200, "seconds": 0.01,
+                  "deduplicated": first_half}),
+                ("engine.request", 0.003 * i + 0.001,
+                 {"cache_hit": first_half, "queue_wait": 0.001,
+                  "wall_seconds": 0.01}),
+                ("model.fit", 0.003 * i + 0.002, {"seconds": 0.1, "trees": 10}),
+            ]
+        _write_log(store, "ts-exact", records)
+        snap = FleetDashboard(store).snapshot()
+        api, engine = snap["api"], snap["engine"]
+        assert (api["requests"], api["errors"], api["deduplicated"]) == (
+            6000, 3000, 3000)
+        assert api["rate"] == 100.0
+        assert engine["requests"] == 6000
+        assert engine["cache_hit_rate"] == 0.5
+        assert engine["runs_per_sec"] == 100.0
+        assert (engine["fits"], engine["fit_trees"]) == (6000, 60_000)
+        assert snap["events"] == {"records": 18_000, "logs": 1}
+
+    def test_memory_is_bounded_by_constants(self, tmp_path):
+        """Records of kinds no panel reads are counted, not kept."""
+        store = RunStore(tmp_path / "store")
+        stage = {"stage": "sort", "seconds": 3.1, "gc_seconds": 0.2,
+                 "spill_bytes": 0, "num_tasks": 64}
+        for job in range(5):
+            _write_log(store, f"ts-{job}", [
+                ("stage.completed", 0.001 * i, stage) for i in range(5000)
+            ])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            dashboard = FleetDashboard(store)
+            dashboard.snapshot()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert dashboard.snapshot()["events"]["records"] == 25_000
+        assert grown < 1_000_000, f"dashboard kept {grown / 1e6:.2f} MB"
+
+    def test_rate_over_the_trailing_window(self, tmp_path):
+        store = RunStore(tmp_path / "store")
+        _write_log(store, "worker-w1", [
+            ("engine.request", float(t), {}) for t in range(120)
+        ])
+        dashboard = FleetDashboard(store)
+        # now = 119: the window [59, 119] holds 61 arrivals.
+        assert dashboard.snapshot()["engine"]["runs_per_sec"] == round(61 / 60, 3)
+        # Any record moves "now": a stage at 300 leaves only the request
+        # at 250 inside the window [240, 300].
+        _write_log(store, "worker-w1", [("stage.completed", 300.0, {}),
+                                        ("engine.request", 250.0, {})])
+        assert dashboard.snapshot()["engine"]["runs_per_sec"] == round(1 / 60, 3)
+
+    def test_queue_wait_quantiles_are_nearest_rank(self, tmp_path):
+        store = RunStore(tmp_path / "store")
+        _write_log(store, "worker-w1", [
+            ("engine.request", float(i), {"queue_wait": float(i)})
+            for i in range(1, 101)
+        ])
+        engine = FleetDashboard(store).snapshot()["engine"]
+        assert (engine["queue_wait_p50"], engine["queue_wait_p99"]) == (50, 99)
+
+    def test_ga_panel_keeps_each_jobs_curve_apart(self, tmp_path):
+        service = JobService(tmp_path / "store", use_cache=False)
+        first = service.submit(_request(seed=1)).job_id
+        second = service.submit(_request(seed=2)).job_id
+        _write_log(service.store, first, [
+            ("ga.generation", 1.0, {"generation": 0, "best": 5.0}),
+        ])
+        _write_log(service.store, second, [
+            ("ga.generation", 2.0, {"generation": 0, "best": 7.0}),
+        ])
+        ga = {job["job_id"]: job["ga"]
+              for job in FleetDashboard(service.store).snapshot()["jobs"]}
+        assert ga[first] == {"generation": 0, "best": 5.0, "history": [5.0]}
+        assert ga[second] == {"generation": 0, "best": 7.0, "history": [7.0]}
+
+    def test_ga_panel_shows_the_newest_generation(self, tmp_path):
+        service = JobService(tmp_path / "store", use_cache=False)
+        first = service.submit(_request(seed=1)).job_id
+        second = service.submit(_request(seed=2)).job_id
+        dashboard = FleetDashboard(service.store)
+        _write_log(service.store, first, [
+            ("ga.generation", float(g), {"generation": g, "best": 100.0 - g})
+            for g in range(100)
+        ])
+        # A newer generation of another job does not stand in for this one's.
+        _write_log(service.store, second, [
+            ("ga.generation", 200.0, {"generation": 0, "best": 7.0}),
+        ])
+        dashboard.snapshot()
+        _write_log(service.store, first, [
+            ("ga.generation", 300.0, {"generation": 100, "best": 0.5}),
+        ])
+        ga = {job["job_id"]: job["ga"] for job in dashboard.snapshot()["jobs"]}
+        assert (ga[first]["generation"], ga[first]["best"]) == (100, 0.5)
+        assert ga[first]["history"] == [100.0 - g for g in range(37, 100)] + [0.5]
+        assert (ga[second]["generation"], ga[second]["best"]) == (0, 7.0)
+
+    def test_empty_store_panels(self, tmp_path):
+        snap = FleetDashboard(RunStore(tmp_path / "empty")).snapshot()
+        assert snap["engine"] == {
+            "requests": 0, "runs_per_sec": 0.0, "cache_hit_rate": None,
+            "queue_wait_p50": None, "queue_wait_p99": None, "wall_p50": None,
+            "fits": 0, "fit_seconds_p50": None, "fit_trees": 0,
+        }
+        assert snap["api"] == {
+            "requests": 0, "rate": 0.0, "errors": 0, "deduplicated": 0,
+            "latency_p50": None, "latency_p99": None,
+        }
+        assert snap["events"] == {"records": 0, "logs": 0}
 
 
 class TestOneWriterPerLog:
@@ -226,6 +365,36 @@ class TestPrometheusExport:
         families = parse_exposition(text)
         sample = families["repro_fleet_job_progress"]["samples"][0]
         assert sample[1]["job"] == 'tricky\\"job\\n'
+
+    def test_each_family_is_one_group(self):
+        """Two jobs and two workers: every family's header and samples
+        stay together, so the per-job and per-worker families do not
+        interleave."""
+        text = prometheus_from_fleet({
+            "jobs": [{"job_id": job, "program": "TS", "sessions": 1,
+                      "state": "done", "ga": {"generation": 3, "best": 1.0},
+                      "progress": {"phase": "search", "fraction": 1.0}}
+                     for job in ("a", "b")],
+            "workers": [{"worker": worker, "host": "h", "age": 0.5,
+                         "status": "alive", "jobs_done": 1, "seq": 4}
+                        for worker in ("w1", "w2")],
+        })
+        runs = []
+        for line in text.splitlines():
+            name = line.split()[2] if line.startswith("#") else (
+                line.split("{")[0].split()[0])
+            if not runs or runs[-1] != name:
+                runs.append(name)
+        assert len(runs) == len(set(runs)), runs
+        families = parse_exposition(text)
+        assert len(families["repro_fleet_job_progress"]["samples"]) == 2
+        assert len(families["repro_fleet_worker_up"]["samples"]) == 2
+
+    def test_parser_rejects_interleaved_families(self):
+        with pytest.raises(ExpositionError, match="group"):
+            parse_exposition(
+                "# TYPE a gauge\na 1\n# TYPE b gauge\nb 1\na{x=\"2\"} 2\n"
+            )
 
     def test_parser_rejects_violations(self):
         with pytest.raises(ExpositionError):

@@ -307,7 +307,7 @@ class TestFleetView:
         service = JobService(store, use_cache=False, worker_id="w1")
         record = service.submit(_request())
         view = FleetView(store, clock=clock)
-        (job,) = view.jobs()
+        (job,) = view.snapshot()["jobs"]
         assert job["state"] == QUEUED and job["claimable"]
 
         # Lease it from a "crashed" worker with a dead heartbeat.
@@ -320,7 +320,7 @@ class TestFleetView:
         )
         writer.beat()
         clock.advance(10.0)
-        (job,) = view.jobs()
+        (job,) = view.snapshot()["jobs"]
         assert job["holder"] == "ghost"
         assert job["holder_status"] == DEAD
         assert job["claimable"]  # dead holder: anyone may take over
@@ -425,6 +425,6 @@ def test_sigkilled_worker_dead_and_reclaimed_under_half_ttl(tmp_path):
     assert reclaimed_at - killed_at < 15.0
 
     victim_rows = [
-        w for w in view.workers() if w["worker"] == "victim"
+        w for w in view.snapshot()["workers"] if w["worker"] == "victim"
     ]
     assert victim_rows and victim_rows[0]["status"] == DEAD

@@ -1,4 +1,4 @@
-"""Tests for cross-log aggregation: cursors, merging, dedup, rollups."""
+"""Tests for cross-log aggregation: cursors and merging."""
 
 import json
 import os
@@ -8,8 +8,6 @@ import pytest
 from repro.telemetry.aggregate import (
     LogAggregator,
     LogCursor,
-    Rollup,
-    TaggedRecord,
     labels_for_log,
 )
 
@@ -23,15 +21,6 @@ def _meta(wall_start=1000.0):
 def _event(name, ts, **fields):
     return json.dumps(
         {"kind": "event", "name": name, "ts": ts, "parent": 0, "fields": fields}
-    )
-
-
-def _span(name, ts, dur, **fields):
-    return json.dumps(
-        {
-            "kind": "span", "name": name, "ts": ts, "dur": dur,
-            "id": 7, "parent": 0, "fields": fields,
-        }
     )
 
 
@@ -180,76 +169,3 @@ class TestLogAggregator:
         assert [r.name for r in agg.poll()] == ["hello"]
         assert len(agg.logs) == 1
 
-
-def _tag(name, wall, labels=None, kind="event", **fields):
-    record = {"kind": kind, "name": name, "ts": wall, "fields": fields}
-    if kind == "span":
-        record["dur"] = fields.pop("dur", 0.0)
-        record["fields"] = fields
-    return TaggedRecord(wall=wall, labels=labels or {}, record=record)
-
-
-class TestRollup:
-    def test_count_and_rate_over_window(self):
-        rollup = Rollup(window=10.0)
-        for t in range(20):
-            rollup.add(_tag("engine.request", float(t)))
-        assert rollup.count("engine.request") == 20
-        # now=19; window [9, 19] holds ts 9..19 = 11 arrivals.
-        assert rollup.rate("engine.request") == pytest.approx(1.1)
-
-    def test_last_value_is_gauge_semantics(self):
-        rollup = Rollup()
-        rollup.add(_tag("job.progress", 1.0, fraction=0.2))
-        rollup.add(_tag("job.progress", 5.0, fraction=0.8))
-        assert rollup.last("job.progress", "fraction") == 0.8
-
-    def test_last_across_label_sets_picks_newest(self):
-        rollup = Rollup()
-        rollup.add(_tag("g", 1.0, {"job": "a"}, v=1))
-        rollup.add(_tag("g", 9.0, {"job": "b"}, v=2))
-        assert rollup.last("g", "v") == 2
-        assert rollup.last("g", "v", labels={"job": "a"}) == 1
-
-    def test_quantiles(self):
-        rollup = Rollup(window=1000.0)
-        for i in range(1, 101):
-            rollup.add(_tag("engine.request", float(i), queue_wait=float(i)))
-        assert rollup.quantile("engine.request", "queue_wait", 0.5) == 50
-        assert rollup.quantile("engine.request", "queue_wait", 0.99) == 99
-        assert rollup.quantile("engine.request", "queue_wait", 1.0) == 100
-
-    def test_span_duration_exposed_as_dur(self):
-        rollup = Rollup()
-        rollup.add(_tag("collect", 1.0, kind="span", dur=2.5))
-        assert rollup.last("collect", "dur") == 2.5
-
-    def test_labels_partition_series(self):
-        rollup = Rollup()
-        rollup.add(_tag("ga.generation", 1.0, {"job": "a"}, best=5.0))
-        rollup.add(_tag("ga.generation", 2.0, {"job": "b"}, best=7.0))
-        assert rollup.count("ga.generation") == 2
-        assert rollup.count("ga.generation", labels={"job": "a"}) == 1
-        assert rollup.values("ga.generation", "best", {"job": "b"}) == [
-            (2.0, 7.0)
-        ]
-
-    def test_sample_window_is_bounded(self):
-        rollup = Rollup(max_samples=10)
-        for t in range(100):
-            rollup.add(_tag("n", float(t), v=t))
-        assert rollup.count("n") == 100  # total survives eviction
-        assert len(rollup.values("n", "v")) == 10
-
-    def test_missing_series_queries_are_empty_not_errors(self):
-        rollup = Rollup()
-        assert rollup.count("nope") == 0
-        assert rollup.rate("nope") == 0.0
-        assert rollup.last("nope", "x") is None
-        assert rollup.quantile("nope", "x", 0.5) is None
-
-    def test_invalid_parameters_raise(self):
-        with pytest.raises(ValueError):
-            Rollup(window=0)
-        with pytest.raises(ValueError):
-            Rollup().quantile("n", "x", 1.5)
