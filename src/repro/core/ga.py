@@ -205,9 +205,9 @@ class GeneticAlgorithm:
 
     # ------------------------------------------------------------------
     # Resumable search: ``minimize`` is ``start`` + ``step`` until
-    # ``done``.  Exposing the pieces lets a caller (the job service)
-    # persist the :class:`GaState` after every generation and continue
-    # later — same RNG stream, same results.
+    # ``done``.  Exposing the pieces lets a caller (the job service,
+    # when a worker drains) persist the :class:`GaState` between
+    # generations and continue later — same RNG stream, same results.
     # ------------------------------------------------------------------
     def start(
         self,

@@ -153,20 +153,8 @@ class DacTuner:
         )
         return self.training_set
 
-    def fit(
-        self,
-        training_set: Optional[TrainingSet] = None,
-        checkpoint=None,
-        resume_model: Optional[HierarchicalModel] = None,
-    ) -> HierarchicalModel:
-        """Train the HM performance model on the collected set.
-
-        ``checkpoint`` is forwarded to
-        :meth:`HierarchicalModel.fit` (called with the partial model
-        after each order); ``resume_model`` continues a
-        partially-fitted model instead of starting a fresh one — both
-        are the job service's crash-recovery hooks.
-        """
+    def fit(self, training_set: Optional[TrainingSet] = None) -> HierarchicalModel:
+        """Train the HM performance model on the collected set."""
         if training_set is not None:
             self.training_set = training_set
         if self.training_set is None:
@@ -179,24 +167,18 @@ class DacTuner:
             examples=len(self.training_set),
             n_trees=self.n_trees,
         ) as span:
-            features = self.training_set.features()
-            log_times = self.training_set.log_times()
-            if resume_model is not None:
-                self.model = resume_model
-                self.model.resume_fit(
-                    features, log_times, checkpoint=checkpoint, engine=self.engine
-                )
-            else:
-                self.model = HierarchicalModel(
-                    n_trees=self.n_trees,
-                    learning_rate=self.learning_rate,
-                    tree_complexity=self.tree_complexity,
-                    target_accuracy=self.target_accuracy,
-                    random_state=self.seed,
-                )
-                self.model.fit(
-                    features, log_times, checkpoint=checkpoint, engine=self.engine
-                )
+            self.model = HierarchicalModel(
+                n_trees=self.n_trees,
+                learning_rate=self.learning_rate,
+                tree_complexity=self.tree_complexity,
+                target_accuracy=self.target_accuracy,
+                random_state=self.seed,
+            )
+            self.model.fit(
+                self.training_set.features(),
+                self.training_set.log_times(),
+                engine=self.engine,
+            )
             span.note(holdout_error=float(self.model.holdout_error_))
         self._modeling_seconds = time.perf_counter() - start
         return self.model
@@ -235,9 +217,10 @@ class DacTuner:
         ``on_generation``, if given, is called with the live
         :class:`~repro.core.ga.GaState` after the initial evaluation and
         after every generation; ``ga_state`` resumes a search from a
-        previously-persisted state instead of starting fresh (the
-        state's pickled RNG continues its stream, so a resumed search
-        equals an uninterrupted one).
+        state persisted there (the job service stores one when a worker
+        drains mid-search) instead of starting fresh.  The state's
+        pickled RNG continues its stream, so a resumed search equals an
+        uninterrupted one.
         """
         self._require_model()
         assert self.training_set is not None and self.model is not None

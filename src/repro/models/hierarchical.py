@@ -126,21 +126,14 @@ class HierarchicalModel:
         self.holdout_error_: float = np.inf
 
     # ------------------------------------------------------------------
-    def fit(
-        self, X: np.ndarray, y: np.ndarray, checkpoint=None, engine=None
-    ) -> "HierarchicalModel":
+    def fit(self, X: np.ndarray, y: np.ndarray, engine=None) -> "HierarchicalModel":
         """Fit on features ``X`` and log-time targets ``y``.
-
-        ``checkpoint``, if given, is called with ``self`` after each
-        order completes (weights and holdout error updated) — the job
-        service persists the partially-fitted model there, and
-        :meth:`resume_fit` continues from whatever orders survived.
 
         ``engine``, if given and parallel-capable
         (:attr:`repro.engine.ExecutionBackend.supports_parallel_tasks`),
         trains the independent per-order components concurrently; the
         resulting model is identical to a sequential fit (see
-        :meth:`_fit_orders`).
+        :meth:`_speculative_fit`).
 
         Binning is shared where content allows: each component binds its
         training split through :meth:`BinnedDataset.shared
@@ -152,84 +145,33 @@ class HierarchicalModel:
         matrices differ by construction — sharing across orders would
         change the fitted model and is deliberately not attempted.
         """
-        X, y = self._validate(X, y)
-        self._components = []
-        self.order_ = 0
-        self._weights = None
-        self.holdout_error_ = np.inf
-        return self._fit_orders(X, y, [], checkpoint, engine)
-
-    def resume_fit(
-        self, X: np.ndarray, y: np.ndarray, checkpoint=None, engine=None
-    ) -> "HierarchicalModel":
-        """Continue a partially-completed :meth:`fit` on the same data.
-
-        The holdout split is a pure function of ``random_state`` and
-        ``len(X)``, and each order's component is seeded independently,
-        so refitting only the missing orders yields the same model an
-        uninterrupted :meth:`fit` would have produced.
-        """
-        if not self._components:
-            return self.fit(X, y, checkpoint=checkpoint, engine=engine)
-        X, y = self._validate(X, y)
-        _, _, X_val, _, _ = self._split(X, y)
-        preds = [c.predict(X_val) for c in self._components]
-        return self._fit_orders(X, y, preds, checkpoint, engine)
-
-    # ------------------------------------------------------------------
-    def _validate(self, X: np.ndarray, y: np.ndarray):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         if len(X) != len(y):
             raise ValueError("X and y length mismatch")
         if len(X) < 8:
             raise ValueError("need at least 8 samples")
-        return X, y
+        self._components = []
+        self.order_ = 0
+        self._weights = None
+        self.holdout_error_ = np.inf
 
-    def _split(self, X: np.ndarray, y: np.ndarray):
-        """HM's own holdout, used both to weight components and to decide
-        whether another order is needed (deterministic in random_state)."""
-        rng = np.random.default_rng(self.random_state)
-        n_val = max(2, int(round(len(X) * self.validation_fraction)))
-        order_idx = rng.permutation(len(X))
-        val_idx, train_idx = order_idx[:n_val], order_idx[n_val:]
-        return X[train_idx], y[train_idx], X[val_idx], y[val_idx], np.exp(y[val_idx])
-
-    def _fit_orders(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        component_val_preds: List[np.ndarray],
-        checkpoint,
-        engine=None,
-    ) -> "HierarchicalModel":
         fit_start = time.perf_counter()
         X_train, y_train, X_val, y_val, measured_val = self._split(X, y)
-
-        # A resumed model may already satisfy the stopping criterion.
-        if component_val_preds:
-            self.order_ = len(self._components)
-            self._weights = self._combine(component_val_preds, y_val)
-            blended = self._blend(component_val_preds)
-            self.holdout_error_ = mean_relative_error(np.exp(blended), measured_val)
-            if (1.0 - self.holdout_error_) >= self.target_accuracy:
-                return self
-
-        first_order = len(self._components) + 1
-        prefit = self._speculative_fit(engine, first_order, X_train, y_train)
-
-        for order in range(first_order, self.max_order + 1):
+        val_preds: List[np.ndarray] = []
+        prefit = self._speculative_fit(engine, X_train, y_train)
+        for order in range(1, self.max_order + 1):
             if prefit is not None:
-                component = prefit[order - first_order]
+                component = prefit[order - 1]
             else:
                 component = self._build_component(order)
                 component.fit(X_train, y_train)
             self._components.append(component)
-            component_val_preds.append(component.predict(X_val))
+            val_preds.append(component.predict(X_val))
             self.order_ = order
 
-            self._weights = self._combine(component_val_preds, y_val)
-            blended = self._blend(component_val_preds)
+            self._weights = self._combine(val_preds, y_val)
+            blended = self._blend(val_preds)
             self.holdout_error_ = mean_relative_error(np.exp(blended), measured_val)
             if tele.enabled():
                 tele.event(
@@ -240,8 +182,6 @@ class HierarchicalModel:
                     weights=[float(w) for w in self._weights],
                     target_accuracy=self.target_accuracy,
                 )
-            if checkpoint is not None:
-                checkpoint(self)
             if (1.0 - self.holdout_error_) >= self.target_accuracy:
                 break
         observe_fit(
@@ -253,8 +193,18 @@ class HierarchicalModel:
         return self
 
     # ------------------------------------------------------------------
-    def _speculative_fit(self, engine, first_order: int, X_train, y_train):
-        """Fit the remaining orders concurrently when the engine can.
+    def _split(self, X: np.ndarray, y: np.ndarray):
+        """HM's own holdout, used both to weight components and to decide
+        whether another order is needed (deterministic in random_state)."""
+        rng = np.random.default_rng(self.random_state)
+        n_val = max(2, int(round(len(X) * self.validation_fraction)))
+        order_idx = rng.permutation(len(X))
+        val_idx, train_idx = order_idx[:n_val], order_idx[n_val:]
+        return X[train_idx], y[train_idx], X[val_idx], y[val_idx], np.exp(y[val_idx])
+
+    # ------------------------------------------------------------------
+    def _speculative_fit(self, engine, X_train, y_train):
+        """Fit every order concurrently when the engine can.
 
         Components are mutually independent — each is seeded from its
         order alone and fits the same training split, with stacking
@@ -267,11 +217,9 @@ class HierarchicalModel:
         round-trips through pickle exactly, so results are bit-identical
         to a sequential fit.
         """
-        if engine is None or not getattr(engine, "supports_parallel_tasks", False):
+        if self.max_order < 2 or not getattr(engine, "supports_parallel_tasks", False):
             return None
-        orders = list(range(first_order, self.max_order + 1))
-        if len(orders) < 2:
-            return None
+        orders = list(range(1, self.max_order + 1))
         payloads = [
             (self._build_component(order), X_train, y_train) for order in orders
         ]
@@ -358,9 +306,7 @@ class HierarchicalModel:
         """Rebuild a model from stored sections (zero copy; see
         :meth:`GradientBoostedTrees.from_sections`).
 
-        The restored model predicts bit-for-bit like the original and
-        supports :meth:`resume_fit` — missing orders are refitted and
-        re-stacked against the frozen ones.
+        The restored model predicts bit-for-bit like the original.
         """
         model = cls(
             n_trees=int(meta["n_trees"]),

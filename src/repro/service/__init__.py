@@ -8,8 +8,9 @@ turns one-shot tuner invocations into durable *jobs*:
 * :mod:`repro.service.budget` — per-job substrate-run budgets
   (:class:`BudgetedBackend`, :class:`BudgetExceeded`);
 * :mod:`repro.service.runner` — :class:`JobRunner`, executing one job
-  through checkpointable phases (collect per batch, fit per order,
-  search per generation) with a durable checkpoint after each unit;
+  through checkpointable phases with a durable checkpoint where redoing
+  the work is expensive: after each collect batch, after the fit and
+  at the end (a search stores its state only when a worker drains);
 * :mod:`repro.service.lease` — per-job worker leases over the shared
   store (:class:`LeaseManager`): atomic acquisition, heartbeat
   renewal, expiry-based takeover, monotonic fencing tokens;

@@ -413,8 +413,10 @@ def job_progress(record: JobRecord) -> Dict[str, object]:
     """A job's progress as ``{phase, done, total, fraction}``.
 
     The fraction is the *current phase's* checkpoint progress: collect
-    counts batches, fit counts HM orders, search counts GA generations.
-    A DONE job reports 1.0 regardless of which counters survived.
+    counts batches, fit its one model checkpoint, and search the GA
+    generations a drain stored (the live generation is in the job's
+    ``ga.generation`` events).  A DONE job reports 1.0 regardless of
+    which counters survived.
     """
     if record.state == DONE:
         return {"phase": record.phase, "done": 1, "total": 1, "fraction": 1.0}
@@ -429,10 +431,7 @@ def job_progress(record: JobRecord) -> Dict[str, object]:
             done = total = max(1, total)
     elif phase == "fit":
         sub = progress.get("fit", {}) or {}
-        done = int(sub.get("orders_done", 0) or 0)
-        total = 3  # HierarchicalModel's default max interaction order
-        if sub.get("done"):
-            done = total
+        done, total = int(bool(sub.get("done"))), 1
     elif phase in ("search", "report"):
         sub = progress.get("search", {}) or {}
         done = int(sub.get("generation", 0) or 0)

@@ -2,24 +2,30 @@
 
 :class:`JobRunner` drives a :class:`~repro.service.jobs.JobRecord`
 through the DAC pipeline against a :class:`~repro.store.RunStore`,
-persisting a durable checkpoint after every unit of work:
+persisting a durable checkpoint wherever redoing the work is expensive:
 
 * **collect** — the batch plan is a pure function of (workload, seed,
   stream), so after each per-size batch the rows gathered so far are
   stored as a column-backed training set and ``batches_done`` advances;
   a restart hands the stored set back to :meth:`DacTuner.collect`,
-  which replans and skips the finished prefix.
-* **fit** — the partial :class:`HierarchicalModel` is stored after each
-  order; a restart continues from the next order
-  (:meth:`HierarchicalModel.resume_fit`).
-* **search** — the live :class:`~repro.core.ga.GaState` (population,
-  scores, history, *and the RNG mid-stream*) is pickled every
-  generation; a restart continues the exact random sequence.
+  which replans and skips the finished prefix.  Collect is the phase
+  the paper counts in cluster-hours.
+* **fit** — the finished :class:`HierarchicalModel` is stored once; a
+  crash mid-fit refits from the first order.
+* **search** — seconds of work, so no generation is stored; a crash
+  restarts the GA.  Only a drain requested at a generation boundary
+  pickles the live :class:`~repro.core.ga.GaState` (population,
+  scores, history, *and the RNG mid-stream*), and the next worker
+  continues the exact random sequence from it.
+* **report** — stored once, at the end.
 
-Because every stochastic draw in the pipeline is derived from stable
-keys, a resumed job's :class:`~repro.core.tuner.TuningReport` carries
-the same :func:`~repro.store.report_fingerprint` as an uninterrupted
-run — crash recovery changes the cost of a run, never its answer.
+The save that closes a phase names the next one, so the stored record
+shows the running phase without a write of its own.  Because every
+stochastic draw in the pipeline is derived from stable keys (HM seeds
+each order, the GA its stream), a resumed job's
+:class:`~repro.core.tuner.TuningReport` carries the same
+:func:`~repro.store.report_fingerprint` as an uninterrupted run — crash
+recovery changes the cost of a run, never its answer.
 
 Each session appends to the job's JSONL event log in the store, so
 ``repro trace`` (and ``--follow``) works across interruptions, and
@@ -72,9 +78,10 @@ class DrainRequested(Exception):
 class JobRunner:
     """Executes one job at a time against a store, checkpointing as it goes.
 
-    Every unit of work ends in a checkpoint: a collect batch, an HM
-    order, a GA generation.  While :meth:`run` drives a job, the runner
-    holds that job's lease and renews it at each checkpoint.
+    A checkpoint ends each collect batch, the fit and the job; the
+    search checkpoints only to hand the job over on a drain.  While
+    :meth:`run` drives a job, the runner holds that job's lease and
+    renews it at each checkpoint.
 
     Parameters
     ----------
@@ -102,8 +109,10 @@ class JobRunner:
         self.engine_factory = engine_factory or InProcessBackend
         self.use_cache = use_cache
         #: Graceful-drain hook: when set and it returns true, the runner
-        #: stops at the next checkpoint boundary (after the persist),
-        #: releases the lease and leaves the job RUNNING + resumable.
+        #: stops at the next checkpoint boundary (after the persist) or
+        #: GA generation (after persisting its state), releases the
+        #: lease and leaves the job RUNNING + resumable.  Once true, it
+        #: must stay true.
         self.should_stop: Optional[Callable[[], bool]] = None
         #: Liveness hook: a :class:`~repro.service.health.HeartbeatWriter`
         #: (or anything with ``maybe_beat()``) refreshed at every
@@ -209,9 +218,7 @@ class JobRunner:
             }
             return
 
-        record.phase = "fit"
         self._phase_fit(record, tuner, engine, session)
-        record.phase = "search"
         report = self._phase_search(record, tuner, engine, session)
         record.phase = "report"
 
@@ -252,38 +259,38 @@ class JobRunner:
                 return training
             progress.clear()  # artifact lost/torn: re-collect
 
+        training = None
         if request.warm_from and not progress.get("batches_done"):
             training = self._warm_training(request)
-            if training is not None:
-                store.put_training_set(key, training)
-                progress.update(
-                    {"done": True, "warm_from": request.warm_from}
-                )
-                self._save(record, engine, session)
-                tele.event(
-                    "job.warm_start",
-                    job_id=record.job_id,
-                    source=request.warm_from,
-                    artifact="training_set",
-                )
-                tuner.training_set = training
-                return training
+        if training is not None:
+            store.put_training_set(key, training)
+            progress["warm_from"] = request.warm_from
+            tele.event(
+                "job.warm_start",
+                job_id=record.job_id,
+                source=request.warm_from,
+                artifact="training_set",
+            )
+            tuner.training_set = training
+        else:
+            def checkpoint(training, batches_done, total_batches):
+                def persist():
+                    store.put_training_set(key, training)
+                    progress["total_batches"] = total_batches
+                    progress["batches_done"] = batches_done
 
-        def checkpoint(training, batches_done, total_batches):
-            def persist():
-                store.put_training_set(key, training)
-                progress["total_batches"] = total_batches
-                progress["batches_done"] = batches_done
+                self._checkpoint(record, engine, session, persist)
 
-            self._checkpoint(record, engine, session, persist)
-
-        # Resume from whatever batch prefix the stored set holds: a crash
-        # between its put and the record save leaves it one batch ahead
-        # of ``batches_done``.  Anything else starts over.
-        training = tuner.collect(
-            resume_from=store.get_training_set(key), checkpoint=checkpoint
-        )
+            # Resume from whatever batch prefix the stored set holds: a
+            # crash between its put and the record save leaves it one
+            # batch ahead of ``batches_done``.  Anything else starts over.
+            training = tuner.collect(
+                resume_from=store.get_training_set(key), checkpoint=checkpoint
+            )
+        # The save that closes collect names a tune job's fit as running.
         progress["done"] = True
+        if request.kind == "tune":
+            record.phase = "fit"
         self._save(record, engine, session)
         return training
 
@@ -324,37 +331,24 @@ class JobRunner:
                 return
             progress.clear()  # artifact lost/torn: refit
 
-        if request.warm_from and not progress.get("orders_done"):
-            model = self._warm_model(request)
-            if model is not None:
-                store.put_model(key, model)
-                progress.update({"done": True, "warm_from": request.warm_from})
-                self._save(record, engine, session)
-                tele.event(
-                    "job.warm_start",
-                    job_id=record.job_id,
-                    source=request.warm_from,
-                    artifact="model",
-                )
-                tuner.model = model
-                return
-
-        partial = store.get_model(key) if progress.get("orders_done") else None
-
-        def checkpoint(model):
-            def persist():
-                store.put_model(key, model)
-                progress["orders_done"] = model.order_
-
-            self._checkpoint(record, engine, session, persist)
-
-        tuner.fit(checkpoint=checkpoint, resume_model=partial)
+        model = self._warm_model(request)
+        if model is None:
+            model = tuner.fit()
+        else:
+            progress["warm_from"] = request.warm_from
+            tele.event(
+                "job.warm_start",
+                job_id=record.job_id,
+                source=request.warm_from,
+                artifact="model",
+            )
+            tuner.model = model
+        # The fit's one checkpoint; its save names the search as running.
         progress["done"] = True
-
-        def persist_final():
-            store.put_model(key, tuner.model)
-
-        self._checkpoint(record, engine, session, persist_final)
+        record.phase = "search"
+        self._checkpoint(
+            record, engine, session, lambda: store.put_model(key, model)
+        )
 
     def _warm_model(self, request: TuneRequest) -> Optional[object]:
         """A prior job's finished model, when the model parameters match."""
@@ -378,11 +372,17 @@ class JobRunner:
         progress = record.progress.setdefault("search", {})
         key = record.artifact_key("ga")
 
+        # A GA state is stored only when a worker drains mid-search.
         state = None
         if progress.get("generation") is not None:
             state = store.get_ga_state(key)
 
         def on_generation(live_state):
+            # Redoing a search costs seconds, so only a drain request
+            # stores its state; the checkpoint then raises DrainRequested.
+            if self.should_stop is None or not self.should_stop():
+                return
+
             def persist():
                 store.put_ga_state(key, live_state)
                 progress["generation"] = live_state.generation

@@ -454,9 +454,9 @@ class RunStore:
         """Sweep object blobs no index entry references any more.
 
         The index is append-only and latest-wins, so superseded
-        versions of a key (re-collected training sets, per-order model
-        checkpoints overwritten in place, every GA-generation state but
-        the last) accumulate as unreferenced blobs.  Job records point
+        versions of a key (every collect batch's training set but the
+        last, a model refitted after its entry read as absent, a GA
+        state a later drain replaced) accumulate as unreferenced blobs.  Job records point
         at artifacts only *through* index keys, so the latest index
         digests are exactly the live set.
 

@@ -253,11 +253,13 @@ class TestJobProgress:
             "phase": "collect", "done": 2, "total": 8, "fraction": 0.25,
         }
 
-    def test_fit_counts_orders(self):
-        record = self._record(
-            phase="fit", progress={"fit": {"orders_done": 1}}
-        )
-        assert job_progress(record)["fraction"] == pytest.approx(1 / 3, abs=1e-3)
+    def test_fit_counts_its_one_checkpoint(self):
+        record = self._record(phase="fit", progress={"fit": {}})
+        assert job_progress(record) == {
+            "phase": "fit", "done": 0, "total": 1, "fraction": 0.0,
+        }
+        record.progress["fit"]["done"] = True
+        assert job_progress(record)["fraction"] == 1.0
 
     def test_search_counts_generations(self):
         record = self._record(

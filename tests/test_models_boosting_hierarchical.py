@@ -146,57 +146,6 @@ class TestHierarchicalModel:
         assert err < 0.40  # in-sample fit on 120 points is decent
 
 
-class TestCheckpointedFit:
-    """Per-order checkpointing and resume_fit (the job service's hooks)."""
-
-    def test_checkpoint_called_per_order(self, regression_data):
-        X, y = regression_data
-        seen = []
-        HierarchicalModel(
-            n_trees=20, learning_rate=0.02, target_accuracy=0.999, max_order=3
-        ).fit(X, y, checkpoint=lambda model: seen.append(model.order_))
-        assert seen == [1, 2, 3]
-
-    def test_resume_fit_equals_uninterrupted(self, regression_data):
-        import pickle
-
-        X, y = regression_data
-        params = dict(
-            n_trees=20, learning_rate=0.02, target_accuracy=0.999,
-            max_order=3, random_state=7,
-        )
-        reference = HierarchicalModel(**params).fit(X, y)
-
-        partials = []
-        HierarchicalModel(**params).fit(
-            X, y, checkpoint=lambda model: partials.append(pickle.dumps(model))
-        )
-        # crash after the first order; resume the pickled partial
-        resumed = pickle.loads(partials[0])
-        assert resumed.order_ == 1
-        resumed.resume_fit(X, y)
-        assert resumed.order_ == reference.order_
-        np.testing.assert_array_equal(resumed.predict(X), reference.predict(X))
-        assert resumed.holdout_error_ == reference.holdout_error_
-
-    def test_resume_fit_on_finished_model_is_noop(self, regression_data):
-        X, y = regression_data
-        model = HierarchicalModel(
-            n_trees=30, target_accuracy=0.5, random_state=1
-        ).fit(X, y)
-        before = model.predict(X).copy()
-        model.resume_fit(X, y)
-        np.testing.assert_array_equal(model.predict(X), before)
-
-    def test_resume_fit_without_components_fits_fresh(self, regression_data):
-        X, y = regression_data
-        params = dict(n_trees=30, target_accuracy=0.5, random_state=1)
-        fresh = HierarchicalModel(**params)
-        fresh.resume_fit(X, y)
-        reference = HierarchicalModel(**params).fit(X, y)
-        np.testing.assert_array_equal(fresh.predict(X), reference.predict(X))
-
-
 @st.composite
 def nnls_problems(draw, max_columns=6):
     """``(A, b)`` with 1..max_columns columns on a 1/8 grid (so exact

@@ -19,7 +19,6 @@ from repro.service import (
     BudgetedBackend,
     BudgetExceeded,
     JobRecord,
-    JobRunner,
     JobService,
     TuneRequest,
 )
@@ -320,37 +319,54 @@ class TestExecution:
         assert done_b.runs_by_session == {"1": 0}
         assert service.get(a.job_id).runs_by_session == {"1": FAST["n_train"]}
 
-    def test_ga_generation_checkpoint_creates_only_its_object(
-        self, tmp_path, monkeypatch
-    ):
-        """The lease is not rewritten and the record is appended to,
-        so a GA checkpoint's one new file is its ``ga_state`` object."""
-        service = JobService(tmp_path / "store")
-        root = service.store.root
-        record = service.submit(_request())
-        checkpoint = JobRunner._checkpoint
-        created = []
-
-        def files():
-            return {
-                (path, path.stat().st_ino)
-                for path in root.rglob("*")
-                if path.is_file()
-            }
-
-        def counting(self, record, engine, session, persist):
-            before = files()
-            checkpoint(self, record, engine, session, persist)
-            if record.phase == "search":
-                ga = service.store.entry(record.artifact_key("ga"))["digest"]
-                new = sorted(str(p.relative_to(root)) for p, _ in files() - before)
-                created.append((new, ga))
-
-        monkeypatch.setattr(JobRunner, "_checkpoint", counting)
+    def test_job_stores_one_model_and_no_ga_state(self, tmp_path):
+        """Fit and search are cheap to redo: a job that is not drained
+        stores its model once, after the fit, and never a GA state."""
+        service = JobService(tmp_path / "store", use_cache=False)
+        service.submit(_request())
         assert service.run_pending()[0].state == DONE
-        assert len(created) >= FAST["generations"]
-        for new, ga in created:
-            assert new == [f"objects/{ga[:2]}/{ga}"]
+        index = (service.store.root / "index.jsonl").read_text().splitlines()
+        kinds = [entry["kind"] for entry in map(json.loads, index)]
+        assert kinds.count("model") == 1
+        assert "ga_state" not in kinds
+        assert kinds[-2:] == ["model", "report"]
+
+    def test_stored_record_names_the_running_phase(self, tmp_path, monkeypatch):
+        """The save that closes collect names the fit, and the model
+        checkpoint names the search: no save of its own announces a
+        phase."""
+        service = JobService(tmp_path / "store", use_cache=False)
+        record = service.submit(_request())
+        fit, tune, save_job = DacTuner.fit, DacTuner.tune, RunStore.save_job
+        stored, saves = {}, []
+
+        def stored_phase():
+            return service.store.load_job(record.job_id)["phase"]
+
+        def fitting(self, *args, **kwargs):
+            stored["fit"] = stored_phase()
+            return fit(self, *args, **kwargs)
+
+        def tuning(self, *args, **kwargs):
+            stored["search"] = stored_phase()
+            return tune(self, *args, **kwargs)
+
+        def saving(self, job_id, data):
+            saves.append(data["phase"])
+            return save_job(self, job_id, data)
+
+        monkeypatch.setattr(DacTuner, "fit", fitting)
+        monkeypatch.setattr(DacTuner, "tune", tuning)
+        monkeypatch.setattr(RunStore, "save_job", saving)
+        done = service.run_pending()[0]
+        assert done.state == DONE
+        assert stored == {"fit": "fit", "search": "search"}
+        # The start and one save per batch, then the closes of collect,
+        # fit and search, and the final state.
+        batches = done.progress["collect"]["total_batches"]
+        assert saves == (
+            ["collect"] * (1 + batches) + ["fit", "search", "report", "report"]
+        )
 
 
 # ----------------------------------------------------------------------
@@ -473,23 +489,61 @@ class TestDrain:
         assert finished == []
         assert service.get(record.job_id).state == QUEUED
 
+    def test_drain_at_a_ga_generation_stores_one_state(
+        self, tmp_path, monkeypatch
+    ):
+        """A drain tripped mid-search stores the live GA state once and
+        leaves the job RUNNING with no lease; the next worker continues
+        that state, stepping only the remaining generations, to the
+        uninterrupted run's fingerprint."""
+        from repro.core.ga import GeneticAlgorithm
+
+        service = JobService(tmp_path / "store", use_cache=False)
+        record = service.submit(_request())
+        step, steps = GeneticAlgorithm.step, []
+
+        def counting(self, state, fitness):
+            steps.append(state.generation)
+            return step(self, state, fitness)
+
+        monkeypatch.setattr(GeneticAlgorithm, "step", counting)
+        finished = service.work(poll_interval=0.01, idle_polls=2,
+                                drain=lambda: len(steps) >= 2)
+        assert finished == []
+        paused = service.get(record.job_id)
+        assert paused.state == RUNNING
+        assert paused.error is None
+        assert paused.phase == "search"
+        assert paused.progress["search"] == {"generation": 2}
+        assert service.leases.holder(record.job_id) is None
+        index = (service.store.root / "index.jsonl").read_text().splitlines()
+        kinds = [entry["kind"] for entry in map(json.loads, index)]
+        assert kinds.count("ga_state") == 1
+
+        steps.clear()
+        other = JobService(tmp_path / "store", use_cache=False, worker_id="w2")
+        done = other.work(poll_interval=0.01, idle_polls=3)
+        assert [job.job_id for job in done] == [record.job_id]
+        assert done[0].state == DONE
+        assert steps == list(range(2, FAST["generations"]))
+        assert done[0].result["fingerprint"] == report_fingerprint(
+            _reference_report(_request())
+        )
+
     def test_old_path_checkpoint_resumes_to_same_fingerprint(
         self, tmp_path, monkeypatch
     ):
         """A worker that pickled its model checkpoint (the store's old
         fallback for models that did not lower to blob sections) drains
-        mid-fit.  The pickle reads as absent, so the next worker refits
-        from the first order and finishes the job to the uninterrupted
+        at the fit's one checkpoint.  The pickle reads as absent, so the
+        next worker refits and finishes the job to the uninterrupted
         run's fingerprint."""
-        from repro.store import RunStore
-
         service = JobService(tmp_path / "store", use_cache=False)
         record = service.submit(_request())
 
-        def drained_past_first_order():
+        def drained_after_fit():
             data = service.store.load_job(record.job_id) or {}
-            fit = data.get("progress", {}).get("fit", {})
-            return fit.get("orders_done", 0) >= 1
+            return bool(data.get("progress", {}).get("fit", {}).get("done"))
 
         with monkeypatch.context() as patched:
             patched.setattr(
@@ -498,10 +552,11 @@ class TestDrain:
                 lambda self, key, model: self.put_object(key, model, kind="model"),
             )
             service.work(poll_interval=0.01, idle_polls=2,
-                         drain=drained_past_first_order)
+                         drain=drained_after_fit)
         paused = service.get(record.job_id)
         assert paused.state == RUNNING
-        assert paused.progress["fit"]["orders_done"] >= 1
+        assert paused.progress["fit"]["done"]
+        assert paused.phase == "search"
 
         key = record.artifact_key("model")
         assert service.store.entry(key)["kind"] == "model"

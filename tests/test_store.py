@@ -261,10 +261,11 @@ class TestTypedArtifacts:
 
 #: Every index line a TS tune job writes (60 examples, 30 trees, 5
 #: generations, seed 7): artifact name, kind and payload SHA-256, in
-#: index order.  The report's digest is left out because its payload
+#: index order — one line per collect batch, then the model and the
+#: report.  The report's digest is left out because its payload
 #: carries wall-clock timings; its fingerprint is pinned instead.  The
-#: model digests are those of model schema 3 (float split thresholds,
-#: no bin edges); the other digests and the fingerprint predate it.
+#: model digest is that of model schema 3 (float split thresholds, no
+#: bin edges); the other digests and the fingerprint predate it.
 TUNE_JOB_INDEX = [
     ("training", "training_set", "3fad0fdb0bf68428a20ee558731a597acf2e6fd310e1a65bd5e7c75bf75eba03"),
     ("training", "training_set", "9ca3c4920ca0f979b1fae6c32a4d01642d73e9609548cd74d765b86556897935"),
@@ -276,16 +277,7 @@ TUNE_JOB_INDEX = [
     ("training", "training_set", "4d98420113a64dc2209371b625f4ce29edf2a54b22cec4a14854d93ce5fd7138"),
     ("training", "training_set", "bd2f709963fef3bae38be72b1cf8418a5832a6c964df81ffe4d0ef13ac2e7b94"),
     ("training", "training_set", "5b9650e0d60c83b171f79664447f03d98772d44b581d7c663d30d3dbe0c40228"),
-    ("model", "model", "535bfcb8f15e1eafa12a8fa437302fec9b5e084c7c5877c9ec35a299856299fa"),
-    ("model", "model", "782f188d1679ef954efcec2cf0a90df1aab9121ba677778a5459ce014c0dea4d"),
     ("model", "model", "37c97430919289b0ef552f2aeb0c4681811c0dcb7512ff060ef29f02e60fb7d1"),
-    ("model", "model", "37c97430919289b0ef552f2aeb0c4681811c0dcb7512ff060ef29f02e60fb7d1"),
-    ("ga", "ga_state", "06919524491426585789d9074936dad6867e8a0523ad6f4b5c4cd7dbc68081a9"),
-    ("ga", "ga_state", "fe624a11aa0ae048f978fea88efde8abf5881113661a23b17dff8ebd25b1f76e"),
-    ("ga", "ga_state", "223e1a062ef446a1b6fc186ee955c31fe000c4aa8eff448dc9d344e64e295bc4"),
-    ("ga", "ga_state", "44f2d9bbed1ef6026bb7a7e6c9cf7d75e8c3b6bd6a81240fbd62bb8c21fc0c97"),
-    ("ga", "ga_state", "2247cee6fdce06d2c819683b86caedf6c1a3b39efff0219e07b2d921d492e3e5"),
-    ("ga", "ga_state", "abce18035dce06049247a02fd49e8b3337919e36aec382e75c92a73b0d99d1fc"),
     ("report", "report", None),
 ]
 

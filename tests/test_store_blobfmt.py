@@ -417,14 +417,17 @@ class TestStoreCodecPaths:
             loaded = store.get_model("m", mode=mode)
             assert loaded.predict(X).tobytes() == model.predict(X).tobytes()
 
-    @pytest.mark.parametrize("drain_after", ["first order", "fit"])
+    @pytest.mark.parametrize("drain_at", ["fit", "generation"])
     def test_schema_2_fit_checkpoint_refits_to_same_fingerprint(
-        self, tmp_path, monkeypatch, drain_after
+        self, tmp_path, monkeypatch, drain_at
     ):
-        """A worker that wrote its fit checkpoints at model schema 2
-        drains after the first order or after the whole fit.  The entry
-        reads as absent, so the next worker refits and finishes the job
-        to the uninterrupted run's fingerprint."""
+        """A worker that wrote its fit checkpoint at model schema 2
+        drains at that checkpoint or at the search's first generation.
+        The entry reads as absent, so the next worker refits (and, after
+        a mid-search drain, continues the stored GA state against the
+        refitted model) and finishes the job to the uninterrupted run's
+        fingerprint."""
+        from repro.core.ga import GeneticAlgorithm
         from repro.service import JobService, TuneRequest
 
         request = TuneRequest(
@@ -438,12 +441,17 @@ class TestStoreCodecPaths:
         service = JobService(tmp_path / "store", use_cache=False)
         record = service.submit(request)
 
+        step, steps = GeneticAlgorithm.step, []
+
+        def counting(self, state, fitness):
+            steps.append(state.generation)
+            return step(self, state, fitness)
+
         def drained():
+            if drain_at == "generation":
+                return len(steps) >= 1
             data = service.store.load_job(record.job_id) or {}
-            fit = data.get("progress", {}).get("fit", {})
-            if drain_after == "fit":
-                return bool(fit.get("done"))
-            return fit.get("orders_done", 0) >= 1
+            return bool(data.get("progress", {}).get("fit", {}).get("done"))
 
         def put_schema_2(store, key, model):
             with pytest.MonkeyPatch.context() as patch:
@@ -454,10 +462,14 @@ class TestStoreCodecPaths:
 
         with monkeypatch.context() as patched:
             patched.setattr(RunStore, "put_model", put_schema_2)
+            patched.setattr(GeneticAlgorithm, "step", counting)
             service.work(poll_interval=0.01, idle_polls=2, drain=drained)
         paused = service.get(record.job_id)
         assert paused.state == "running"
-        assert drained()
+        assert paused.progress["fit"]["done"]
+        assert ("generation" in paused.progress.get("search", {})) == (
+            drain_at == "generation"
+        )
 
         key = record.artifact_key("model")
         assert service.store.entry(key)["schema"] == 2

@@ -7,7 +7,8 @@ The store's contract: the parent sees a complete, digest-valid version
 full job pipeline in a subprocess, kills it mid-collection, and resumes
 to the byte-identical report (the serving layer's acceptance property);
 a third crashes deterministically between a collect checkpoint's
-training-set put and its record save.
+training-set put and its record save, and a fourth inside the fit or
+the search, which the resume redoes from its beginning.
 """
 
 from __future__ import annotations
@@ -221,4 +222,43 @@ def test_crash_between_put_and_record_save_resumes_from_stored_set(
     resumed = JobService(root, use_cache=False).resume(record.job_id)
     assert resumed.state == DONE
     assert resumed.runs_by_session == {"1": 10, "2": 80}
+    assert resumed.result["fingerprint"] == _reference_fingerprint()
+
+
+@pytest.mark.parametrize("phase", ["fit", "search"])
+def test_crash_mid_fit_or_search_redoes_the_phase(tmp_path, monkeypatch, phase):
+    """Fit and search keep no checkpoint of their own: a crash in the
+    second HM order or the second GA generation leaves the record
+    naming that phase, and the resume redoes the phase from its
+    beginning to the uninterrupted report, with no substrate run."""
+    from repro.core.ga import GeneticAlgorithm
+    from repro.models.boosting import GradientBoostedTrees
+
+    root = tmp_path / "store"
+    service = JobService(root, use_cache=False)
+    record = service.submit(TuneRequest(**REQUEST))
+    cls, method = {
+        "fit": (GradientBoostedTrees, "fit"),
+        "search": (GeneticAlgorithm, "step"),
+    }[phase]
+    real, calls = getattr(cls, method), []
+
+    def crashing_on_the_second_call(self, *args):
+        calls.append(self)
+        if len(calls) == 2:
+            raise _Crash()
+        return real(self, *args)
+
+    monkeypatch.setattr(cls, method, crashing_on_the_second_call)
+    with pytest.raises(_Crash):
+        service.resume(record.job_id)
+    monkeypatch.undo()
+
+    store = RunStore(root)
+    crashed = JobRecord.from_dict(store.load_job(record.job_id))
+    assert (crashed.state, crashed.phase) == ("running", phase)
+    assert store.entry(record.artifact_key("ga")) is None
+    resumed = JobService(root, use_cache=False).resume(record.job_id)
+    assert resumed.state == DONE
+    assert resumed.runs_by_session == {"1": REQUEST["n_train"], "2": 0}
     assert resumed.result["fingerprint"] == _reference_fingerprint()

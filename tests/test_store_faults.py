@@ -46,7 +46,7 @@ from repro.workloads import get_workload
 FAST = dict(n_train=40, n_trees=15, generations=3, patience=None, seed=2)
 REQUEST = TuneRequest(program="TS", size=10.0, **FAST)
 
-#: One uninterrupted FAST job makes 21-31 calls of each primitive; N
+#: One uninterrupted FAST job makes 14-31 calls of each primitive; N
 #: runs a little past that, so some examples see no fault at all.
 FAULTS = st.tuples(
     st.sampled_from(("write", "replace", "link")), st.integers(1, 40)
